@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionTensor
-from .errors import ConfigError, DataError, FiniteInputError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 
 def mse(pred, target):
@@ -101,17 +101,20 @@ def average_attention(maps):
 
 
 def condition_number(a):
-    """Ratio of largest to smallest singular value; inf when sigma_min vanishes."""
+    """Ratio of largest to smallest singular value.
+
+    inf when the matrix is numerically singular: sigma_min <= max(m, n) *
+    eps * sigma_max, NumPy's own rank cutoff, below which sigma_min is
+    rounding noise (an exactly rank-deficient matrix, or the zero matrix).
+    """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"condition_number: expected a nonempty matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise FiniteInputError("condition_number: matrix must be finite")
     values = nm.svd_singular_values(arr)
-    smallest = values[-1]
-    if smallest < 1e-300:
+    largest, smallest = values[0], values[-1]
+    if smallest <= max(arr.shape) * np.finfo(np.float64).eps * largest:
         return math.inf
-    return float(values[0] / smallest)
+    return float(largest / smallest)
 
 
 def numerical_rank(a, tol=1e-10):

@@ -9,6 +9,7 @@ cells are rejected, never imputed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,8 @@ def load_csv(path, name=None):
                 raise ParseError(
                     f"{path}: non-numeric cell at row {r}, column {header[c]!r}: {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
             columns[c - 1].append(value)
     values = np.array(columns, dtype=np.float64)
     stem = name if name is not None else _stem(path)

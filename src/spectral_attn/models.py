@@ -314,22 +314,19 @@ class ForecastModel:
     def parameter_count(self):
         return sum(p.data.size for p in self.params.values())
 
-    def _qk_source_variate(self, xn, amplitudes):
+    def _qk_source_variate(self, xn):
         mech = self.config.mechanism
         if mech == "fsatten":
-            if amplitudes is None:
-                amplitudes = amplitude_matrix(xn)
-            return nm.Tensor(amplitudes)
+            return nm.Tensor(amplitude_matrix(xn))
         if mech == "soatten":
             return nm.matmul(nm.Tensor(xn), self.qk_embed)
         return None
 
-    def forward_window(self, x, training=False, capture=None, amplitudes=None):
+    def forward_window(self, x, training=False, capture=None):
         """Normalized-scale forecast for one (C, L) window.
 
         Returns (prediction tensor (C, T) on the instance-normalized scale,
-        InstanceStats for inverting it). `amplitudes` may carry a
-        precomputed amplitude matrix of the normalized window.
+        InstanceStats for inverting it).
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -338,7 +335,7 @@ class ForecastModel:
         xn, stats = instance_normalize(x)
         if cfg.architecture == "variate":
             hidden = nm.add(variate_embed(xn, self.embed_w), self.embed_b)
-            qk_source = self._qk_source_variate(xn, amplitudes)
+            qk_source = self._qk_source_variate(xn)
             for layer in self.layers:
                 hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
             pred = nm.add(nm.matmul(hidden, self.head_w), self.head_b)
@@ -363,12 +360,12 @@ class ForecastModel:
         pred, stats = self.forward_window(x, training=False, capture=capture)
         return instance_denormalize(pred.data, stats)
 
-    def window_loss(self, x, y, training=False, amplitudes=None):
+    def window_loss(self, x, y, training=False):
         """Mean squared error on the instance-normalized scale."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.config.C, self.config.T):
             raise ShapeError(f"window_loss: expected target shape ({self.config.C}, {self.config.T}), got {y.shape}")
-        pred, stats = self.forward_window(x, training=training, amplitudes=amplitudes)
+        pred, stats = self.forward_window(x, training=training)
         target = nm.Tensor((y - stats.mean) / stats.scale)
         diff = nm.sub(pred, target)
         return nm.mean_all(nm.mul(diff, diff))
@@ -460,19 +457,6 @@ class TrainReport:
         }
 
 
-def _window_features(model, pairs):
-    """Per-window constants reused every epoch (amplitudes for fsatten)."""
-    feats = []
-    fsatten = model.config.mechanism == "fsatten"
-    for pair in pairs:
-        amps = None
-        if fsatten:
-            xn, _ = instance_normalize(pair.input)
-            amps = amplitude_matrix(xn)
-        feats.append((pair.input, pair.target, amps))
-    return feats
-
-
 def train(model, dataset, config=None):
     """Minimize normalized-scale MSE with Adam; keep the best-validation state.
 
@@ -484,10 +468,10 @@ def train(model, dataset, config=None):
     cfg = model.config
     if config is not None and config != cfg:
         raise ConfigError("train: explicit config does not match the model's config")
-    train_feats = _window_features(model, windows(dataset, "train", cfg.L, cfg.T))
-    if not train_feats:
+    train_pairs = windows(dataset, "train", cfg.L, cfg.T)
+    if not train_pairs:
         raise DataError("train: empty training split")
-    val_feats = _window_features(model, windows(dataset, "val", cfg.L, cfg.T))
+    val_pairs = windows(dataset, "val", cfg.L, cfg.T)
     shuffle_rng = nm.substream(cfg.seed, "shuffle")
     optimizer = nm.Adam(model.parameters(), cfg.lr) if cfg.lr > 0 else None
 
@@ -496,22 +480,22 @@ def train(model, dataset, config=None):
     best_epoch = 0
     best_state = model.state_arrays()
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train_feats))
+        order = shuffle_rng.permutation(len(train_pairs))
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             if optimizer is None:
                 losses = [
-                    model.window_loss(x, y, training=True, amplitudes=amps)
-                    for x, y, amps in (train_feats[i] for i in batch)
+                    model.window_loss(pair.input, pair.target, training=True)
+                    for pair in (train_pairs[i] for i in batch)
                 ]
                 batch_loss = sum(float(l.data) for l in losses) / len(batch)
             else:
                 with nm.GradientTape() as tape:
                     acc = None
                     for i in batch:
-                        x, y, amps = train_feats[i]
-                        loss_i = model.window_loss(x, y, training=True, amplitudes=amps)
+                        pair = train_pairs[i]
+                        loss_i = model.window_loss(pair.input, pair.target, training=True)
                         acc = loss_i if acc is None else nm.add(acc, loss_i)
                     loss = nm.scale(acc, 1.0 / len(batch))
                 nm.backward(tape, loss)
@@ -519,10 +503,10 @@ def train(model, dataset, config=None):
                 optimizer.zero_grad()
                 batch_loss = float(loss.data)
             total += batch_loss * len(batch)
-        train_mse = total / len(train_feats)
+        train_mse = total / len(train_pairs)
         val_mse = sum(
-            float(model.window_loss(x, y, amplitudes=amps).data) for x, y, amps in val_feats
-        ) / len(val_feats)
+            float(model.window_loss(pair.input, pair.target).data) for pair in val_pairs
+        ) / len(val_pairs)
         records.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse

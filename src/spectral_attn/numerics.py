@@ -1,4 +1,4 @@
-"""Dense float64 tensors, a reverse-mode tape, Adam, and small-matrix SVD.
+"""Dense float64 tensors, a reverse-mode tape, Adam, and singular values.
 
 The tape records coarse primitives (matmul, softmax, conv2d, elementwise
 ops, ...) in execution order. `backward` replays the records in exact
@@ -466,49 +466,17 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# small-matrix SVD (one-sided Jacobi)
+# singular values
 # ---------------------------------------------------------------------------
 
-def svd_singular_values(a, max_sweeps=60, tol=1e-15):
-    """Singular values of a real matrix, nonincreasing, by one-sided Jacobi.
-
-    Columns are pairwise orthogonalized with plane rotations until every pair
-    is orthogonal to relative tolerance `tol`; the column norms are then the
-    singular values. Intended for the small-matrix regime (min dim <= 2048).
-    """
+def svd_singular_values(a):
+    """Singular values of a real nonempty finite matrix, nonincreasing (LAPACK)."""
     A = np.asarray(a, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
         raise ShapeError(f"svd_singular_values: expected a nonempty matrix, got shape {A.shape}")
-    if A.shape[0] < A.shape[1]:
-        A = A.T
-    M = A.copy()
-    n = M.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = M[:, i]
-                cj = M[:, j]
-                gamma = float(ci @ cj)
-                alpha = float(ci @ ci)
-                beta = float(cj @ cj)
-                limit = tol * math.sqrt(alpha * beta)
-                if alpha == 0.0 or beta == 0.0 or abs(gamma) <= limit:
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_i = c * ci - s * cj
-                new_j = s * ci + c * cj
-                M[:, i] = new_i
-                M[:, j] = new_j
-        if not rotated:
-            break
-    values = np.sqrt(np.sum(M * M, axis=0))
-    values.sort()
-    return values[::-1].copy()
+    if not np.isfinite(A).all():
+        raise FiniteInputError("svd_singular_values: matrix must be finite")
+    return np.linalg.svd(A, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

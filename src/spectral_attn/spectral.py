@@ -1,9 +1,8 @@
 """One-sided spectra and per-head spectrum scaling.
 
 `dft_naive` evaluates the defining transform sum directly and serves as the
-reference for the fast path in `rfft_amplitudes`, which recursively halves
-even lengths and falls back to the direct sum at odd base lengths, so every
-L >= 2 is supported without approximation.
+reference for `rfft_amplitudes` and `amplitude_matrix`, which take their bins
+from NumPy's `rfft` for every L >= 2.
 """
 
 from __future__ import annotations
@@ -33,21 +32,6 @@ def dft_naive(x):
     return out
 
 
-def _fft(x):
-    """Recursive decimation-in-time transform; direct sum at odd lengths."""
-    length = x.size
-    if length % 2 == 1:
-        if length == 1:
-            return x.copy()
-        t = np.arange(length)
-        basis = np.exp(-2j * np.pi * np.outer(t, t) / length)
-        return basis @ x
-    even = _fft(x[0::2])
-    odd = _fft(x[1::2])
-    twiddle = np.exp(-2j * np.pi * np.arange(length // 2) / length) * odd
-    return np.concatenate([even + twiddle, even - twiddle])
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """One-sided complex bins of a real sequence of length `source_length`."""
@@ -70,21 +54,15 @@ class Spectrum:
 def rfft_amplitudes(x):
     """One-sided spectrum and amplitude row of a real sequence.
 
-    Returns (Spectrum, amplitudes) where amplitudes[k] = sqrt(Re^2 + Im^2)
-    of bin k. Bin 0 is purely real, as is bin L/2 when L is even.
+    Returns (Spectrum, amplitudes) where amplitudes[k] = |bin k|, computed
+    as in `amplitude_matrix`. Bin 0 is purely real, as is bin L/2 when L is
+    even.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ShapeError(f"rfft_amplitudes: expected a 1-D sequence of length >= 2, got shape {x.shape}")
-    length = x.size
-    full = _fft(x.astype(np.complex128))
-    half = length // 2 + 1
-    bins = full[:half].copy()
-    bins[0] = complex(bins[0].real, 0.0)
-    if length % 2 == 0:
-        bins[-1] = complex(bins[-1].real, 0.0)
-    amplitudes = np.sqrt(bins.real ** 2 + bins.imag ** 2)
-    return Spectrum(bins=bins, source_length=length), amplitudes
+    bins = np.fft.rfft(x)
+    return Spectrum(bins=bins, source_length=x.size), np.abs(bins)
 
 
 def amplitude_matrix(series):
@@ -92,7 +70,7 @@ def amplitude_matrix(series):
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2 or series.shape[1] < 2:
         raise ShapeError(f"amplitude_matrix: expected (rows, L >= 2), got shape {series.shape}")
-    return np.stack([rfft_amplitudes(row)[1] for row in series])
+    return np.abs(np.fft.rfft(series, axis=-1))
 
 
 @dataclass(frozen=True)

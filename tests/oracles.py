@@ -115,6 +115,70 @@ def singular_values_via_gram(a):
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
+def recursive_fft(x):
+    """Full complex spectrum by recursive decimation in time; direct sum at odd lengths."""
+    x = np.asarray(x, dtype=np.complex128)
+    length = x.size
+    if length % 2 == 1:
+        if length == 1:
+            return x.copy()
+        t = np.arange(length)
+        basis = np.exp(-2j * np.pi * np.outer(t, t) / length)
+        return basis @ x
+    even = recursive_fft(x[0::2])
+    odd = recursive_fft(x[1::2])
+    twiddle = np.exp(-2j * np.pi * np.arange(length // 2) / length) * odd
+    return np.concatenate([even + twiddle, even - twiddle])
+
+
+def recursive_amplitudes(x):
+    """One-sided amplitude row of a real sequence from `recursive_fft`."""
+    x = np.asarray(x, dtype=np.float64)
+    bins = recursive_fft(x)[: x.size // 2 + 1]
+    bins[0] = complex(bins[0].real, 0.0)
+    if x.size % 2 == 0:
+        bins[-1] = complex(bins[-1].real, 0.0)
+    return np.sqrt(bins.real ** 2 + bins.imag ** 2)
+
+
+def jacobi_singular_values(a, max_sweeps=60, tol=1e-15):
+    """Singular values, nonincreasing, by one-sided Jacobi.
+
+    Columns are pairwise orthogonalized with plane rotations until every pair
+    is orthogonal to relative tolerance `tol`; the column norms are then the
+    singular values.
+    """
+    m = np.array(a, dtype=np.float64)
+    if m.shape[0] < m.shape[1]:
+        m = m.T.copy()
+    n = m.shape[1]
+    for _ in range(max_sweeps):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                ci = m[:, i]
+                cj = m[:, j]
+                gamma = float(ci @ cj)
+                alpha = float(ci @ ci)
+                beta = float(cj @ cj)
+                limit = tol * math.sqrt(alpha * beta)
+                if alpha == 0.0 or beta == 0.0 or abs(gamma) <= limit:
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                new_i = c * ci - s * cj
+                new_j = s * ci + c * cj
+                m[:, i] = new_i
+                m[:, j] = new_j
+        if not rotated:
+            break
+    values = np.sqrt(np.sum(m * m, axis=0))
+    return np.sort(values)[::-1]
+
+
 def finite_difference_gradient(f, x, step=1e-5):
     """Central finite differences of scalar f at array x, entry by entry."""
     x = np.asarray(x, dtype=np.float64)

@@ -127,6 +127,12 @@ def test_condition_number_singular_matrix_is_infinite():
     assert condition_number(u @ u.T) == math.inf
 
 
+def test_condition_number_cutoff_is_relative_to_sigma_max():
+    assert condition_number(np.zeros((3, 3))) == math.inf
+    assert abs(condition_number(np.diag([1.0, 1e-12])) - 1e12) / 1e12 < 1e-12
+    assert condition_number(np.diag([1.0, 1e-17])) == math.inf
+
+
 def test_numerical_rank_identity_up_to_64():
     for n in range(1, 65):
         assert numerical_rank(np.eye(n)) == n

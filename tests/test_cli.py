@@ -165,6 +165,19 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_csv_cell_is_one_error_line(workdir, capsys):
+    tmp, config, csv = workdir
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    date, first, rest = lines[5].split(",", 2)
+    lines[5] = ",".join([date, "nan", rest])
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--data", str(csv), "--out", str(tmp / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "row 6" in err[0] and "'nan'" in err[0]
+
+
 def test_evaluate_rejects_mismatched_variates(workdir, tmp_path):
     tmp, config, csv = workdir
     out = tmp / "run"

@@ -57,6 +57,13 @@ def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+def test_load_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
+    path = write(tmp_path, f"date,a,b\nt0,1,2\nt1,3,{cell}\n")
+    with pytest.raises(ParseError, match=rf"non-finite cell at row 3, column 'b': '{cell}'"):
+        load_csv(path)
+
+
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(FormatError, match="row 3"):
         load_csv(write(tmp_path, "date,a,b\nt0,1,2\nt1,3\n"))

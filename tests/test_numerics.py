@@ -10,6 +10,7 @@ from spectral_attn.errors import ConfigError, EmptyTapeError, FiniteInputError, 
 from oracles import (
     finite_difference_gradient,
     jacobi_eigenvalues,
+    jacobi_singular_values,
     max_rel_error,
     naive_matmul,
 )
@@ -327,6 +328,36 @@ def test_svd_nonincreasing_and_rectangular():
 def test_svd_empty_matrix_rejected():
     with pytest.raises(ShapeError):
         nm.svd_singular_values(np.zeros((0, 3)))
+
+
+def _row_stochastic(rng, n):
+    scores = rng.standard_normal((n, n))
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("square", (1, 1)), ("square", (2, 2)), ("square", (5, 5)), ("square", (12, 12)),
+    ("square", (32, 32)),
+    ("rectangular", (7, 3)), ("rectangular", (3, 7)), ("rectangular", (32, 5)),
+    ("rectangular", (17, 32)),
+    ("stochastic", (4, 4)), ("stochastic", (12, 12)), ("stochastic", (32, 32)),
+])
+def test_svd_matches_one_sided_jacobi_oracle(kind, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    if kind == "stochastic":
+        a = _row_stochastic(rng, shape[0])
+    else:
+        a = rng.standard_normal(shape)
+    values = nm.svd_singular_values(a)
+    expected = jacobi_singular_values(a)
+    assert values.shape == expected.shape
+    assert np.max(np.abs(values - expected)) <= 1e-12 * expected[0]
+
+
+def test_svd_rejects_non_finite():
+    with pytest.raises(FiniteInputError):
+        nm.svd_singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_svd_invariant_under_orthogonal_factor():

@@ -1,4 +1,4 @@
-"""Spectra: direct DFT oracle, fast path agreement, amplitudes, MSS scaling."""
+"""Spectra: direct DFT oracle, NumPy rfft against the recursive FFT oracle, amplitudes, MSS scaling."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from spectral_attn.spectral import (
     rfft_amplitudes,
 )
 
-from oracles import finite_difference_gradient, max_rel_error
+from oracles import finite_difference_gradient, max_rel_error, recursive_amplitudes
 
 
 def test_dft_constant_signal_is_dc_only():
@@ -71,6 +71,18 @@ def test_rfft_matches_naive_prefix(length):
     reference = dft_naive(x)[: length // 2 + 1]
     np.testing.assert_allclose(spectrum.bins, reference, atol=1e-9)
     np.testing.assert_allclose(amps, np.abs(reference), atol=1e-9)
+
+
+@pytest.mark.parametrize("length", range(2, 257))
+def test_amplitude_matrix_matches_recursive_fft_oracle(length):
+    rng = np.random.default_rng(1000 + length)
+    series = rng.standard_normal((32, length))
+    expected = np.stack([recursive_amplitudes(row) for row in series])
+    for rows in (1, 4, 32):
+        amps = amplitude_matrix(series[:rows])
+        scale = np.maximum(1.0, np.abs(expected[:rows]))
+        assert np.max(np.abs(amps - expected[:rows]) / scale) <= 1e-12
+    np.testing.assert_array_equal(rfft_amplitudes(series[0])[1], amps[0])
 
 
 def test_rfft_real_input_symmetries():
