@@ -58,13 +58,16 @@ class MetricsReport:
 
 
 def evaluate_on_split(model, dataset, which="test"):
-    """MetricsReport for one split, on the de-normalized (window-native) scale."""
+    """MetricsReport for one split, on the de-normalized (window-native) scale.
+
+    Every window of the split is forecast in one batch.
+    """
     from .data import windows
     from .models import config_hash
 
     cfg = model.config
     pairs = windows(dataset, which, cfg.L, cfg.T)
-    preds = np.stack([model.predict(p.input) for p in pairs])    # (n, C, T)
+    preds = model.predict_batch(np.stack([p.input for p in pairs]))    # (n, C, T)
     targets = np.stack([p.target for p in pairs])
     per_horizon = tuple(
         (t + 1, mse(preds[:, :, t], targets[:, :, t]), mae(preds[:, :, t], targets[:, :, t]))

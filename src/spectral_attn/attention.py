@@ -1,9 +1,11 @@
 """Attention mechanisms: conventional multi-head, frequency-spectrum (fsatten),
 scaled-orthogonal (soatten), head-coupling convolution, orthogonal init.
 
-Heads are carried as stacked (H, N, d) tensors. Pre-convolution attention
-weights are row-stochastic; after head-coupling convolution only
-nonnegativity is guaranteed (no renormalization is applied).
+Heads are carried as stacked (..., H, N, d) tensors: any leading axes (the
+windows of a minibatch, or windows times variates) ride along in every op.
+Pre-convolution attention weights are row-stochastic; after head-coupling
+convolution only nonnegativity is guaranteed (no renormalization is
+applied).
 """
 
 from __future__ import annotations
@@ -72,22 +74,32 @@ def orthogonal_init(in_dim, out_dim, seed):
     return q.T.copy() if transpose else q
 
 
+def _swap(ndim, first, second):
+    """Axis order of an `ndim` array with axes `first` and `second` exchanged."""
+    axes = list(range(ndim))
+    axes[first], axes[second] = axes[second], axes[first]
+    return tuple(axes)
+
+
 def split_heads(x, heads):
-    """(N, D) -> (H, N, D/H); head h gets the h-th contiguous column block."""
-    n, d = x.shape
+    """(..., N, D) -> (..., H, N, D/H); head h gets the h-th contiguous column block."""
+    d = x.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"split_heads: width {d} not divisible by {heads} heads")
-    return nm.transpose(nm.reshape(x, (n, heads, d // heads)), (1, 0, 2))
+    split = nm.reshape(x, x.shape[:-1] + (heads, d // heads))
+    return nm.transpose(split, _swap(len(split.shape), -3, -2))
 
 
 def merge_heads(x):
-    """(H, N, d) -> (N, H*d), inverse of split_heads."""
-    h, n, d = x.shape
-    return nm.reshape(nm.transpose(x, (1, 0, 2)), (n, h * d))
+    """(..., H, N, d) -> (..., N, H*d), inverse of split_heads."""
+    *lead, h, n, d = x.shape
+    return nm.reshape(nm.transpose(x, _swap(len(x.shape), -3, -2)), (*lead, n, h * d))
 
 
 def hcc(weights, kernel):
     """Head-coupling convolution: H->H conv over the N x N plane, then ReLU.
+
+    weights: (..., H, N, N); kernel: (H, H, K, K).
 
     Stride 1, zero padding (K-1)/2 keeps the weight matrix size; K must be
     odd. Output is nonnegative but rows are not renormalized.
@@ -100,7 +112,7 @@ def hcc(weights, kernel):
         raise ShapeError(f"hcc: kernel must be (H, H, K, K), got shape {k.shape}")
     if k.shape[2] != k.shape[3] or k.shape[2] % 2 == 0:
         raise ConfigError(f"hcc: kernel size must be odd and square, got {k.shape[2]}x{k.shape[3]}")
-    if w.data.ndim != 3 or w.shape[0] != k.shape[1]:
+    if w.data.ndim < 3 or w.shape[-3] != k.shape[1]:
         raise ShapeError(f"hcc: weights {w.shape} do not match kernel {k.shape}")
     return nm.relu(nm.conv2d(w, k))
 
@@ -119,7 +131,7 @@ def dirac_kernel(heads, size):
 def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
     """Per-head softmax(Q Kᵀ / scale) followed by the weighted value sum.
 
-    q, k: (H, N, d); v: (H, N, d_v); returns (pre_hcc_weights,
+    q, k: (..., H, N, d); v: (..., H, N, d_v); returns (pre_hcc_weights,
     effective_weights, output) where effective_weights multiplied v. When
     `hcc_kernel` is given, the head-coupling convolution is applied to the
     softmax output before the value product.
@@ -129,31 +141,41 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
     q = q if isinstance(q, nm.Tensor) else nm.Tensor(q)
     k = k if isinstance(k, nm.Tensor) else nm.Tensor(k)
     v = v if isinstance(v, nm.Tensor) else nm.Tensor(v)
-    if q.data.ndim != 3 or k.data.ndim != 3 or v.data.ndim != 3:
+    if q.data.ndim < 3 or k.data.ndim < 3 or v.data.ndim < 3:
         raise ShapeError(
-            f"scaled_dot_attention: expected (H, N, d) stacks, got {q.shape}/{k.shape}/{v.shape}"
+            f"scaled_dot_attention: expected (..., H, N, d) stacks, got {q.shape}/{k.shape}/{v.shape}"
         )
-    if q.shape != k.shape or q.shape[:2] != v.shape[:2]:
+    if q.shape != k.shape or q.shape[:-1] != v.shape[:-1]:
         raise ShapeError(
             f"scaled_dot_attention: inconsistent head shapes {q.shape}/{k.shape}/{v.shape}"
         )
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / float(scale))
+    k_t = nm.transpose(k, _swap(k.data.ndim, -2, -1))
+    scores = nm.scale(nm.matmul(q, k_t), 1.0 / float(scale))
     weights = nm.softmax_rows(scores)
     effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
     output = nm.matmul(effective, v)
     return weights, effective, output
 
 
-def _qk_heads(source, heads, mss_q, mss_k):
-    """Q/K head stacks from a shared (tokens, F) source.
+def _qk_heads(source, q_map, k_map, hadamard):
+    """Q/K head stacks (..., H, tokens, F) from a shared (..., tokens, F) source.
 
-    mss_q / mss_k are either (H, tokens, F) spectrum-scaling parameters
-    (Hadamard route) or (H, F, F) dense maps (the linear ablation arm).
+    The source gains a head axis of size 1 and broadcasts against q_map /
+    k_map: (H, tokens, F) spectrum-scaling parameters when `hadamard`, else
+    (H, F, F) dense maps (the linear ablation arm).
     """
-    tiled = nm.tile_planes(source, heads)
-    if mss_q.shape[1:] == source.shape:
-        return nm.mul(tiled, mss_q), nm.mul(tiled, mss_k)
-    return nm.matmul(tiled, mss_q), nm.matmul(tiled, mss_k)
+    shared = nm.reshape(source, source.shape[:-2] + (1,) + source.shape[-2:])
+    op = nm.mul if hadamard else nm.matmul
+    return op(shared, q_map), op(shared, k_map)
+
+
+def _capture(capture, weights, effective, layer_index, mechanism):
+    """One LayerAttention per (H, N, N) plane stack, in leading-axis order."""
+    planes = weights.shape[-3:]
+    for w, e in zip(weights.data.reshape((-1,) + planes), effective.data.reshape((-1,) + planes)):
+        pre = snapshot(w, layer_index, mechanism)
+        final = pre if effective is weights else snapshot(e, layer_index, mechanism)
+        capture.append(LayerAttention(pre_hcc=pre, final=final))
 
 
 class ConventionalAttention:
@@ -183,13 +205,12 @@ class ConventionalAttention:
         v = split_heads(nm.add(nm.matmul(hidden, self.wv), self.bv), self.heads)
         weights, effective, out = scaled_dot_attention(q, k, v, math.sqrt(self.head_dim))
         if capture is not None:
-            snap = snapshot(weights, layer_index, self.mechanism)
-            capture.append(LayerAttention(pre_hcc=snap, final=snap))
+            _capture(capture, weights, effective, layer_index, self.mechanism)
         return nm.add(nm.matmul(merge_heads(out), self.wo), self.bo)
 
 
 class SpectrumAttention:
-    """Q/K from a shared (tokens, F) source via per-head spectrum scaling.
+    """Q/K from a shared (..., tokens, F) source via per-head spectrum scaling.
 
     Covers both the frequency-spectrum mechanism (source = amplitude matrix)
     and the scaled-orthogonal mechanism (source = orthogonally-initialized
@@ -232,24 +253,21 @@ class SpectrumAttention:
     def forward(self, hidden, qk_source, layer_index, capture=None):
         if qk_source is None:
             raise ShapeError(f"{self.mechanism}: missing Q/K source matrix")
-        if qk_source.shape != (self.tokens, self.bin_count):
+        if len(qk_source.shape) < 2 or qk_source.shape[-2:] != (self.tokens, self.bin_count):
             raise ShapeError(
                 f"{self.mechanism}: source shape {qk_source.shape} does not match "
-                f"({self.tokens}, {self.bin_count})"
+                f"(..., {self.tokens}, {self.bin_count})"
             )
         if self.mss_enabled:
-            q, k = _qk_heads(qk_source, self.heads, self.mss_q.param, self.mss_k.param)
+            q, k = _qk_heads(qk_source, self.mss_q.param, self.mss_k.param, hadamard=True)
         else:
-            q, k = _qk_heads(qk_source, self.heads, self.lin_q, self.lin_k)
+            q, k = _qk_heads(qk_source, self.lin_q, self.lin_k, hadamard=False)
         v = split_heads(nm.add(nm.matmul(hidden, self.wv), self.bv), self.heads)
         weights, effective, out = scaled_dot_attention(
             q, k, v, math.sqrt(self.bin_count), hcc_kernel=self.kernel
         )
         if capture is not None:
-            capture.append(LayerAttention(
-                pre_hcc=snapshot(weights, layer_index, self.mechanism),
-                final=snapshot(effective, layer_index, self.mechanism),
-            ))
+            _capture(capture, weights, effective, layer_index, self.mechanism)
         return nm.add(nm.matmul(merge_heads(out), self.wo), self.bo)
 
 

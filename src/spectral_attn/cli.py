@@ -10,6 +10,7 @@ configured seed. All artifacts are byte-deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,11 +22,7 @@ from .models import ForecastModel, ModelConfig
 
 ENV_SEED = "SPECTRAL_ATTN_SEED"
 
-_INT_FIELDS = {"L", "T", "C", "P", "S", "H", "D", "F", "kernel_K", "layers",
-               "seed", "batch_size", "epochs"}
-_FLOAT_FIELDS = {"dropout", "lr"}
-_BOOL_FIELDS = {"mss_enabled", "hcc_enabled"}
-_STR_FIELDS = {"architecture", "mechanism"}
+_KIND_NAMES = {int: "an integer", float: "a finite number"}
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
@@ -44,22 +41,31 @@ def parse_kv_text(text, source="<config>"):
     return out
 
 
+def _parse_value(kind, key, text, source):
+    if kind is str:
+        return text
+    if kind is bool:
+        word = text.lower()
+        if word not in _BOOL_WORDS:
+            raise ConfigError(f"{source}: {key} must be a boolean, got {text!r}")
+        return _BOOL_WORDS[word]
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{source}: {key} must be {_KIND_NAMES[kind]}, got {text!r}")
+    return value
+
+
 def config_from_kv(kv, source="<config>"):
+    """ModelConfig from key=value text fields; ConfigError names source, key and value."""
     kwargs = {}
-    for key, value in kv.items():
-        if key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(value)
-        elif key in _BOOL_FIELDS:
-            word = value.lower()
-            if word not in _BOOL_WORDS:
-                raise ConfigError(f"{source}: {key} must be a boolean, got {value!r}")
-            kwargs[key] = _BOOL_WORDS[word]
-        elif key in _STR_FIELDS:
-            kwargs[key] = value
-        else:
+    for key, text in kv.items():
+        kind = models.CONFIG_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"{source}: unknown config key {key!r}")
+        kwargs[key] = _parse_value(kind, key, text, source)
     return ModelConfig(**kwargs)
 
 

@@ -6,6 +6,17 @@ residual encoder blocks, and invert the normalization after the linear
 forecast head. The attention Q/K source (amplitude matrix or orthogonal
 embedding) is derived once per window from the normalized input and shared
 by every layer; values and the FFN work on the evolving hidden state.
+
+One tape per minibatch: `ForecastModel.forward_batch` runs a whole
+(B, C, L) batch through each op at once, and ops broadcast over leading
+axes. The variate architecture carries (B, C, D) tokens; the temporal one
+folds the variates into the batch and carries (B*C, N, D) patch tokens.
+`forward_window`, `window_loss`, `predict` and `forecast` are its B = 1
+wrappers for a single (C, L) window.
+
+An attention `capture` list receives one LayerAttention per layer and per
+plane stack, layer-major: for a temporal window that is one entry per
+(layer, variate), for a variate batch one per (layer, window).
 """
 
 from __future__ import annotations
@@ -14,9 +25,11 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
 from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
@@ -120,14 +133,24 @@ def config_to_dict(config):
     return asdict(config)
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
+CONFIG_TYPES = typing.get_type_hints(ModelConfig)  # field name -> str, int, float or bool
 
 
-def config_from_dict(d):
+def config_from_dict(d, source="config"):
+    """ModelConfig from decoded JSON; ConfigError for an unknown key or a mistyped value.
+
+    A bool is not accepted where an int is expected; an int is accepted
+    (and converted) where a float is; floats must be finite.
+    """
     kwargs = {}
     for key, value in d.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
+        kind = CONFIG_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"{source}: unknown config key {key!r}")
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind or (kind is float and not math.isfinite(value)):
+            raise ConfigError(f"{source}: {key} must be {kind.__name__}, got {value!r}")
         kwargs[key] = value
     return ModelConfig(**kwargs)
 
@@ -144,64 +167,65 @@ def config_hash(config):
 
 @dataclass(frozen=True)
 class PatchSet:
-    """Patch matrix of one sequence: column j is the patch starting at j*S."""
+    """Patch matrices of sequences: column j of each is the patch starting at j*S."""
 
-    patches: np.ndarray  # (P, N)
+    patches: np.ndarray  # (..., P, N), a read-only strided view
     P: int
     S: int
 
     @property
     def count(self):
-        return self.patches.shape[1]
+        return self.patches.shape[-1]
 
 
 def patchify(x, P, S):
-    """Split a length-L sequence into N = floor((L-P)/S) + 2 patches.
+    """Split each length-L sequence of x (..., L) into N = floor((L-P)/S) + 2 patches.
 
     Patch j starts at j*S; the final patch is completed by repeating the
-    last observed value.
+    last observed value. The patches are a `sliding_window_view` of the
+    padded sequences, so no patch is copied.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"patchify: expected a nonempty 1-D sequence, got shape {x.shape}")
-    length = x.size
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise ShapeError(f"patchify: expected nonempty (..., L) sequences, got shape {x.shape}")
+    length = x.shape[-1]
     if not 1 <= P <= length:
         raise ConfigError(f"patchify: patch length {P} must lie in [1, {length}]")
     if not 1 <= S <= P:
         raise ConfigError(f"patchify: stride {S} must lie in [1, P={P}]")
     n = (length - P) // S + 2
     pad = (n - 1) * S + P - length
-    extended = np.concatenate([x, np.full(pad, x[-1])])
-    columns = [extended[j * S:j * S + P] for j in range(n)]
-    return PatchSet(patches=np.stack(columns, axis=1), P=P, S=S)
+    extended = np.concatenate([x, np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
+    windows = sliding_window_view(extended, P, axis=-1)[..., ::S, :]  # (..., N, P)
+    return PatchSet(patches=windows.swapaxes(-1, -2), P=P, S=S)
 
 
 def variate_embed(x, w):
-    """One D-dimensional token per variate: (C, L) @ (L, D)."""
+    """One D-dimensional token per variate: (..., C, L) @ (L, D)."""
     xt = x if isinstance(x, nm.Tensor) else nm.Tensor(x)
     wt = w if isinstance(w, nm.Tensor) else nm.Tensor(w)
-    if xt.data.ndim != 2 or wt.data.ndim != 2 or xt.shape[1] != wt.shape[0]:
+    if xt.data.ndim < 2 or wt.data.ndim != 2 or xt.shape[-1] != wt.shape[0]:
         raise ShapeError(f"variate_embed: incompatible shapes {xt.shape} @ {wt.shape}")
     return nm.matmul(xt, wt)
 
 
 @dataclass(frozen=True)
 class InstanceStats:
-    mean: np.ndarray   # (C, 1)
-    scale: np.ndarray  # (C, 1)
+    mean: np.ndarray   # (..., C, 1)
+    scale: np.ndarray  # (..., C, 1)
 
 
 def instance_normalize(x):
-    """Per-variate standardization of a (C, L) window.
+    """Per-variate standardization over the last axis of (..., C, L) windows.
 
     The denominator is max(std, 1e-5), so an already-standardized window
     passes through unchanged and a constant one maps to zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ShapeError(f"instance_normalize: expected (C, L >= 2), got shape {x.shape}")
-    mean = x.mean(axis=1, keepdims=True)
-    scale = np.maximum(np.sqrt(x.var(axis=1, keepdims=True)), 1e-5)
+    if x.ndim < 2 or x.shape[-1] < 2:
+        raise ShapeError(f"instance_normalize: expected (..., C, L >= 2), got shape {x.shape}")
+    mean = x.mean(axis=-1, keepdims=True)
+    scale = np.maximum(np.sqrt(x.var(axis=-1, keepdims=True)), 1e-5)
     return (x - mean) / scale, InstanceStats(mean=mean, scale=scale)
 
 
@@ -314,13 +338,46 @@ class ForecastModel:
     def parameter_count(self):
         return sum(p.data.size for p in self.params.values())
 
-    def _qk_source_variate(self, xn):
-        mech = self.config.mechanism
-        if mech == "fsatten":
-            return nm.Tensor(amplitude_matrix(xn))
-        if mech == "soatten":
-            return nm.matmul(nm.Tensor(xn), self.qk_embed)
-        return None
+    def forward_batch(self, x, training=False, capture=None):
+        """Normalized-scale forecasts for a (B, C, L) batch of windows.
+
+        Returns (prediction tensor (B, C, T) on the instance-normalized
+        scale, InstanceStats of shape (B, C, 1) for inverting it).
+        """
+        cfg = self.config
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1:] != (cfg.C, cfg.L):
+            raise ShapeError(f"forward_batch: expected shape (B, {cfg.C}, {cfg.L}), got {x.shape}")
+        batch = x.shape[0]
+        xn, stats = instance_normalize(x)
+        if cfg.architecture == "variate":
+            tokens = nm.Tensor(xn)                                    # (B, C, L)
+            embedded = variate_embed(tokens, self.embed_w)
+        else:
+            patches = patchify(xn, cfg.P, cfg.S).patches.swapaxes(-1, -2)
+            tokens = nm.Tensor(patches.reshape(batch * cfg.C, cfg.patch_count, cfg.P))
+            embedded = nm.matmul(tokens, self.embed_w)                # (B*C, N, D)
+        hidden = nm.add(embedded, self.embed_b)
+        qk_source = None
+        if cfg.mechanism == "fsatten":
+            amps = amplitude_matrix(xn.reshape(batch * cfg.C, cfg.L))
+            qk_source = nm.Tensor(amps.reshape(batch, cfg.C, -1))
+        elif cfg.mechanism == "soatten":
+            qk_source = nm.matmul(tokens, self.qk_embed)
+        for layer in self.layers:
+            hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
+        if cfg.architecture == "temporal":
+            hidden = nm.reshape(hidden, (batch, cfg.C, cfg.patch_count * cfg.D))
+        pred = nm.add(nm.matmul(hidden, self.head_w), self.head_b)
+        return pred, stats
+
+    def _one(self, x, caller):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.config.C, self.config.L):
+            raise ShapeError(
+                f"{caller}: expected shape ({self.config.C}, {self.config.L}), got {x.shape}"
+            )
+        return x[None]
 
     def forward_window(self, x, training=False, capture=None):
         """Normalized-scale forecast for one (C, L) window.
@@ -328,47 +385,36 @@ class ForecastModel:
         Returns (prediction tensor (C, T) on the instance-normalized scale,
         InstanceStats for inverting it).
         """
+        pred, stats = self.forward_batch(self._one(x, "forward_window"), training, capture)
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (cfg.C, cfg.L):
-            raise ShapeError(f"forward_window: expected shape ({cfg.C}, {cfg.L}), got {x.shape}")
-        xn, stats = instance_normalize(x)
-        if cfg.architecture == "variate":
-            hidden = nm.add(variate_embed(xn, self.embed_w), self.embed_b)
-            qk_source = self._qk_source_variate(xn)
-            for layer in self.layers:
-                hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
-            pred = nm.add(nm.matmul(hidden, self.head_w), self.head_b)
-        else:
-            rows = []
-            n = cfg.patch_count
-            for c in range(cfg.C):
-                tokens = nm.Tensor(patchify(xn[c], cfg.P, cfg.S).patches.T)  # (N, P)
-                hidden = nm.add(nm.matmul(tokens, self.embed_w), self.embed_b)
-                qk_source = None
-                if cfg.mechanism == "soatten":
-                    qk_source = nm.matmul(tokens, self.qk_embed)
-                for layer in self.layers:
-                    hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
-                flat = nm.reshape(hidden, (1, n * cfg.D))
-                rows.append(nm.add(nm.matmul(flat, self.head_w), self.head_b))
-            pred = nm.concat_rows(rows)
-        return pred, stats
+        return nm.reshape(pred, (cfg.C, cfg.T)), InstanceStats(stats.mean[0], stats.scale[0])
+
+    def predict_batch(self, x, capture=None):
+        """Forecasts of a (B, C, L) batch on each window's native scale; shape (B, C, T)."""
+        pred, stats = self.forward_batch(x, training=False, capture=capture)
+        return instance_denormalize(pred.data, stats)
 
     def predict(self, x, capture=None):
         """Forecast on the window's native scale; output shape (C, T)."""
-        pred, stats = self.forward_window(x, training=False, capture=capture)
-        return instance_denormalize(pred.data, stats)
+        return self.predict_batch(self._one(x, "predict"), capture=capture)[0]
+
+    def batch_loss(self, x, y, training=False):
+        """Mean squared error over a (B, C, L) -> (B, C, T) batch, normalized scale."""
+        y = np.asarray(y, dtype=np.float64)
+        expected = (len(x), self.config.C, self.config.T)
+        if y.shape != expected:
+            raise ShapeError(f"batch_loss: expected target shape {expected}, got {y.shape}")
+        pred, stats = self.forward_batch(x, training=training)
+        target = nm.Tensor((y - stats.mean) / stats.scale)
+        diff = nm.sub(pred, target)
+        return nm.mean_all(nm.mul(diff, diff))
 
     def window_loss(self, x, y, training=False):
         """Mean squared error on the instance-normalized scale."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.config.C, self.config.T):
             raise ShapeError(f"window_loss: expected target shape ({self.config.C}, {self.config.T}), got {y.shape}")
-        pred, stats = self.forward_window(x, training=training)
-        target = nm.Tensor((y - stats.mean) / stats.scale)
-        diff = nm.sub(pred, target)
-        return nm.mean_all(nm.mul(diff, diff))
+        return self.batch_loss(self._one(x, "window_loss"), y[None], training=training)
 
     def state_arrays(self):
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -415,20 +461,40 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
+    """Model from a checkpoint file; FormatError or ConfigError if it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"checkpoint {path}: invalid JSON ({exc})") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"checkpoint {path}: unknown format {payload.get('format')!r}")
-    model = ForecastModel(config_from_dict(payload["config"]))
-    state = {}
-    for name, entry in payload["params"].items():
-        raw = base64.b64decode(entry["data"])
-        state[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
+    source = f"checkpoint {path}"
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise FormatError(f"{source}: unknown format {found!r}")
+    for key in ("config", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise FormatError(f"{source}: {key!r} must be a JSON object, got {payload.get(key)!r:.60}")
+    model = ForecastModel(config_from_dict(payload["config"], source))
+    state = {name: _decode_param(source, name, entry) for name, entry in payload["params"].items()}
     model.load_state_arrays(state)
     return model
+
+
+def _decode_param(source, name, entry):
+    where = f"{source}: parameter {name!r}"
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    data = entry.get("data") if isinstance(entry, dict) else None
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise FormatError(f"{where}: 'shape' must be a list of nonnegative integers, got {shape!r:.60}")
+    if not isinstance(data, str):
+        raise FormatError(f"{where}: 'data' must be a base64 string, got {data!r:.60}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:
+        raise FormatError(f"{where}: 'data' is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise FormatError(f"{where}: {len(raw)} data bytes do not hold float64 shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +537,8 @@ def train(model, dataset, config=None):
     train_pairs = windows(dataset, "train", cfg.L, cfg.T)
     if not train_pairs:
         raise DataError("train: empty training split")
-    val_pairs = windows(dataset, "val", cfg.L, cfg.T)
+    train_x, train_y = _stack(train_pairs)
+    val_x, val_y = _stack(windows(dataset, "val", cfg.L, cfg.T))
     shuffle_rng = nm.substream(cfg.seed, "shuffle")
     optimizer = nm.Adam(model.parameters(), cfg.lr) if cfg.lr > 0 else None
 
@@ -484,29 +551,15 @@ def train(model, dataset, config=None):
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            if optimizer is None:
-                losses = [
-                    model.window_loss(pair.input, pair.target, training=True)
-                    for pair in (train_pairs[i] for i in batch)
-                ]
-                batch_loss = sum(float(l.data) for l in losses) / len(batch)
-            else:
-                with nm.GradientTape() as tape:
-                    acc = None
-                    for i in batch:
-                        pair = train_pairs[i]
-                        loss_i = model.window_loss(pair.input, pair.target, training=True)
-                        acc = loss_i if acc is None else nm.add(acc, loss_i)
-                    loss = nm.scale(acc, 1.0 / len(batch))
+            with nm.GradientTape() as tape:
+                loss = model.batch_loss(train_x[batch], train_y[batch], training=True)
+            if optimizer is not None:
                 nm.backward(tape, loss)
                 optimizer.step()
                 optimizer.zero_grad()
-                batch_loss = float(loss.data)
-            total += batch_loss * len(batch)
+            total += float(loss.data) * len(batch)
         train_mse = total / len(train_pairs)
-        val_mse = sum(
-            float(model.window_loss(pair.input, pair.target).data) for pair in val_pairs
-        ) / len(val_pairs)
+        val_mse = float(model.batch_loss(val_x, val_y).data)
         records.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse
@@ -520,13 +573,10 @@ def train(model, dataset, config=None):
     except DataError:
         test_pairs = []
     if test_pairs:
-        sq = ab = 0.0
-        for pair in test_pairs:
-            err = model.predict(pair.input) - pair.target
-            sq += float(np.mean(err ** 2))
-            ab += float(np.mean(np.abs(err)))
-        test_mse = sq / len(test_pairs)
-        test_mae = ab / len(test_pairs)
+        test_x, test_y = _stack(test_pairs)
+        err = model.predict_batch(test_x) - test_y
+        test_mse = float(np.mean(err ** 2))
+        test_mae = float(np.mean(np.abs(err)))
     return TrainReport(
         seed=cfg.seed,
         config_hash=config_hash(cfg),
@@ -536,6 +586,11 @@ def train(model, dataset, config=None):
         test_mse=test_mse,
         test_mae=test_mae,
     )
+
+
+def _stack(pairs):
+    """Inputs (B, C, L) and targets (B, C, T) of a list of WindowPairs."""
+    return np.stack([p.input for p in pairs]), np.stack([p.target for p in pairs])
 
 
 def naive_repeat_forecast(x, horizon):

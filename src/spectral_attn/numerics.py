@@ -6,12 +6,26 @@ reverse order and accumulates adjoints additively into every tensor that
 requires gradients, so a value used twice receives the sum of both
 contributions.
 
+Ops broadcast over leading axes, so one tape covers a whole minibatch:
+`matmul`, `add` and `mul` follow NumPy broadcasting and sum their adjoints
+back over the broadcast axes; `layer_norm`, `softmax_rows` and `conv2d`
+act on the trailing axes of any stack.
+
 Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
+
+A minibatch tape allocates and frees tens of MB (about 80 MB at its peak
+for a 32-window temporal batch). Under glibc's default policy that memory
+goes back to the kernel after every minibatch and is page-faulted in again
+on the next one, which makes about a third of `train()` time kernel page
+zeroing, a cost that swings with the load of the machine. Importing this
+module therefore tells glibc to keep freed heap memory
+(`_retain_freed_memory`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 
@@ -21,6 +35,27 @@ from scipy.special import erf
 from .errors import ConfigError, EmptyTapeError, FiniteInputError, ShapeError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_memory():
+    """Keep freed memory in the process heap instead of returning it to the kernel.
+
+    glibc only: arrays up to 32 MiB (its largest mmap threshold) come from the
+    heap rather than from fresh mappings, and up to 1 GiB of free memory at
+    the top of the heap stays mapped. Without glibc this is a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_retain_freed_memory()
 
 
 class Tensor:
@@ -137,40 +172,63 @@ def backward(tape, loss):
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
-    """C = A @ B for 2-D matrices or stacks of matrices with equal leading dim.
+def _unbroadcast(g, shape):
+    """Sum an adjoint over the axes that broadcasting added or stretched."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return g.sum(axis=axes).reshape(shape)
 
-    Adjoints: dA = G @ Bᵀ, dB = Aᵀ @ G (transposes on the last two axes).
+
+def matmul(a, b):
+    """C = A @ B over the last two axes; leading axes broadcast.
+
+    A 2-D right operand (a weight) multiplies every row of A in one GEMM,
+    and its adjoint folds A's leading axes into rows, so no per-plane
+    intermediate is built. Otherwise dA = G @ Bᵀ and dB = Aᵀ @ G are summed
+    back over the broadcast axes.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    ok = (
-        a.data.ndim == b.data.ndim
-        and a.data.ndim in (2, 3)
-        and a.shape[-1] == b.shape[-2]
-        and (a.data.ndim == 2 or a.shape[0] == b.shape[0])
-    )
-    if not ok:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = a.data @ b.data
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ b.data.T).reshape(a.shape), rows.T @ g2)
+
+        return _emit(out, (a, b), vjp)
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}") from None
 
     def vjp(g):
-        return (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g)
+        return (
+            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
+        )
 
     return _emit(out, (a, b), vjp)
 
 
 def add(a, b):
-    """Elementwise sum; also accepts a trailing-axis bias vector for b."""
+    """Elementwise sum with NumPy broadcasting (e.g. a trailing-axis bias)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def vjp(g):
-            return (g, g)
-    elif b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        def vjp(g):
-            return (g, g.reshape(-1, b.shape[0]).sum(axis=0))
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    return _emit(a.data + b.data, (a, b), vjp)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}") from None
+
+    def vjp(g):
+        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+
+    return _emit(out, (a, b), vjp)
 
 
 def sub(a, b):
@@ -185,15 +243,17 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """Hadamard (elementwise) product of same-shape tensors."""
+    """Hadamard (elementwise) product with NumPy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}") from None
 
     def vjp(g):
-        return (g * b.data, g * a.data)
+        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
 
-    return _emit(a.data * b.data, (a, b), vjp)
+    return _emit(out, (a, b), vjp)
 
 
 def scale(a, factor):
@@ -252,69 +312,85 @@ def softmax_rows(s):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-row normalization of a 2-D tensor with learnable affine terms."""
+    """Normalization over the last axis, with learnable affine terms.
+
+    x: (..., D) with any number of leading axes; gamma, beta: (D,).
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm: expected 2-D input, got shape {x.shape}")
-    d = x.shape[1]
+    if x.data.ndim < 1:
+        raise ShapeError(f"layer_norm: expected at least 1-D input, got shape {x.shape}")
+    d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gamma.data + beta.data
 
     def vjp(g):
-        dbeta = g.sum(axis=0)
-        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.reshape(-1, d).sum(axis=0)
+        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
         return (dx, dgamma, dbeta)
 
     return _emit(out, (x, gamma, beta), vjp)
 
 
+def _im2col(x, size):
+    """(..., C, N, M) zero-padded by (size-1)/2 -> (..., C*size*size, N*M) patch rows."""
+    *lead, c, n, m = x.shape
+    pad = (size - 1) // 2
+    padded = np.zeros((*lead, c, n + 2 * pad, m + 2 * pad))
+    padded[..., pad:pad + n, pad:pad + m] = x
+    cols = np.empty((*lead, c, size, size, n, m))
+    for a in range(size):
+        for b in range(size):
+            cols[..., a, b, :, :] = padded[..., a:a + n, b:b + m]
+    return cols.reshape(*lead, c * size * size, n * m)
+
+
+def _correlate(x, kernel):
+    """Channel-mixing same-size cross-correlation of (..., C_in, N, M) with
+    (C_out, C_in, K, K): the flattened kernel times the patch rows."""
+    rows = kernel.reshape(kernel.shape[0], -1) @ _im2col(x, kernel.shape[-1])
+    return rows.reshape(x.shape[:-3] + kernel.shape[:1] + x.shape[-2:])
+
+
 def conv2d(x, kernel):
     """Same-size 2-D convolution with channel mixing, stride 1, zero padding.
 
-    x: (C_in, N, M); kernel: (C_out, C_in, K, K) with K odd so symmetric
-    padding of (K-1)/2 preserves the N x M plane.
+    x: (..., C_in, N, M) with any number of leading batch axes; kernel:
+    (C_out, C_in, K, K) with K odd so symmetric padding of (K-1)/2 preserves
+    the N x M plane. Forward and both adjoints are matrix products with
+    im2col patch rows; the input adjoint is the same correlation of the
+    output adjoint with the flipped, channel-transposed kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: expected 3-D input and 4-D kernel, got {x.shape} / {kernel.shape}")
+    if x.data.ndim < 3 or kernel.data.ndim != 4:
+        raise ShapeError(f"conv2d: expected (..., C_in, N, M) input and 4-D kernel, got {x.shape} / {kernel.shape}")
     c_out, c_in, kh, kw = kernel.shape
     if kh != kw:
         raise ShapeError(f"conv2d: kernel must be square, got {kernel.shape}")
     if kh % 2 == 0:
         raise ConfigError(f"conv2d: kernel size must be odd to preserve size, got {kh}")
-    if c_in != x.shape[0]:
+    if c_in != x.shape[-3]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
-    _, n, m = x.shape
-    pad = (kh - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    kdat = kernel.data
-    out = np.zeros((c_out, n, m))
-    for a in range(kh):
-        for b in range(kw):
-            out += np.einsum("oc,cnm->onm", kdat[:, :, a, b], xp[:, a:a + n, b:b + m])
+    out = _correlate(x.data, kernel.data)
 
     def vjp(g):
-        dxp = np.zeros_like(xp)
-        dk = np.zeros_like(kdat)
-        for a in range(kh):
-            for b in range(kw):
-                dxp[:, a:a + n, b:b + m] += np.einsum("oc,onm->cnm", kdat[:, :, a, b], g)
-                dk[:, :, a, b] = np.einsum("onm,cnm->oc", g, xp[:, a:a + n, b:b + m])
-        dx = dxp[:, pad:pad + n, pad:pad + m]
-        return (dx, dk)
+        flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        dx = _correlate(g, flipped)
+        g_rows = g.reshape(g.shape[:-2] + (-1,))
+        dk = g_rows @ _im2col(x.data, kh).swapaxes(-1, -2)
+        return (dx, dk.reshape(-1, c_out, c_in * kh * kw).sum(axis=0).reshape(kernel.shape))
 
     return _emit(out, (x, kernel), vjp)
 
@@ -324,7 +400,7 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def vjp(g):
         return (g.transpose(inverse),)

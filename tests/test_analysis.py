@@ -8,6 +8,7 @@ import pytest
 from spectral_attn.analysis import (
     average_attention,
     condition_number,
+    evaluate_on_split,
     grad_check,
     matrix_to_csv_text,
     matrix_to_pgm_text,
@@ -17,7 +18,8 @@ from spectral_attn.analysis import (
 )
 from spectral_attn.attention import AttentionTensor
 from spectral_attn.errors import ConfigError, DataError, ShapeError
-from spectral_attn.models import ModelConfig
+from spectral_attn.data import split, synth_multisine, windows
+from spectral_attn.models import ForecastModel, ModelConfig
 
 from oracles import jacobi_eigenvalues
 
@@ -175,6 +177,34 @@ def test_grad_check_passes_on_micro_conventional():
         "layers.0.ln1.gamma", "layers.0.ln1.beta", "layers.0.ln2.gamma", "layers.0.ln2.beta",
         "layers.0.ffn.w1", "layers.0.ffn.b1", "layers.0.ffn.w2", "layers.0.ffn.b2",
     }
+
+
+# ---------------------------------------------------------------------------
+# split evaluation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("architecture, mechanism, f", [
+    ("variate", "fsatten", 0),
+    ("temporal", "soatten", 6),
+])
+def test_evaluate_on_split_matches_per_window_predict_loop(architecture, mechanism, f):
+    tones = [[(3 + i, 1.0, 0.2 * i)] for i in range(3)]
+    dataset = split(synth_multisine(3, 200, tones, noise_sigma=0.05, seed=1, period=32), (0.5, 0.2))
+    cfg = ModelConfig(architecture=architecture, mechanism=mechanism, L=16, T=4, C=3, P=4,
+                      S=2, H=2, D=8, F=f, layers=2, dropout=0.2, seed=2)
+    model = ForecastModel(cfg)
+    report = evaluate_on_split(model, dataset, "test")
+
+    pairs = windows(dataset, "test", cfg.L, cfg.T)
+    assert len(pairs) >= 3
+    preds = np.stack([model.predict(p.input) for p in pairs])
+    targets = np.stack([p.target for p in pairs])
+    assert abs(report.mse - mse(preds, targets)) <= 1e-12 * max(1.0, report.mse)
+    assert abs(report.mae - mae(preds, targets)) <= 1e-12 * max(1.0, report.mae)
+    assert len(report.per_horizon) == cfg.T
+    for t, m, a in report.per_horizon:
+        assert abs(m - mse(preds[:, :, t - 1], targets[:, :, t - 1])) <= 1e-12 * max(1.0, m)
+        assert abs(a - mae(preds[:, :, t - 1], targets[:, :, t - 1])) <= 1e-12 * max(1.0, a)
 
 
 # ---------------------------------------------------------------------------

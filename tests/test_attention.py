@@ -279,6 +279,41 @@ def test_fsatten_f_mismatch_raises_shape_error():
                         np.zeros((3, 8)), layer)
 
 
+def test_fsatten_linear_arm_is_dense_map_when_tokens_equal_bins():
+    # C = F = 9: the (H, F, F) linear maps have the shape of MSS scales, and
+    # must still multiply the amplitude rows as matrices
+    rng = np.random.default_rng(18)
+    make, params = make_param_factory(seed=4)
+    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=9, bin_count=9,
+                              make_param=make, mss_enabled=False)
+    x = rng.standard_normal((9, 16))
+    _, attn = fsatten_forward(x, rng.standard_normal((9, 8)), layer)
+    amps = amplitude_matrix(x)
+    q = np.stack([naive_matmul(amps, params["lin_q"].data[h]) for h in range(2)])
+    k = np.stack([naive_matmul(amps, params["lin_k"].data[h]) for h in range(2)])
+    ref_w, _ = naive_attention(q, k, np.zeros((2, 9, 1)), np.sqrt(9))
+    np.testing.assert_allclose(attn.pre_hcc.weights, ref_w, atol=1e-12)
+
+
+def test_spectrum_attention_batched_source_matches_per_window():
+    rng = np.random.default_rng(19)
+    make, params = make_param_factory(seed=5)
+    layer = SpectrumAttention("soatten", width=8, heads=2, tokens=3, bin_count=5,
+                              make_param=make, kernel_size=3)
+    for name in ("mss_q", "mss_k", "hcc_kernel"):
+        params[name].data = rng.standard_normal(params[name].data.shape) * 0.5
+    source = rng.standard_normal((4, 3, 5))
+    hidden = rng.standard_normal((4, 3, 8))
+    capture = []
+    out = layer.forward(nm.Tensor(hidden), nm.Tensor(source), 0, capture)
+    assert out.shape == (4, 3, 8) and len(capture) == 4
+    for b in range(4):
+        single = []
+        one = layer.forward(nm.Tensor(hidden[b]), nm.Tensor(source[b]), 0, single)
+        np.testing.assert_allclose(out.data[b], one.data, atol=1e-12)
+        np.testing.assert_allclose(capture[b].final.weights, single[0].final.weights, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # soatten
 # ---------------------------------------------------------------------------

@@ -189,3 +189,73 @@ def test_evaluate_rejects_mismatched_variates(workdir, tmp_path):
         "evaluate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(other_csv),
     ])
     assert code == 1
+
+
+def single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error:")
+    return err[0]
+
+
+@pytest.mark.parametrize("line, named", [
+    ("L = abc", ("L", "'abc'")),
+    ("lr = fast", ("lr", "'fast'")),
+    ("dropout = nan", ("dropout", "'nan'")),
+    ("layers = 1.5", ("layers", "'1.5'")),
+])
+def test_malformed_config_value_is_one_error_line(workdir, capsys, line, named):
+    tmp, config, csv = workdir
+    config.write_text(CONFIG_TEXT + line + "\n", encoding="utf-8")
+    code = main(["train", "--config", str(config), "--data", str(csv), "--out", str(tmp / "run")])
+    assert code == 1
+    message = single_error_line(capsys)
+    assert str(config) in message
+    for word in named:
+        assert word in message
+
+
+def _edit_config(payload, **changes):
+    payload["config"].update(changes)
+
+
+def _edit_first_param(payload, **changes):
+    entry = payload["params"][sorted(payload["params"])[0]]
+    for key, value in changes.items():
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+
+
+CHECKPOINT_DEFECTS = {
+    "no-config": lambda p: p.pop("config"),
+    "config-not-object": lambda p: p.update(config=[1, 2]),
+    "string-int": lambda p: _edit_config(p, L="32"),
+    "bool-int": lambda p: _edit_config(p, layers=True),
+    "string-bool": lambda p: _edit_config(p, mss_enabled="yes"),
+    "no-params": lambda p: p.pop("params"),
+    "no-shape": lambda p: _edit_first_param(p, shape=None),
+    "string-shape": lambda p: _edit_first_param(p, shape="8"),
+    "no-data": lambda p: _edit_first_param(p, data=None),
+    "numeric-data": lambda p: _edit_first_param(p, data=7),
+    "bad-base64": lambda p: _edit_first_param(p, data="***"),
+    "short-data": lambda p: _edit_first_param(p, data="AAAA"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
+    from spectral_attn.models import ForecastModel, ModelConfig, save_checkpoint
+
+    tmp, _, csv = workdir
+    path = tmp / "checkpoint.json"
+    save_checkpoint(path, ForecastModel(ModelConfig(mechanism="fsatten", L=32, T=8, C=2,
+                                                    H=2, D=8, layers=1)))
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 0
+    capsys.readouterr()
+    payload = read_json(path)
+    CHECKPOINT_DEFECTS[defect](payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 1
+    assert str(path) in single_error_line(capsys)

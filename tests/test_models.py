@@ -1,5 +1,7 @@
 """Architectures: patching, normalization, encoder blocks, training, checkpoints."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -404,3 +406,147 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
 
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# batched engine vs a stack of B = 1 passes
+# ---------------------------------------------------------------------------
+
+EQUIVALENCE_CONFIGS = {
+    "variate-fsatten": dict(mechanism="fsatten"),
+    "variate-soatten": dict(mechanism="soatten", F=6),
+    "variate-conventional": dict(),
+    "temporal-soatten": dict(architecture="temporal", mechanism="soatten", F=6),
+    "temporal-conventional": dict(architecture="temporal"),
+    "fsatten-mss-off": dict(mechanism="fsatten", mss_enabled=False),
+    "soatten-mss-off": dict(mechanism="soatten", F=6, mss_enabled=False),
+    "soatten-hcc-off": dict(mechanism="soatten", F=6, hcc_enabled=False),
+    "temporal-soatten-hcc-off": dict(architecture="temporal", mechanism="soatten", F=6,
+                                     hcc_enabled=False),
+}
+
+
+def assert_within(actual, expected, tol=1e-12):
+    expected = np.asarray(expected)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.abs(np.asarray(actual) - expected).max() <= tol * scale
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_forward_batch_matches_stack_of_single_window_passes(name):
+    cfg = micro_config(layers=2, **EQUIVALENCE_CONFIGS[name])
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(40)
+    for param in model.params.values():  # move off the all-ones / all-zeros initial values
+        param.data = param.data + rng.standard_normal(param.data.shape) * 0.3
+    batch = 5
+    x = rng.standard_normal((batch, cfg.C, cfg.L)) * 3 + 1
+    y = rng.standard_normal((batch, cfg.C, cfg.T))
+
+    pred, stats = model.forward_batch(x)
+    singles = [model.forward_window(window) for window in x]
+    assert pred.shape == (batch, cfg.C, cfg.T)
+    assert_within(pred.data, np.stack([p.data for p, _ in singles]))
+    assert_within(stats.mean, np.stack([s.mean for _, s in singles]))
+    assert_within(model.predict_batch(x), np.stack([model.predict(window) for window in x]))
+
+    with nm.GradientTape() as tape:
+        loss = model.batch_loss(x, y, training=True)
+    nm.backward(tape, loss)
+    batched = {n: p.grad.copy() for n, p in model.params.items()}
+    for param in model.params.values():
+        param.zero_grad()
+    total = 0.0
+    for window, target in zip(x, y):
+        with nm.GradientTape() as tape:
+            single = model.window_loss(window, target, training=True)
+        nm.backward(tape, single)   # leaf gradients accumulate over windows
+        total += float(single.data)
+    assert_within(float(loss.data), total / batch)
+    for n, param in model.params.items():
+        assert_within(batched[n], param.grad / batch)
+
+
+def test_forward_batch_rejects_wrong_batch_shape():
+    model = ForecastModel(micro_config())
+    with pytest.raises(ShapeError):
+        model.forward_batch(np.zeros((3, 16)))
+    with pytest.raises(ShapeError):
+        model.forward_batch(np.zeros((2, 3, 15)))
+    with pytest.raises(ShapeError):
+        model.batch_loss(np.zeros((2, 3, 16)), np.zeros((3, 3, 4)))
+
+
+def test_temporal_capture_is_layer_major_over_variates():
+    cfg = micro_config(architecture="temporal", mechanism="soatten", F=6, layers=2)
+    model = ForecastModel(cfg)
+    x = np.random.default_rng(41).standard_normal((cfg.C, cfg.L))
+    capture = []
+    model.predict(x, capture=capture)
+    assert len(capture) == cfg.layers * cfg.C
+    assert [e.final.layer_index for e in capture] == [i // cfg.C for i in range(len(capture))]
+    for entry in capture:
+        assert entry.pre_hcc.weights.shape == (cfg.H, cfg.patch_count, cfg.patch_count)
+    # the variates of one layer are distinct inputs, so their maps differ
+    assert not np.array_equal(capture[0].pre_hcc.weights, capture[1].pre_hcc.weights)
+
+
+def test_batched_capture_matches_single_window_captures():
+    cfg = micro_config(mechanism="soatten", F=6, layers=2)
+    model = ForecastModel(cfg)
+    x = np.random.default_rng(42).standard_normal((3, cfg.C, cfg.L))
+    batched = []
+    model.predict_batch(x, capture=batched)
+    singles = []
+    for window in x:
+        capture = []
+        model.predict(window, capture=capture)
+        singles.append(capture)
+    # layer-major: layer l of window b sits at l * B + b
+    for b in range(3):
+        for layer in range(cfg.layers):
+            got = batched[layer * 3 + b]
+            want = singles[b][layer]
+            assert got.final.layer_index == layer
+            assert_within(got.pre_hcc.weights, want.pre_hcc.weights)
+            assert_within(got.final.weights, want.final.weights)
+
+
+def test_patchify_batched_matches_per_sequence():
+    x = np.random.default_rng(43).standard_normal((2, 3, 20))
+    batched = patchify(x, 6, 4)
+    assert batched.patches.shape == (2, 3, 6, batched.count)
+    for i in range(2):
+        for c in range(3):
+            np.testing.assert_array_equal(batched.patches[i, c], patchify(x[i, c], 6, 4).patches)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs the glibc allocator")
+def test_repeated_training_steps_do_not_page_fault():
+    """Each 32-window temporal step allocates and frees tens of MB; once the
+    first steps have grown the heap, later steps reuse it instead of
+    page-faulting it in again (about 48000 faults over three steps when
+    glibc trims the heap after every step)."""
+    import resource
+
+    cfg = ModelConfig(architecture="temporal", mechanism="soatten", L=96, T=24, C=4,
+                      P=16, S=8, H=4, D=32, F=32, layers=2, dropout=0.2, seed=0)
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, cfg.C, cfg.L))
+    y = rng.standard_normal((32, cfg.C, cfg.T))
+    optimizer = nm.Adam(model.parameters(), cfg.lr)
+
+    def step():
+        with nm.GradientTape() as tape:
+            loss = model.batch_loss(x, y, training=True)
+        nm.backward(tape, loss)
+        optimizer.step()
+        optimizer.zero_grad()
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

@@ -12,6 +12,7 @@ from oracles import (
     jacobi_eigenvalues,
     jacobi_singular_values,
     max_rel_error,
+    naive_conv2d,
     naive_matmul,
 )
 
@@ -233,6 +234,94 @@ def test_per_op_gradients(op_name, seed):
         )
         return
     check_gradients(builders[op_name], x)
+
+
+# ---------------------------------------------------------------------------
+# broadcasting over leading axes
+# ---------------------------------------------------------------------------
+
+def test_matmul_batch_by_weight_gradients():
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((3, 4, 5))
+    w = rng.standard_normal((5, 2))
+    out = nm.matmul(a, w).data
+    for i in range(3):
+        np.testing.assert_allclose(out[i], naive_matmul(a[i], w), atol=1e-12)
+    check_gradients(lambda at, wt: nm.mean_all(nm.mul(nm.matmul(at, wt), nm.matmul(at, wt))), a, w)
+
+
+def test_matmul_head_broadcast_gradients():
+    # (B, 1, N, F) @ (H, F, F): the linear Q/K arm on a minibatch
+    rng = np.random.default_rng(31)
+    src = rng.standard_normal((2, 1, 3, 4))
+    maps = rng.standard_normal((3, 4, 4))
+    out = nm.matmul(src, maps).data
+    assert out.shape == (2, 3, 3, 4)
+    for b in range(2):
+        for h in range(3):
+            np.testing.assert_allclose(out[b, h], naive_matmul(src[b, 0], maps[h]), atol=1e-12)
+    check_gradients(lambda st, mt: nm.mean_all(nm.mul(nm.matmul(st, mt), nm.matmul(st, mt))), src, maps)
+
+
+def test_add_bias_on_batch_gradients():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2, 3, 4))
+    bias = rng.standard_normal(4)
+    check_gradients(lambda t, bt: nm.mean_all(nm.mul(nm.add(t, bt), t)), x, bias)
+
+
+def test_mul_head_broadcast_gradients():
+    # (B, 1, N, F) * (H, N, F): spectrum scaling of a minibatch's sources
+    rng = np.random.default_rng(33)
+    src = rng.standard_normal((2, 1, 3, 4))
+    scales = rng.standard_normal((3, 3, 4))
+    out = nm.mul(src, scales).data
+    assert out.shape == (2, 3, 3, 4)
+    np.testing.assert_array_equal(out[1, 2], src[1, 0] * scales[2])
+    check_gradients(lambda st, wt: nm.mean_all(nm.mul(nm.mul(st, wt), nm.mul(st, wt))), src, scales)
+
+
+def test_layer_norm_3d_gradients():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((2, 3, 4))
+    gamma = rng.standard_normal(4) + 1.0
+    beta = rng.standard_normal(4)
+    out = nm.layer_norm(x, gamma, beta).data
+    for i in range(2):
+        np.testing.assert_allclose(out[i], nm.layer_norm(x[i], gamma, beta).data, atol=1e-15)
+    check_gradients(
+        lambda t, g, b: nm.mean_all(nm.mul(nm.layer_norm(t, g, b), t)), x, gamma, beta
+    )
+
+
+def test_conv2d_batch_axis_gradients():
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((2, 2, 4, 4))
+    k = rng.standard_normal((3, 2, 3, 3)) * 0.5
+    out = nm.conv2d(x, k).data
+    assert out.shape == (2, 3, 4, 4)
+    for i in range(2):
+        np.testing.assert_allclose(out[i], naive_conv2d(x[i], k), atol=1e-12)
+    check_gradients(lambda t, kt: nm.mean_all(nm.mul(nm.conv2d(t, kt), nm.conv2d(t, kt))), x, k)
+
+
+@pytest.mark.parametrize("op, left, right", [
+    (nm.matmul, (2, 3, 4), (3, 4, 5)),
+    (nm.matmul, (3, 4), (5,)),
+    (nm.add, (2, 3), (4,)),
+    (nm.add, (2, 3, 4), (3, 3, 4)),
+    (nm.mul, (2, 1, 3, 4), (3, 4, 4)),
+])
+def test_incompatible_broadcast_raises_shape_error(op, left, right):
+    with pytest.raises(ShapeError, match="incompatible shapes"):
+        op(np.zeros(left), np.zeros(right))
+
+
+def test_layer_norm_and_conv2d_shape_errors():
+    with pytest.raises(ShapeError):
+        nm.layer_norm(np.zeros((2, 3, 4)), np.ones(3), np.zeros(3))
+    with pytest.raises(ShapeError):
+        nm.conv2d(np.zeros((2, 3, 4, 4)), np.zeros((2, 2, 3, 3)))
 
 
 def test_dropout_identity_when_not_training():
