@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .artifacts import atomic_open
 from .attention import AttentionTensor
 from .errors import ConfigError, DataError, ShapeError
 
@@ -272,7 +273,7 @@ def matrix_to_csv_text(matrix):
 
 
 def write_matrix_csv(path, matrix):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(matrix_to_csv_text(matrix))
 
 
@@ -292,11 +293,11 @@ def matrix_to_pgm_text(matrix):
 
 
 def write_pgm(path, matrix):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(matrix_to_pgm_text(matrix))
 
 
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -1,0 +1,28 @@
+"""Atomic artifact writes: a reader sees the previous file or the whole new one.
+
+Each artifact is written to a temporary file in the target's directory and
+renamed over the target only once the write has finished, so a writer that
+fails midway leaves the previous artifact in place and no partial file. There
+is no fsync: this guards against failed writers, not against power loss.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """A UTF-8 text file handle whose contents replace `path` when the block exits cleanly."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

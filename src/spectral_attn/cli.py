@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, data, models
+from .artifacts import atomic_open
 from .errors import ConfigError, DataError, FormatError, SpectralAttnError
 from .models import ForecastModel, ModelConfig
 
@@ -69,15 +70,15 @@ def config_from_kv(kv, source="<config>"):
     return ModelConfig(**kwargs)
 
 
+def _env_seed(default):
+    """The SPECTRAL_ATTN_SEED override if it is set, else `default`."""
+    env = os.environ.get(ENV_SEED)
+    return default if env is None else _parse_value(int, ENV_SEED, env, "environment")
+
+
 def load_config(path):
     cfg = config_from_kv(parse_kv_text(Path(path).read_text(encoding="utf-8"), path), path)
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            cfg = replace(cfg, seed=int(env))
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return cfg
+    return replace(cfg, seed=_env_seed(cfg.seed))
 
 
 def _load_split_dataset(path, splits_arg):
@@ -86,7 +87,7 @@ def _load_split_dataset(path, splits_arg):
         parts = splits_arg.split(",")
         if len(parts) != 2:
             raise ConfigError(f"--splits expects 'train,val' ratios, got {splits_arg!r}")
-        ratios = (float(parts[0]), float(parts[1]))
+        ratios = tuple(_parse_value(float, "ratio", part, "--splits") for part in parts)
     else:
         ratios = data.default_ratios(dataset.name)
     return data.split(dataset, ratios)
@@ -199,8 +200,7 @@ def gradcheck_configs(seed=0):
 
 
 def cmd_gradcheck(args):
-    seed = int(os.environ.get(ENV_SEED, "0"))
-    configs = gradcheck_configs(seed)
+    configs = gradcheck_configs(_env_seed(0))
     if args.mechanism != "all":
         configs = [c for c in configs if c.mechanism == args.mechanism]
     all_ok = True
@@ -218,7 +218,7 @@ def cmd_gradcheck(args):
     return 0 if all_ok else 1
 
 
-def _parse_tones(text, source):
+def _parse_tones(key, text, source):
     tones = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -227,26 +227,23 @@ def _parse_tones(text, source):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise FormatError(f"{source}: tone {chunk!r} must be freq:amplitude:phase")
-        tones.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        tones.append(tuple(_parse_value(float, key, part, source) for part in parts))
     return tones
 
 
 def cmd_synth(args):
     source = args.spec
     kv = parse_kv_text(Path(source).read_text(encoding="utf-8"), source)
-    try:
-        c = int(kv.pop("C"))
-        length = int(kv.pop("length"))
-    except KeyError as exc:
-        raise ConfigError(f"{source}: missing required key {exc.args[0]!r}") from None
-    period = int(kv.pop("period", "96"))
-    noise_sigma = float(kv.pop("noise_sigma", "0"))
-    seed = int(os.environ.get(ENV_SEED, kv.pop("seed", "0")))
+    for key in ("C", "length"):
+        if key not in kv:
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    field = lambda kind, key, default=None: _parse_value(kind, key, kv.pop(key, default), source)
+    c, length = field(int, "C"), field(int, "length")
+    period = field(int, "period", "96")
+    noise_sigma = field(float, "noise_sigma", "0")
+    seed = _env_seed(field(int, "seed", "0"))
     name = kv.pop("name", "synth_multisine")
-    tone_spec = []
-    for i in range(c):
-        key = f"tones_{i}"
-        tone_spec.append(_parse_tones(kv.pop(key, ""), source))
+    tone_spec = [_parse_tones(f"tones_{i}", kv.pop(f"tones_{i}", ""), source) for i in range(c)]
     if kv:
         raise ConfigError(f"{source}: unknown keys {sorted(kv)}")
     dataset = data.synth_multisine(c, length, tone_spec, noise_sigma, seed,
@@ -260,7 +257,7 @@ def cmd_sweep(args):
     cfg = load_config(args.config)
     dataset = _load_split_dataset(args.data, args.splits)
     cfg = _resolve_variates(cfg, dataset)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    values = [_parse_value(int, "value", v, "--values") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one integer")
     rows = []
@@ -278,7 +275,8 @@ def cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,value,test_mse,test_mae"]
     lines.extend(f"{p},{v},{m!r},{a!r}" for p, v, m, a in rows)
-    (out / "sweep_results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(out / "sweep_results.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
 from .numerics import substream
 
@@ -98,7 +99,7 @@ def _stem(path):
 
 def save_csv(path, dataset):
     """Write a dataset back out in the same schema; values survive exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
         writer.writerow(("date",) + tuple(names))

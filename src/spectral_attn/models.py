@@ -32,8 +32,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
+from .artifacts import atomic_open
 from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
 from .spectral import amplitude_matrix
 
 ARCHITECTURES = ("temporal", "variate")
@@ -429,8 +430,8 @@ class ForecastModel:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != param.data.shape:
                 raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {param.data.shape}")
-            param.data = arr.copy()
-            param.grad = np.zeros_like(param.data)
+            param.data[...] = arr  # in place: an optimizer's flat buffer keeps its views
+            param.grad[...] = 0.0
 
 
 def forecast(x, model, capture=None):
@@ -455,7 +456,7 @@ def save_checkpoint(path, model):
             for name, p in sorted(model.params.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -527,7 +528,10 @@ def train(model, dataset, config=None):
     """Minimize normalized-scale MSE with Adam; keep the best-validation state.
 
     Deterministic for a fixed (seed, config, data): shuffling, dropout, and
-    initialization all draw from named substreams of the config seed.
+    initialization all draw from named substreams of the config seed. A
+    non-finite minibatch loss or gradient raises FiniteInputError naming the
+    epoch and batch before Adam steps, so the parameters keep their last
+    finite values.
     """
     from .data import windows  # local import keeps data free of model deps
 
@@ -549,15 +553,22 @@ def train(model, dataset, config=None):
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(train_pairs))
         total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
+        for number, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = order[start:start + cfg.batch_size]
             with nm.GradientTape() as tape:
                 loss = model.batch_loss(train_x[batch], train_y[batch], training=True)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise FiniteInputError(f"train: loss is {value} at epoch {epoch}, batch {number}")
             if optimizer is not None:
                 nm.backward(tape, loss)
+                if not np.isfinite(optimizer.grad).all():
+                    raise FiniteInputError(
+                        f"train: non-finite gradient at epoch {epoch}, batch {number}"
+                    )
                 optimizer.step()
                 optimizer.zero_grad()
-            total += float(loss.data) * len(batch)
+            total += value * len(batch)
         train_mse = total / len(train_pairs)
         val_mse = float(model.batch_loss(val_x, val_y).data)
         records.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})

@@ -4,7 +4,11 @@ The tape records coarse primitives (matmul, softmax, conv2d, elementwise
 ops, ...) in execution order. `backward` replays the records in exact
 reverse order and accumulates adjoints additively into every tensor that
 requires gradients, so a value used twice receives the sum of both
-contributions.
+contributions. Adjoints are moved, not copied: an intermediate takes its
+first adjoint as a C-contiguous array (a view is copied, so every later
+matrix product sees the same operand layout) and later ones out of place,
+and its adjoint is freed as soon as its own record has been replayed. Only
+leaves keep `.grad` after `backward`; a Parameter adds into its own buffer.
 
 Ops broadcast over leading axes, so one tape covers a whole minibatch:
 `matmul`, `add` and `mul` follow NumPy broadcasting and sum their adjoints
@@ -142,8 +146,10 @@ def _emit(out_data, inputs, vjp):
 def backward(tape, loss):
     """Replay `tape` in reverse, writing d(loss)/d(leaf) into each leaf's .grad.
 
-    Gradients accumulate additively across uses of a tensor. Raises
-    EmptyTapeError if nothing was recorded (backward without forward).
+    Gradients accumulate additively across uses of a tensor. Each recorded
+    output's adjoint is dropped once its vjp has run, so afterwards only
+    leaves hold a `.grad`. Raises EmptyTapeError if nothing was recorded
+    (backward without forward).
     """
     if len(tape) == 0:
         raise EmptyTapeError("backward called on an empty tape; run a forward pass first")
@@ -160,12 +166,16 @@ def backward(tape, loss):
         g = out.grad
         if g is None:
             continue
+        out.grad = None
         for t, gt in zip(inputs, vjp(g)):
             if gt is None or not t.requires_grad:
                 continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += gt
+            if isinstance(t, Parameter):
+                t.grad += gt
+            elif t.grad is None:
+                t.grad = np.ascontiguousarray(gt)
+            else:
+                t.grad = t.grad + gt
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +334,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xc).sum(axis=-1, keepdims=True) / d  # bitwise equal to x.var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
     def vjp(g):
@@ -357,11 +367,12 @@ def _im2col(x, size):
     return cols.reshape(*lead, c * size * size, n * m)
 
 
-def _correlate(x, kernel):
-    """Channel-mixing same-size cross-correlation of (..., C_in, N, M) with
-    (C_out, C_in, K, K): the flattened kernel times the patch rows."""
-    rows = kernel.reshape(kernel.shape[0], -1) @ _im2col(x, kernel.shape[-1])
-    return rows.reshape(x.shape[:-3] + kernel.shape[:1] + x.shape[-2:])
+def _correlate(cols, shape, kernel):
+    """Channel-mixing same-size cross-correlation of a (..., C_in, N, M) input
+    of `shape`, given as its patch rows `cols`, with (C_out, C_in, K, K): the
+    flattened kernel times the patch rows."""
+    rows = kernel.reshape(kernel.shape[0], -1) @ cols
+    return rows.reshape(shape[:-3] + kernel.shape[:1] + shape[-2:])
 
 
 def conv2d(x, kernel):
@@ -370,8 +381,9 @@ def conv2d(x, kernel):
     x: (..., C_in, N, M) with any number of leading batch axes; kernel:
     (C_out, C_in, K, K) with K odd so symmetric padding of (K-1)/2 preserves
     the N x M plane. Forward and both adjoints are matrix products with
-    im2col patch rows; the input adjoint is the same correlation of the
-    output adjoint with the flipped, channel-transposed kernel.
+    im2col patch rows; the input's patch rows are built once and kept for
+    the kernel adjoint, and the input adjoint is the same correlation of
+    the output adjoint with the flipped, channel-transposed kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim < 3 or kernel.data.ndim != 4:
@@ -383,13 +395,14 @@ def conv2d(x, kernel):
         raise ConfigError(f"conv2d: kernel size must be odd to preserve size, got {kh}")
     if c_in != x.shape[-3]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
-    out = _correlate(x.data, kernel.data)
+    cols = _im2col(x.data, kh)
+    out = _correlate(cols, x.shape, kernel.data)
 
     def vjp(g):
         flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dx = _correlate(g, flipped)
+        dx = _correlate(_im2col(g, kh), g.shape, flipped)
         g_rows = g.reshape(g.shape[:-2] + (-1,))
-        dk = g_rows @ _im2col(x.data, kh).swapaxes(-1, -2)
+        dk = g_rows @ cols.swapaxes(-1, -2)
         return (dx, dk.reshape(-1, c_out, c_in * kh * kw).sum(axis=0).reshape(kernel.shape))
 
     return _emit(out, (x, kernel), vjp)
@@ -505,7 +518,15 @@ def dropout(a, p, rng, training):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction; first/second moments persisted per parameter."""
+    """Adam with bias correction over one flat buffer.
+
+    The optimizer owns one flat value buffer and one flat gradient buffer.
+    It copies its parameters into them and points each Parameter's `.data`
+    and `.grad` at a view, so `step` and `zero_grad` are a few whole-buffer
+    operations and the first/second moments are flat arrays alongside.
+    Parameters keep those views: write new values in place
+    (`param.data[...] = ...`) for the optimizer to keep stepping them.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         if lr <= 0:
@@ -516,29 +537,41 @@ class Adam:
         if eps <= 0:
             raise ConfigError(f"Adam: eps must be positive, got {eps}")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ConfigError("Adam: a parameter is listed more than once")
         self.lr = float(lr)
         self.beta1 = float(b1)
         self.beta2 = float(b2)
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        total = sum(p.data.size for p in self.params)
+        self.data = np.empty(total)
+        self.grad = np.empty(total)
+        offset = 0
+        for p in self.params:
+            end = offset + p.data.size
+            data = self.data[offset:end].reshape(p.shape)
+            grad = self.grad[offset:end].reshape(p.shape)
+            data[...] = p.data
+            grad[...] = p.grad
+            p.data, p.grad = data, grad
+            offset = end
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = self.grad, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad[...] = 0.0
+        self.grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

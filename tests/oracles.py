@@ -210,3 +210,50 @@ def max_rel_error(analytic, numeric, floor=1e-5, abs_tol=1e-9):
         else:
             worst = max(worst, abs(ai - ni) / scale)
     return worst
+
+
+def accumulating_backward(tape, loss):
+    """Tape replay that gives every adjoint a fresh zero buffer, adds each
+    contribution in place and keeps every intermediate adjoint."""
+    for out, _, _ in tape._records:
+        out.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for out, inputs, vjp in reversed(tape._records):
+        g = out.grad
+        if g is None:
+            continue
+        for t, gt in zip(inputs, vjp(g)):
+            if gt is None or not t.requires_grad:
+                continue
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += gt
+
+
+class PerParameterAdam:
+    """Adam with bias correction, one moment pair and one update per parameter."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params = list(params)
+        self.lr = float(lr)
+        self.beta1, self.beta2 = (float(b) for b in betas)
+        self.eps = float(eps)
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad[...] = 0.0

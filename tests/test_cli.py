@@ -259,3 +259,50 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 1
     assert str(path) in single_error_line(capsys)
+
+
+def _synth_args(tmp, **changes):
+    fields = dict(C="2", length="200", period="32", noise_sigma="0.05", seed="4",
+                  tones_0="4:1.0:0.0", tones_1="4:1.0:1.3, 9:0.5:0.2")
+    fields.update(changes)
+    spec = tmp / "synth.cfg"
+    spec.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()), encoding="utf-8")
+    return ["synth", "--spec", str(spec), "--out", str(tmp / "synth.csv")], str(spec)
+
+
+def _train_args(tmp, config, csv, *extra):
+    return ["train", "--config", str(config), "--data", str(csv), "--out", str(tmp / "run"), *extra]
+
+
+# case -> (environment seed, argv and source from (tmp, config, csv), named key and value)
+BAD_CLI_VALUES = {
+    "synth-C": (None, lambda t, c, d: _synth_args(t, C="x"), ("C", "'x'")),
+    "synth-length": (None, lambda t, c, d: _synth_args(t, length="2.5"), ("length", "'2.5'")),
+    "synth-period": (None, lambda t, c, d: _synth_args(t, period="p"), ("period", "'p'")),
+    "synth-noise": (None, lambda t, c, d: _synth_args(t, noise_sigma="nan"), ("noise_sigma", "'nan'")),
+    "synth-seed": (None, lambda t, c, d: _synth_args(t, seed="s"), ("seed", "'s'")),
+    "synth-tone": (None, lambda t, c, d: _synth_args(t, tones_1="4:1.0:1.3, 9:loud:0.2"),
+                   ("tones_1", "'loud'")),
+    "env-seed-synth": ("abc", lambda t, c, d: (_synth_args(t)[0], "environment"),
+                       ("SPECTRAL_ATTN_SEED", "'abc'")),
+    "env-seed-gradcheck": ("1.5", lambda t, c, d: (["gradcheck", "--mechanism", "fsatten"], "environment"),
+                           ("SPECTRAL_ATTN_SEED", "'1.5'")),
+    "splits": (None, lambda t, c, d: (_train_args(t, c, d, "--splits", "0.6,abc"), "--splits"),
+               ("ratio", "'abc'")),
+    "sweep-values": (None, lambda t, c, d: (["sweep", "--param", "K", "--values", "1,x3",
+                                             "--config", str(c), "--data", str(d),
+                                             "--out", str(t / "sweep")], "--values"),
+                     ("value", "'x3'")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CLI_VALUES))
+def test_malformed_cli_value_is_one_error_line(workdir, capsys, monkeypatch, case):
+    env_seed, build, named = BAD_CLI_VALUES[case]
+    if env_seed is not None:
+        monkeypatch.setenv("SPECTRAL_ATTN_SEED", env_seed)
+    argv, source = build(*workdir)
+    assert main(argv) == 1
+    message = single_error_line(capsys)
+    for word in (source, *named):
+        assert word in message

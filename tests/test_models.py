@@ -8,8 +8,8 @@ import pytest
 import spectral_attn.models as models_mod
 from spectral_attn import numerics as nm
 from spectral_attn.attention import dirac_kernel
-from spectral_attn.data import split, synth_multisine
-from spectral_attn.errors import ConfigError, ShapeError
+from spectral_attn.data import split, synth_multisine, windows
+from spectral_attn.errors import ConfigError, FiniteInputError, ShapeError
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
@@ -23,7 +23,7 @@ from spectral_attn.models import (
     variate_embed,
 )
 
-from oracles import naive_matmul
+from oracles import PerParameterAdam, accumulating_backward, naive_matmul
 
 
 def micro_config(**overrides):
@@ -373,6 +373,91 @@ def test_train_best_validation_state_is_restored():
     assert abs(val / count - best) < 1e-12
 
 
+def _one_epoch(model, dataset, replay, optimizer):
+    """The minibatch steps of one `train` epoch, with the given backward and optimizer."""
+    cfg = model.config
+    pairs = windows(dataset, "train", cfg.L, cfg.T)
+    x = np.stack([p.input for p in pairs])
+    y = np.stack([p.target for p in pairs])
+    order = nm.substream(cfg.seed, "shuffle").permutation(len(pairs))
+    losses = []
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start:start + cfg.batch_size]
+        with nm.GradientTape() as tape:
+            loss = model.batch_loss(x[batch], y[batch], training=True)
+        replay(tape, loss)
+        optimizer.step()
+        optimizer.zero_grad()
+        losses.append(float(loss.data))
+    return losses
+
+
+@pytest.mark.parametrize("architecture, mechanism, f", [
+    ("variate", "fsatten", 0),
+    ("variate", "soatten", 6),
+    ("variate", "conventional", 0),
+    ("temporal", "soatten", 6),
+    ("temporal", "conventional", 0),
+])
+def test_training_steps_match_per_parameter_oracle_bitwise(architecture, mechanism, f):
+    """Moved adjoints and the flat Adam buffer change no bit of a training epoch
+    against a zero-buffer backward and a per-parameter Adam."""
+    ds = tiny_dataset()
+    cfg = micro_config(architecture=architecture, mechanism=mechanism, F=f, layers=2,
+                       dropout=0.1, lr=1e-2, epochs=1)
+    engine, oracle = ForecastModel(cfg), ForecastModel(cfg)
+    engine_losses = _one_epoch(engine, ds, nm.backward, nm.Adam(engine.parameters(), cfg.lr))
+    oracle_losses = _one_epoch(oracle, ds, accumulating_backward,
+                               PerParameterAdam(oracle.parameters(), cfg.lr))
+    assert len(engine_losses) > 3
+    assert engine_losses == oracle_losses
+    trained = ForecastModel(cfg)
+    train(trained, ds)  # one epoch: its best state is the state after the last step
+    for name, param in oracle.params.items():
+        assert engine.params[name].data.tobytes() == param.data.tobytes(), name
+        assert trained.params[name].data.tobytes() == param.data.tobytes(), name
+
+
+def test_load_state_keeps_an_existing_optimizer_stepping_the_loaded_values():
+    model = ForecastModel(micro_config())
+    optimizer = nm.Adam(model.parameters(), 1e-2)
+    state = {name: np.full(arr.shape, 0.5) for name, arr in model.state_arrays().items()}
+    model.load_state_arrays(state)
+    np.testing.assert_array_equal(optimizer.data, 0.5)
+    model.head_b.grad[...] = 1.0
+    optimizer.step()
+    assert (model.head_b.data < 0.5).all()
+    np.testing.assert_array_equal(model.head_w.data, 0.5)
+
+
+def test_train_stops_on_non_finite_loss_before_any_step():
+    ds = tiny_dataset()
+    model = ForecastModel(micro_config(epochs=2))
+    model.head_b.data[1] = np.inf
+    before = model.state_arrays()
+    with pytest.raises(FiniteInputError, match="epoch 1, batch 1"):
+        train(model, ds)
+    for name, arr in model.state_arrays().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+
+
+def test_train_stops_on_non_finite_gradient_before_the_step(monkeypatch):
+    ds = tiny_dataset()
+    model = ForecastModel(micro_config(epochs=2))
+    before = model.state_arrays()
+    replay = nm.backward
+
+    def poisoned(tape, loss):
+        replay(tape, loss)
+        model.embed_w.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(nm, "backward", poisoned)
+    with pytest.raises(FiniteInputError, match="gradient at epoch 1, batch 1"):
+        train(model, ds)
+    for name, arr in model.state_arrays().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+
+
 def test_naive_repeat_forecast():
     x = np.array([[1.0, 2.0, 3.0], [5.0, 4.0, 2.0]])
     np.testing.assert_array_equal(
@@ -550,3 +635,29 @@ def test_repeated_training_steps_do_not_page_fault():
     for _ in range(3):
         step()
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_backward_peak_memory_stays_near_the_forward_tape():
+    """Adjoints are freed once used and taken over without zero buffers, so the
+    backward pass of a 32-window temporal step adds little to its tape (a
+    backward that keeps every adjoint peaks at about twice the forward)."""
+    import tracemalloc
+
+    cfg = ModelConfig(architecture="temporal", mechanism="soatten", L=96, T=24, C=4,
+                      P=16, S=8, H=4, D=32, F=32, layers=2, dropout=0.2, seed=0)
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, cfg.C, cfg.L))
+    y = rng.standard_normal((32, cfg.C, cfg.T))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with nm.GradientTape() as tape:
+            loss = model.batch_loss(x, y, training=True)
+        forward = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        nm.backward(tape, loss)
+        backward = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert backward <= 1.3 * forward

@@ -8,6 +8,7 @@ from spectral_attn.attention import orthogonal_init
 from spectral_attn.errors import ConfigError, EmptyTapeError, FiniteInputError, ShapeError
 
 from oracles import (
+    accumulating_backward,
     finite_difference_gradient,
     jacobi_eigenvalues,
     jacobi_singular_values,
@@ -168,6 +169,46 @@ def test_backward_accumulates_across_uses():
     np.testing.assert_array_equal(w.grad, np.full((1, 2), 2.0))
 
 
+def test_backward_frees_intermediate_adjoints_and_keeps_leaf_grads():
+    w = nm.Parameter(np.arange(6.0).reshape(2, 3), "w")
+    x = nm.Tensor(np.ones((3, 2)), requires_grad=True)
+    with nm.GradientTape() as tape:
+        h = nm.relu(nm.matmul(w, x))
+        loss = nm.mean_all(nm.mul(h, h))
+    nm.backward(tape, loss)
+    assert all(out.grad is None for out, _, _ in tape._records)
+    assert w.grad.any() and x.grad is not None and x.grad.any()
+
+
+def test_backward_stores_a_transposed_view_adjoint_c_contiguous():
+    x = nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with nm.GradientTape() as tape:
+        loss = nm.sum_all(nm.mul(nm.transpose(x), np.arange(6.0).reshape(3, 2)))
+    nm.backward(tape, loss)  # transpose's vjp hands x a transposed view
+    assert x.grad.flags.c_contiguous
+    np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
+
+
+def test_backward_matches_accumulating_oracle_bitwise():
+    rng = np.random.default_rng(7)
+    w = nm.Parameter(rng.standard_normal((4, 5)), "w")
+    b = nm.Parameter(rng.standard_normal(5), "b")
+    leaf = nm.Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    grads = []
+    for replay in (nm.backward, accumulating_backward):
+        w.zero_grad()
+        b.zero_grad()
+        leaf.grad = None
+        with nm.GradientTape() as tape:
+            h = nm.gelu(nm.add(nm.matmul(leaf, w), b))
+            s = nm.softmax_rows(nm.matmul(h, nm.transpose(h, (0, 2, 1))))
+            loss = nm.mean_all(nm.mul(nm.add(s, nm.layer_norm(s, np.ones(2), np.zeros(2))), s))
+        replay(tape, loss)
+        grads.append([w.grad.copy(), b.grad.copy(), leaf.grad.copy()])
+    for engine, oracle in zip(*grads):
+        assert engine.tobytes() == oracle.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_composite_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -317,6 +358,13 @@ def test_incompatible_broadcast_raises_shape_error(op, left, right):
         op(np.zeros(left), np.zeros(right))
 
 
+def test_layer_norm_variance_is_bitwise_numpy_var():
+    x = np.random.default_rng(8).standard_normal((4, 3, 32)) * 5 + 2
+    gamma, beta = np.full(32, 1.5), np.full(32, -0.25)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))
+    assert nm.layer_norm(x, gamma, beta).data.tobytes() == (xhat * gamma + beta).tobytes()
+
+
 def test_layer_norm_and_conv2d_shape_errors():
     with pytest.raises(ShapeError):
         nm.layer_norm(np.zeros((2, 3, 4)), np.ones(3), np.zeros(3))
@@ -373,6 +421,27 @@ def test_adam_single_step_hand_evaluation():
     p.grad[...] = 1.0
     opt.step()
     assert abs(p.data[0] - (-0.1)) < 1e-8
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    p = nm.Parameter(np.zeros(2), "p")
+    q = nm.Parameter(np.zeros(3), "q")
+    with pytest.raises(ConfigError, match="more than once"):
+        nm.Adam([p, q, p], lr=1e-3)
+
+
+def test_adam_parameters_view_one_flat_buffer():
+    p = nm.Parameter(np.arange(6.0).reshape(2, 3), "p")
+    q = nm.Parameter(np.array([7.0]), "q")
+    p.grad[...] = 1.0
+    opt = nm.Adam([p, q], lr=1e-3)
+    np.testing.assert_array_equal(opt.data, [0, 1, 2, 3, 4, 5, 7])
+    np.testing.assert_array_equal(opt.grad, [1, 1, 1, 1, 1, 1, 0])
+    assert np.shares_memory(p.data, opt.data) and np.shares_memory(q.grad, opt.grad)
+    opt.step()
+    assert (p.data < np.arange(6.0).reshape(2, 3)).all() and q.data[0] == 7.0
+    opt.zero_grad()
+    assert not p.grad.any()
 
 
 def test_adam_rejects_nonpositive_lr():
