@@ -15,13 +15,10 @@ from .analysis import (
 from .attention import (
     AttentionTensor,
     LayerAttention,
-    conventional_mha_forward,
     dirac_kernel,
-    fsatten_forward,
     hcc,
     orthogonal_init,
     scaled_dot_attention,
-    soatten_forward,
 )
 from .data import (
     SeriesDataset,
@@ -56,7 +53,6 @@ from .models import (
     patchify,
     save_checkpoint,
     train,
-    variate_embed,
 )
 from .numerics import (
     Adam,
@@ -67,14 +63,6 @@ from .numerics import (
     substream,
     svd_singular_values,
 )
-from .spectral import (
-    AmplitudeMatrix,
-    MssWeights,
-    Spectrum,
-    amplitude_matrix,
-    dft_naive,
-    mss_project,
-    rfft_amplitudes,
-)
+from .spectral import amplitude_matrix
 
 __version__ = "0.1.0"

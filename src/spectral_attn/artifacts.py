@@ -1,6 +1,11 @@
-"""Atomic artifact writes: a reader sees the previous file or the whole new one.
+"""Text file reads and atomic artifact writes.
 
-Each artifact is written to a temporary file in the target's directory and
+Every input file (CSV, config, checkpoint, synth spec) is decoded by
+`read_text`, so bytes that are not UTF-8 end in a FormatError naming the
+file.
+
+A reader of an artifact sees the previous file or the whole new one: each
+artifact is written to a temporary file in the target's directory and
 renamed over the target only once the write has finished, so a writer that
 fails midway leaves the previous artifact in place and no partial file. There
 is no fsync: this guards against failed writers, not against power loss.
@@ -11,6 +16,19 @@ from __future__ import annotations
 import contextlib
 import os
 from pathlib import Path
+
+from .errors import FormatError
+
+
+def read_text(path):
+    """Contents of a UTF-8 text file with its line endings as stored."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+        ) from None
 
 
 @contextlib.contextmanager

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ConfigError, ShapeError
-from .spectral import MssWeights
 
 MECHANISMS = ("conventional", "fsatten", "soatten")
 
@@ -104,8 +103,6 @@ def hcc(weights, kernel):
     Stride 1, zero padding (K-1)/2 keeps the weight matrix size; K must be
     odd. Output is nonnegative but rows are not renormalized.
     """
-    if isinstance(weights, AttentionTensor):
-        weights = weights.weights
     w = weights if isinstance(weights, nm.Tensor) else nm.Tensor(weights)
     k = kernel if isinstance(kernel, nm.Tensor) else nm.Tensor(kernel)
     if k.data.ndim != 4 or k.shape[0] != k.shape[1]:
@@ -235,8 +232,8 @@ class SpectrumAttention:
         std = 1.0 / math.sqrt(width)
         if mss_enabled:
             # All-ones start: untrained scores are raw source correlation.
-            self.mss_q = MssWeights(make_param("mss_q", ("ones", (heads, tokens, bin_count))))
-            self.mss_k = MssWeights(make_param("mss_k", ("ones", (heads, tokens, bin_count))))
+            self.mss_q = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
+            self.mss_k = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
         else:
             lin_std = 1.0 / math.sqrt(bin_count)
             self.lin_q = make_param("lin_q", ("normal", lin_std, (heads, bin_count, bin_count)))
@@ -259,7 +256,7 @@ class SpectrumAttention:
                 f"(..., {self.tokens}, {self.bin_count})"
             )
         if self.mss_enabled:
-            q, k = _qk_heads(qk_source, self.mss_q.param, self.mss_k.param, hadamard=True)
+            q, k = _qk_heads(qk_source, self.mss_q, self.mss_k, hadamard=True)
         else:
             q, k = _qk_heads(qk_source, self.lin_q, self.lin_k, hadamard=False)
         v = split_heads(nm.add(nm.matmul(hidden, self.wv), self.bv), self.heads)
@@ -269,42 +266,3 @@ class SpectrumAttention:
         if capture is not None:
             _capture(capture, weights, effective, layer_index, self.mechanism)
         return nm.add(nm.matmul(merge_heads(out), self.wo), self.bo)
-
-
-def conventional_mha_forward(hidden, layer, layer_index=0):
-    """One conventional attention pass; returns (mixed output, LayerAttention)."""
-    capture = []
-    hidden = hidden if isinstance(hidden, nm.Tensor) else nm.Tensor(hidden)
-    out = layer.forward(hidden, None, layer_index, capture)
-    return out, capture[0]
-
-
-def fsatten_forward(x_raw, hidden, layer, layer_index=0):
-    """Frequency-spectrum attention on raw (C, L) input and (C, D) hidden state.
-
-    The amplitude matrix is derived from x_raw; Q/K come from per-head
-    spectrum scaling of it, V from a linear projection of the hidden state.
-    """
-    from .spectral import amplitude_matrix
-
-    amps = nm.Tensor(amplitude_matrix(np.asarray(x_raw, dtype=np.float64)))
-    hidden = hidden if isinstance(hidden, nm.Tensor) else nm.Tensor(hidden)
-    capture = []
-    out = layer.forward(hidden, amps, layer_index, capture)
-    return out, capture[0]
-
-
-def soatten_forward(tokens_raw, hidden, layer, qk_embedding, layer_index=0):
-    """Scaled-orthogonal attention on raw tokens and their hidden state.
-
-    tokens_raw: (N_tok, in_dim); qk_embedding: (in_dim, F) orthogonally
-    initialized matrix (a Parameter in trained models). The embedding's
-    orthogonality is not re-enforced after gradient updates.
-    """
-    tokens = tokens_raw if isinstance(tokens_raw, nm.Tensor) else nm.Tensor(tokens_raw)
-    embed = qk_embedding if isinstance(qk_embedding, nm.Tensor) else nm.Tensor(qk_embedding)
-    hidden = hidden if isinstance(hidden, nm.Tensor) else nm.Tensor(hidden)
-    source = nm.matmul(tokens, embed)
-    capture = []
-    out = layer.forward(hidden, source, layer_index, capture)
-    return out, capture[0]

@@ -16,8 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, data, models
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 from .errors import ConfigError, DataError, FormatError, SpectralAttnError
 from .models import ForecastModel, ModelConfig
 
@@ -77,7 +79,7 @@ def _env_seed(default):
 
 
 def load_config(path):
-    cfg = config_from_kv(parse_kv_text(Path(path).read_text(encoding="utf-8"), path), path)
+    cfg = config_from_kv(parse_kv_text(read_text(path), path), path)
     return replace(cfg, seed=_env_seed(cfg.seed))
 
 
@@ -151,16 +153,19 @@ def cmd_analyze_attention(args):
             f"checkpoint expects C={cfg.C} but dataset has {dataset.variates} variates"
         )
     pairs = data.windows(dataset, args.split, cfg.L, cfg.T)
-    stop = args.window_index + args.num_windows
-    if args.window_index < 0 or stop > len(pairs):
+    count = args.num_windows
+    stop = args.window_index + count
+    if args.window_index < 0 or count < 1 or stop > len(pairs):
         raise DataError(
             f"windows [{args.window_index}, {stop}) out of range; split has {len(pairs)}"
         )
-    maps = []
-    for pair in pairs[args.window_index:stop]:
-        capture = []
-        model.predict(pair.input, capture=capture)
-        maps.extend(entry.final for entry in capture)
+    capture = []
+    model.predict_batch(np.stack([p.input for p in pairs[args.window_index:stop]]), capture=capture)
+    # The capture is layer-major. Averaging it window-major sums in the order
+    # of one forecast per window, which keeps every byte of the report.
+    per_window = len(capture) // (cfg.layers * count)
+    maps = [capture[(layer * count + w) * per_window + j].final
+            for w in range(count) for layer in range(cfg.layers) for j in range(per_window)]
     report = analysis.attention_report(maps, cfg.mechanism, rank_tol=args.rank_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +238,7 @@ def _parse_tones(key, text, source):
 
 def cmd_synth(args):
     source = args.spec
-    kv = parse_kv_text(Path(source).read_text(encoding="utf-8"), source)
+    kv = parse_kv_text(read_text(source), source)
     for key in ("C", "length"):
         if key not in kv:
             raise ConfigError(f"{source}: missing required key {key!r}")

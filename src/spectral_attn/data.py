@@ -9,12 +9,13 @@ cells are rejected, never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
 from .numerics import substream
 
@@ -55,9 +56,7 @@ class WindowPair:
 
 def load_csv(path, name=None):
     """Parse a dataset file into a SeriesDataset (values transposed to C x Tlen)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]

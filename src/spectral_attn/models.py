@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics as nm
-from .artifacts import atomic_open
+from .artifacts import atomic_open, read_text
 from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
 from .errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
 from .spectral import amplitude_matrix
@@ -166,25 +166,13 @@ def config_hash(config):
 # windowing helpers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatchSet:
-    """Patch matrices of sequences: column j of each is the patch starting at j*S."""
-
-    patches: np.ndarray  # (..., P, N), a read-only strided view
-    P: int
-    S: int
-
-    @property
-    def count(self):
-        return self.patches.shape[-1]
-
-
 def patchify(x, P, S):
     """Split each length-L sequence of x (..., L) into N = floor((L-P)/S) + 2 patches.
 
-    Patch j starts at j*S; the final patch is completed by repeating the
-    last observed value. The patches are a `sliding_window_view` of the
-    padded sequences, so no patch is copied.
+    Returns a read-only (..., N, P) array whose row j is the patch starting
+    at j*S; the final patch is completed by repeating the last observed
+    value. The patches are a `sliding_window_view` of the padded sequences,
+    so no patch is copied.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] == 0:
@@ -197,17 +185,7 @@ def patchify(x, P, S):
     n = (length - P) // S + 2
     pad = (n - 1) * S + P - length
     extended = np.concatenate([x, np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
-    windows = sliding_window_view(extended, P, axis=-1)[..., ::S, :]  # (..., N, P)
-    return PatchSet(patches=windows.swapaxes(-1, -2), P=P, S=S)
-
-
-def variate_embed(x, w):
-    """One D-dimensional token per variate: (..., C, L) @ (L, D)."""
-    xt = x if isinstance(x, nm.Tensor) else nm.Tensor(x)
-    wt = w if isinstance(w, nm.Tensor) else nm.Tensor(w)
-    if xt.data.ndim < 2 or wt.data.ndim != 2 or xt.shape[-1] != wt.shape[0]:
-        raise ShapeError(f"variate_embed: incompatible shapes {xt.shape} @ {wt.shape}")
-    return nm.matmul(xt, wt)
+    return sliding_window_view(extended, P, axis=-1)[..., ::S, :]
 
 
 @dataclass(frozen=True)
@@ -353,12 +331,10 @@ class ForecastModel:
         xn, stats = instance_normalize(x)
         if cfg.architecture == "variate":
             tokens = nm.Tensor(xn)                                    # (B, C, L)
-            embedded = variate_embed(tokens, self.embed_w)
         else:
-            patches = patchify(xn, cfg.P, cfg.S).patches.swapaxes(-1, -2)
+            patches = patchify(xn, cfg.P, cfg.S)                      # (B, C, N, P)
             tokens = nm.Tensor(patches.reshape(batch * cfg.C, cfg.patch_count, cfg.P))
-            embedded = nm.matmul(tokens, self.embed_w)                # (B*C, N, D)
-        hidden = nm.add(embedded, self.embed_b)
+        hidden = nm.add(nm.matmul(tokens, self.embed_w), self.embed_b)  # (B, C, D) or (B*C, N, D)
         qk_source = None
         if cfg.mechanism == "fsatten":
             amps = amplitude_matrix(xn.reshape(batch * cfg.C, cfg.L))
@@ -463,12 +439,12 @@ def save_checkpoint(path, model):
 
 def load_checkpoint(path):
     """Model from a checkpoint file; FormatError or ConfigError if it is malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"checkpoint {path}: invalid JSON ({exc})") from exc
     source = f"checkpoint {path}"
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{source}: invalid JSON ({exc})") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise FormatError(f"{source}: unknown format {found!r}")

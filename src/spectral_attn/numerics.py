@@ -431,22 +431,6 @@ def reshape(a, shape):
     return _emit(a.data.reshape(shape), (a,), vjp)
 
 
-def plane(a, index):
-    """Select one slab along axis 0 (e.g. a single head's matrix)."""
-    a = _as_tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"plane: need at least 2 dims, got shape {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ShapeError(f"plane: index {index} out of range for shape {a.shape}")
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return _emit(a.data[index].copy(), (a,), vjp)
-
-
 def tile_planes(a, count):
     """Broadcast a 2-D tensor to (count, *a.shape); adjoint sums over copies."""
     a = _as_tensor(a)

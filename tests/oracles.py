@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from spectral_attn.errors import ShapeError
+
 
 def naive_matmul(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -113,6 +115,23 @@ def singular_values_via_gram(a):
         a = a.T
     eigs = jacobi_eigenvalues(a.T @ a)
     return np.sqrt(np.clip(eigs, 0.0, None))
+
+
+def dft_naive(x):
+    """Full complex spectrum of a real sequence by direct evaluation.
+
+    X[k] = sum_t x[t] * exp(-i 2 pi k t / L) for k = 0..L-1, each bin
+    computed as an explicit inner product against its Fourier basis row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ShapeError(f"dft_naive: expected a nonempty 1-D sequence, got shape {x.shape}")
+    length = x.size
+    t = np.arange(length)
+    out = np.empty(length, dtype=np.complex128)
+    for k in range(length):
+        out[k] = np.sum(x * np.exp(-2j * np.pi * k * t / length))
+    return out
 
 
 def recursive_fft(x):

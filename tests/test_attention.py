@@ -5,16 +5,12 @@ import pytest
 
 from spectral_attn import numerics as nm
 from spectral_attn.attention import (
-    AttentionTensor,
     ConventionalAttention,
     SpectrumAttention,
-    conventional_mha_forward,
     dirac_kernel,
-    fsatten_forward,
     hcc,
     orthogonal_init,
     scaled_dot_attention,
-    soatten_forward,
 )
 from spectral_attn.errors import ConfigError, ShapeError
 from spectral_attn.spectral import amplitude_matrix
@@ -52,6 +48,23 @@ def make_param_factory(seed=0):
         return param
 
     return make, params
+
+
+def run_layer(layer, hidden, source=None):
+    """One attention pass as the encoder runs it; returns (output, LayerAttention)."""
+    capture = []
+    out = layer.forward(nm.Tensor(hidden), source, 0, capture)
+    return out, capture[0]
+
+
+def fsatten_pass(x, hidden, layer):
+    """Q/K source = amplitude rows of the raw (C, L) input, as in `forward_batch`."""
+    return run_layer(layer, hidden, nm.Tensor(amplitude_matrix(x)))
+
+
+def soatten_pass(tokens, hidden, layer, embed):
+    """Q/K source = raw tokens times the orthogonal embedding, as in `forward_batch`."""
+    return run_layer(layer, hidden, nm.matmul(nm.Tensor(tokens), nm.Tensor(embed)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +144,6 @@ def test_hcc_dirac_kernel_is_identity_on_nonnegative_input():
     w = np.abs(rng.standard_normal((3, 5, 5)))
     out = hcc(w, dirac_kernel(3, 3))
     np.testing.assert_array_equal(out.data, w)
-    wrapped = AttentionTensor(w.copy(), layer_index=0, mechanism="soatten")
-    np.testing.assert_array_equal(hcc(wrapped, dirac_kernel(3, 3)).data, w)
 
 
 def test_hcc_zero_kernel_gives_zero():
@@ -227,7 +238,7 @@ def test_fsatten_identical_sequences_give_uniform_attention():
     row = rng.standard_normal(16)
     x = np.tile(row, (3, 1))
     hidden = rng.standard_normal((3, 8))
-    _, attn = fsatten_forward(x, hidden, layer)
+    _, attn = fsatten_pass(x, hidden, layer)
     np.testing.assert_allclose(attn.pre_hcc.weights, np.full((2, 3, 3), 1.0 / 3.0), atol=1e-12)
 
 
@@ -242,7 +253,7 @@ def test_fsatten_orthogonal_tones_attend_diagonally():
     make, _ = make_param_factory()
     layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=2, bin_count=9, make_param=make)
     hidden = np.random.default_rng(9).standard_normal((2, 8))
-    _, attn = fsatten_forward(x, hidden, layer)
+    _, attn = fsatten_pass(x, hidden, layer)
     for head in attn.pre_hcc.weights:
         np.testing.assert_array_equal(np.argmax(head, axis=1), [0, 1])
 
@@ -255,7 +266,7 @@ def test_fsatten_composition_of_primitives():
         params[name].data = rng.standard_normal(params[name].data.shape)
     x = rng.standard_normal((3, 16))
     hidden = rng.standard_normal((3, 8))
-    out, attn = fsatten_forward(x, hidden, layer)
+    out, attn = fsatten_pass(x, hidden, layer)
 
     amps = amplitude_matrix(x)
     q = np.stack([amps * params["mss_q"].data[h] for h in range(2)])
@@ -275,8 +286,8 @@ def test_fsatten_f_mismatch_raises_shape_error():
     layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=3, bin_count=9, make_param=make)
     with pytest.raises(ShapeError):
         # L = 20 gives F = 11 != 9
-        fsatten_forward(np.random.default_rng(0).standard_normal((3, 20)),
-                        np.zeros((3, 8)), layer)
+        fsatten_pass(np.random.default_rng(0).standard_normal((3, 20)),
+                     np.zeros((3, 8)), layer)
 
 
 def test_fsatten_linear_arm_is_dense_map_when_tokens_equal_bins():
@@ -287,7 +298,7 @@ def test_fsatten_linear_arm_is_dense_map_when_tokens_equal_bins():
     layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=9, bin_count=9,
                               make_param=make, mss_enabled=False)
     x = rng.standard_normal((9, 16))
-    _, attn = fsatten_forward(x, rng.standard_normal((9, 8)), layer)
+    _, attn = fsatten_pass(x, rng.standard_normal((9, 8)), layer)
     amps = amplitude_matrix(x)
     q = np.stack([naive_matmul(amps, params["lin_q"].data[h]) for h in range(2)])
     k = np.stack([naive_matmul(amps, params["lin_k"].data[h]) for h in range(2)])
@@ -331,8 +342,8 @@ def test_soatten_dirac_kernel_equals_ablated_hcc():
     tokens = rng.standard_normal((4, 16))
     hidden = rng.standard_normal((4, 8))
     embed = orthogonal_init(16, 6, seed=21)
-    out_a, _ = soatten_forward(tokens, hidden, with_hcc, embed)
-    out_b, _ = soatten_forward(tokens, hidden, without, embed)
+    out_a, _ = soatten_pass(tokens, hidden, with_hcc, embed)
+    out_b, _ = soatten_pass(tokens, hidden, without, embed)
     np.testing.assert_array_equal(out_a.data, out_b.data)
 
 
@@ -344,7 +355,7 @@ def test_soatten_single_token_unit_kernel():
     params["hcc_kernel"].data = center
     tokens = np.random.default_rng(12).standard_normal((1, 8))
     hidden = np.random.default_rng(13).standard_normal((1, 4))
-    _, attn = soatten_forward(tokens, hidden, layer, orthogonal_init(8, 3, seed=4))
+    _, attn = soatten_pass(tokens, hidden, layer, orthogonal_init(8, 3, seed=4))
     np.testing.assert_allclose(attn.pre_hcc.weights, np.ones((2, 1, 1)), atol=0)
     np.testing.assert_allclose(
         attn.final.weights, np.array([[[1.1]], [[1.3]]]), atol=1e-12
@@ -361,7 +372,7 @@ def test_soatten_composition_of_primitives():
     tokens = rng.standard_normal((3, 12))
     hidden = rng.standard_normal((3, 8))
     embed = orthogonal_init(12, 5, seed=15)
-    out, attn = soatten_forward(tokens, hidden, layer, embed)
+    out, attn = soatten_pass(tokens, hidden, layer, embed)
 
     source = naive_matmul(tokens, embed)
     q = np.stack([source * params["mss_q"].data[h] for h in range(2)])
@@ -397,7 +408,7 @@ def test_conventional_zero_projections_give_uniform_rows():
     for p in params.values():
         p.data[...] = 0.0
     hidden = np.random.default_rng(16).standard_normal((5, 8))
-    _, attn = conventional_mha_forward(hidden, layer)
+    _, attn = run_layer(layer, hidden)
     np.testing.assert_allclose(attn.final.weights, np.full((2, 5, 5), 0.2), atol=1e-12)
 
 
@@ -409,7 +420,7 @@ def test_conventional_identity_projections_on_orthonormal_tokens():
     for name in ("bq", "bk", "bv", "bo"):
         params[name].data[...] = 0.0
     hidden = np.eye(3, 4)
-    _, attn = conventional_mha_forward(hidden, layer)
+    _, attn = run_layer(layer, hidden)
     np.testing.assert_array_equal(np.argmax(attn.final.weights[0], axis=1), [0, 1, 2])
 
 
@@ -418,7 +429,7 @@ def test_conventional_matches_naive_oracle():
     make, params = make_param_factory(seed=9)
     layer = ConventionalAttention(8, 2, make)
     hidden = rng.standard_normal((4, 8))
-    out, attn = conventional_mha_forward(hidden, layer)
+    out, attn = run_layer(layer, hidden)
 
     def project(w, b):
         full = naive_matmul(hidden, params[w].data) + params[b].data

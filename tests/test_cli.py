@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +307,81 @@ def test_malformed_cli_value_is_one_error_line(workdir, capsys, monkeypatch, cas
     message = single_error_line(capsys)
     for word in (source, *named):
         assert word in message
+
+
+def _with_byte_ff(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:20] + b"\xff" + raw[20:])
+
+
+def _non_utf8_case(tmp, config, csv, kind):
+    """argv of a command whose `kind` input file holds a 0xff byte, and that file."""
+    if kind == "csv":
+        _with_byte_ff(csv)
+        return _train_args(tmp, config, csv), csv
+    if kind == "config":
+        _with_byte_ff(config)
+        return _train_args(tmp, config, csv), config
+    if kind == "checkpoint":
+        assert main(_train_args(tmp, config, csv)) == 0
+        path = tmp / "run" / "checkpoint.json"
+        _with_byte_ff(path)
+        return ["evaluate", "--checkpoint", str(path), "--data", str(csv)], path
+    argv, spec = _synth_args(tmp)
+    _with_byte_ff(Path(spec))
+    return argv, spec
+
+
+@pytest.mark.parametrize("kind", ["csv", "config", "checkpoint", "synth-spec"])
+def test_non_utf8_input_file_is_one_error_line(workdir, capsys, kind):
+    argv, path = _non_utf8_case(*workdir, kind)
+    capsys.readouterr()
+    assert main(argv) == 1
+    message = single_error_line(capsys)
+    assert str(path) in message and "UTF-8" in message
+
+
+def _analyze_args(checkpoint, csv, out, split, start, count):
+    return ["analyze-attention", "--checkpoint", str(checkpoint), "--data", str(csv),
+            "--out", str(out), "--split", split, "--window-index", str(start),
+            "--num-windows", str(count)]
+
+
+@pytest.mark.parametrize("architecture, mechanism", [("variate", "fsatten"), ("temporal", "soatten")])
+def test_analyze_attention_bytes_match_a_per_window_loop(tmp_path, architecture, mechanism):
+    """The batched forecast averages the same maps in the same order as one
+    `predict` per window, so all three artifacts keep every byte."""
+    from spectral_attn import analysis
+    from spectral_attn.models import ForecastModel, ModelConfig, save_checkpoint
+
+    dataset = synth_multisine(3, 400, [[(4, 1.0, 0.0)], [(4, 0.8, 1.1)], [(9, 0.6, 0.4)]],
+                              noise_sigma=0.1, seed=8, period=32)
+    csv = tmp_path / "series.csv"
+    save_csv(csv, dataset)
+    cfg = ModelConfig(architecture=architecture, mechanism=mechanism, L=32, T=8, C=3,
+                      P=8, S=4, H=2, D=8, F=6 if mechanism == "soatten" else 0, layers=2,
+                      seed=4)
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(12)
+    for param in model.parameters():
+        param.data[...] = param.data + 0.3 * rng.standard_normal(param.data.shape)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(checkpoint, model)
+    out = tmp_path / "maps"
+    assert main(_analyze_args(checkpoint, csv, out, "test", 2, 5)) == 0
+
+    pairs = windows(split(load_csv(csv), (0.7, 0.1)), "test", cfg.L, cfg.T)
+    maps = []
+    for pair in pairs[2:7]:
+        capture = []
+        model.predict(pair.input, capture=capture)
+        maps.extend(entry.final for entry in capture)
+    report = analysis.attention_report(maps, mechanism)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    analysis.write_matrix_csv(expected / "attention_mean.csv", report.averaged_map)
+    analysis.write_pgm(expected / "attention_mean.pgm", report.averaged_map)
+    for name in ("attention_mean.csv", "attention_mean.pgm"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    written = read_json(out / "attention_report.json")
+    assert {k: written[k] for k in report.to_dict()} == json.loads(json.dumps(report.to_dict()))

@@ -14,7 +14,7 @@ from spectral_attn.data import (
     windows,
 )
 from spectral_attn.errors import ConfigError, DataError, FormatError, ParseError
-from spectral_attn.spectral import rfft_amplitudes
+from spectral_attn.spectral import amplitude_matrix
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -194,7 +194,7 @@ def test_windows_use_train_statistics():
 def test_synth_single_tone_concentrates_at_bin():
     ds = synth_multisine(1, 300, [[(5, 1.0, 0.3)]], noise_sigma=0.0, seed=1, period=96)
     for start in (0, 50, 123):
-        _, amps = rfft_amplitudes(ds.values[0, start:start + 96])
+        amps = amplitude_matrix(ds.values[:1, start:start + 96])[0]
         assert np.argmax(amps) == 5
         others = np.delete(amps, 5)
         assert others.max() < 1e-9
@@ -204,8 +204,7 @@ def test_synth_shared_tone_different_phases_same_spectrum():
     ds = synth_multisine(
         2, 96, [[(7, 1.0, 0.0)], [(7, 1.0, 1.9)]], noise_sigma=0.0, seed=2, period=96
     )
-    _, a0 = rfft_amplitudes(ds.values[0])
-    _, a1 = rfft_amplitudes(ds.values[1])
+    a0, a1 = amplitude_matrix(ds.values)
     np.testing.assert_allclose(a0, a1, atol=1e-9)
 
 

@@ -20,7 +20,6 @@ from spectral_attn.models import (
     patchify,
     save_checkpoint,
     train,
-    variate_embed,
 )
 
 from oracles import PerParameterAdam, accumulating_backward, naive_matmul
@@ -45,30 +44,30 @@ def tiny_dataset(c=3, tlen=260, seed=0, period=32):
 # ---------------------------------------------------------------------------
 
 def test_patchify_count_formula():
-    ps = patchify(np.arange(96.0), 16, 8)
-    assert ps.count == (96 - 16) // 8 + 2 == 12
+    patches = patchify(np.arange(96.0), 16, 8)
+    assert patches.shape == ((96 - 16) // 8 + 2, 16) == (12, 16)
 
 
 def test_patchify_degenerate_single_window():
     x = np.arange(8.0)
-    ps = patchify(x, 8, 8)
-    assert ps.count == 2
-    np.testing.assert_array_equal(ps.patches[:, 0], x)
-    np.testing.assert_array_equal(ps.patches[:, 1], np.full(8, 7.0))
+    patches = patchify(x, 8, 8)
+    assert len(patches) == 2
+    np.testing.assert_array_equal(patches[0], x)
+    np.testing.assert_array_equal(patches[1], np.full(8, 7.0))
 
 
 def test_patchify_constant_series():
-    ps = patchify(np.full(20, 3.5), 6, 3)
-    np.testing.assert_array_equal(ps.patches, np.full((6, ps.count), 3.5))
+    patches = patchify(np.full(20, 3.5), 6, 3)
+    np.testing.assert_array_equal(patches, np.full((len(patches), 6), 3.5))
 
 
 def test_patchify_starts_and_end_replication():
     x = np.arange(10.0)
-    ps = patchify(x, 4, 3)
-    assert ps.count == 4
-    for j in range(ps.count):
+    patches = patchify(x, 4, 3)
+    assert len(patches) == 4
+    for j in range(4):
         expected = np.array([x[min(j * 3 + i, 9)] for i in range(4)])
-        np.testing.assert_array_equal(ps.patches[:, j], expected)
+        np.testing.assert_array_equal(patches[j], expected)
 
 
 def test_patchify_validation():
@@ -78,19 +77,25 @@ def test_patchify_validation():
         patchify(np.arange(5.0), 3, 4)
 
 
+def variate_embed(x, w):
+    """The variate embedding `forward_batch` runs: one token per variate, (..., C, L) @ (L, D)."""
+    return nm.matmul(nm.Tensor(x), nm.Tensor(w))
+
+
 def test_variate_embed_zero_and_selector():
-    x = np.random.default_rng(0).standard_normal((2, 6))
-    np.testing.assert_array_equal(variate_embed(x, np.zeros((6, 4))).data, np.zeros((2, 4)))
+    x = np.random.default_rng(0).standard_normal((3, 2, 6))
+    np.testing.assert_array_equal(variate_embed(x, np.zeros((6, 4))).data, np.zeros((3, 2, 4)))
     selector = np.zeros((6, 4))
     selector[2, 1] = 1.0
-    np.testing.assert_array_equal(variate_embed(x, selector).data[:, 1], x[:, 2])
+    np.testing.assert_array_equal(variate_embed(x, selector).data[..., 1], x[..., 2])
 
 
 def test_variate_embed_matches_matmul_oracle():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 6))
+    x = rng.standard_normal((2, 3, 6))
     w = rng.standard_normal((6, 4))
-    np.testing.assert_allclose(variate_embed(x, w).data, naive_matmul(x, w), atol=1e-12)
+    for b in range(2):
+        np.testing.assert_allclose(variate_embed(x, w).data[b], naive_matmul(x[b], w), atol=1e-12)
 
 
 def test_instance_normalize_round_trip():
@@ -600,10 +605,10 @@ def test_batched_capture_matches_single_window_captures():
 def test_patchify_batched_matches_per_sequence():
     x = np.random.default_rng(43).standard_normal((2, 3, 20))
     batched = patchify(x, 6, 4)
-    assert batched.patches.shape == (2, 3, 6, batched.count)
+    assert batched.shape == (2, 3, (20 - 6) // 4 + 2, 6)
     for i in range(2):
         for c in range(3):
-            np.testing.assert_array_equal(batched.patches[i, c], patchify(x[i, c], 6, 4).patches)
+            np.testing.assert_array_equal(batched[i, c], patchify(x[i, c], 6, 4))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs the glibc allocator")

@@ -229,7 +229,7 @@ def test_composite_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize("op_name", [
     "add", "add_bias", "sub", "mul", "scale", "relu", "gelu", "softmax",
-    "layer_norm", "transpose", "reshape", "plane", "tile", "concat", "mean",
+    "layer_norm", "transpose", "reshape", "tile", "concat", "mean",
 ])
 @pytest.mark.parametrize("seed", range(20))
 def test_per_op_gradients(op_name, seed):
@@ -261,10 +261,6 @@ def test_per_op_gradients(op_name, seed):
         check_gradients(
             lambda t, g, b: nm.mean_all(nm.mul(nm.layer_norm(t, g, b), t)), x, gamma, beta
         )
-        return
-    if op_name == "plane":
-        stack = rng.standard_normal((3, 2, 4))
-        check_gradients(lambda t: nm.mean_all(nm.mul(nm.plane(t, 1), nm.plane(t, 1))), stack)
         return
     if op_name == "concat":
         top = rng.standard_normal((2, 4))

@@ -1,20 +1,27 @@
-"""Spectra: direct DFT oracle, NumPy rfft against the recursive FFT oracle, amplitudes, MSS scaling."""
+"""Spectra: direct DFT oracle, NumPy rfft against the recursive FFT oracle, amplitudes,
+and the multi-head spectrum scaling product that spectrum attention runs."""
 
 import numpy as np
 import pytest
 
 from spectral_attn import numerics as nm
 from spectral_attn.errors import ShapeError
-from spectral_attn.spectral import (
-    AmplitudeMatrix,
-    MssWeights,
-    amplitude_matrix,
-    dft_naive,
-    mss_project,
-    rfft_amplitudes,
-)
+from spectral_attn.attention import _qk_heads
+from spectral_attn.spectral import amplitude_matrix
 
-from oracles import finite_difference_gradient, max_rel_error, recursive_amplitudes
+from oracles import dft_naive, finite_difference_gradient, max_rel_error, recursive_amplitudes
+
+
+def amplitudes(x):
+    """Amplitude row of one sequence, as the model computes it."""
+    return amplitude_matrix(np.asarray(x)[None])[0]
+
+
+def mss_scale(amps, weights):
+    """Per-head scaled rows (H, tokens, F): the Q half of `_qk_heads` with MSS on."""
+    q, _ = _qk_heads(amps if isinstance(amps, nm.Tensor) else nm.Tensor(amps),
+                     weights, weights, hadamard=True)
+    return q
 
 
 def test_dft_constant_signal_is_dc_only():
@@ -49,15 +56,15 @@ def test_dft_rejects_empty():
 
 
 def test_rfft_constant():
-    spectrum, amps = rfft_amplitudes(np.full(96, 1.5))
-    assert spectrum.bin_count == 49
+    amps = amplitudes(np.full(96, 1.5))
+    assert amps.shape == (49,)
     assert abs(amps[0] - 96 * 1.5) < 1e-9
     assert amps[1:].max() < 1e-9
 
 
 def test_rfft_single_tone_amplitude_is_half_length():
     t = np.arange(96)
-    _, amps = rfft_amplitudes(np.sin(2 * np.pi * 5 * t / 96))
+    amps = amplitudes(np.sin(2 * np.pi * 5 * t / 96))
     assert abs(amps[5] - 48.0) < 1e-9
     others = np.delete(amps, 5)
     assert others.max() < 1e-9
@@ -67,9 +74,9 @@ def test_rfft_single_tone_amplitude_is_half_length():
 def test_rfft_matches_naive_prefix(length):
     rng = np.random.default_rng(length)
     x = rng.standard_normal(length)
-    spectrum, amps = rfft_amplitudes(x)
     reference = dft_naive(x)[: length // 2 + 1]
-    np.testing.assert_allclose(spectrum.bins, reference, atol=1e-9)
+    amps = amplitudes(x)
+    np.testing.assert_allclose(np.fft.rfft(x), reference, atol=1e-9)
     np.testing.assert_allclose(amps, np.abs(reference), atol=1e-9)
 
 
@@ -82,19 +89,12 @@ def test_amplitude_matrix_matches_recursive_fft_oracle(length):
         amps = amplitude_matrix(series[:rows])
         scale = np.maximum(1.0, np.abs(expected[:rows]))
         assert np.max(np.abs(amps - expected[:rows]) / scale) <= 1e-12
-    np.testing.assert_array_equal(rfft_amplitudes(series[0])[1], amps[0])
-
-
-def test_rfft_real_input_symmetries():
-    rng = np.random.default_rng(1)
-    spectrum, _ = rfft_amplitudes(rng.standard_normal(10))
-    assert spectrum.bins[0].imag == 0.0
-    assert spectrum.bins[-1].imag == 0.0
+    np.testing.assert_array_equal(amplitudes(series[0]), amps[0])
 
 
 def test_rfft_rejects_short_input():
     with pytest.raises(ShapeError):
-        rfft_amplitudes(np.array([1.0]))
+        amplitude_matrix(np.array([[1.0]]))
 
 
 def test_amplitude_shift_invariance():
@@ -103,8 +103,8 @@ def test_amplitude_shift_invariance():
         length = int(rng.integers(4, 129))
         x = rng.standard_normal(length)
         shift = int(rng.integers(0, length))
-        _, base = rfft_amplitudes(x)
-        _, shifted = rfft_amplitudes(np.roll(x, shift))
+        base = amplitudes(x)
+        shifted = amplitudes(np.roll(x, shift))
         np.testing.assert_allclose(base, shifted, atol=1e-9)
 
 
@@ -124,48 +124,45 @@ def test_amplitude_matrix_shape_and_nonnegativity():
     amps = amplitude_matrix(series)
     assert amps.shape == (5, 13)
     assert (amps >= 0).all()
-    wrapped = AmplitudeMatrix.from_series(series)
-    np.testing.assert_array_equal(wrapped.values, amps)
 
 
 # ---------------------------------------------------------------------------
-# MSS
+# MSS: the (..., 1, tokens, F) source broadcast against (H, tokens, F) scales
 # ---------------------------------------------------------------------------
 
 def test_mss_identity_scaling():
     rng = np.random.default_rng(5)
     amps = np.abs(rng.standard_normal((3, 5)))
-    weights = MssWeights(nm.Parameter(np.ones((2, 3, 5)), "w"))
-    out = mss_project(amps, weights, head=0)
-    np.testing.assert_array_equal(out.data, amps)
+    out = mss_scale(amps, nm.Parameter(np.ones((2, 3, 5)), "w"))
+    for head in out.data:
+        np.testing.assert_array_equal(head, amps)
 
 
 def test_mss_zero_weights():
     amps = np.ones((3, 5))
-    weights = MssWeights(nm.Parameter(np.zeros((2, 3, 5)), "w"))
-    np.testing.assert_array_equal(mss_project(amps, weights, 1).data, np.zeros((3, 5)))
+    out = mss_scale(amps, nm.Parameter(np.zeros((2, 3, 5)), "w"))
+    np.testing.assert_array_equal(out.data[1], np.zeros((3, 5)))
 
 
 def test_mss_matches_elementwise_loop():
     rng = np.random.default_rng(6)
     amps = np.abs(rng.standard_normal((3, 5)))
     w = rng.standard_normal((4, 3, 5))
-    weights = MssWeights(nm.Parameter(w, "w"))
+    out = mss_scale(amps, nm.Parameter(w, "w")).data
     for head in range(4):
-        out = mss_project(amps, weights, head).data
         expected = np.zeros((3, 5))
         for i in range(3):
             for k in range(5):
                 expected[i, k] = amps[i, k] * w[head, i, k]
-        np.testing.assert_allclose(out, expected, atol=0)
+        np.testing.assert_allclose(out[head], expected, atol=0)
 
 
 def test_mss_shape_mismatch():
-    weights = MssWeights(nm.Parameter(np.ones((2, 3, 5)), "w"))
+    weights = nm.Parameter(np.ones((2, 3, 5)), "w")
     with pytest.raises(ShapeError):
-        mss_project(np.ones((3, 4)), weights, 0)
+        mss_scale(np.ones((3, 4)), weights)
     with pytest.raises(ShapeError):
-        mss_project(np.ones((3, 5)), weights, 5)
+        mss_scale(np.ones((2, 5)), weights)
 
 
 def test_mss_gradients_wrt_amplitudes_and_weights():
@@ -176,16 +173,16 @@ def test_mss_gradients_wrt_amplitudes_and_weights():
     param = nm.Parameter(w, "w")
     amp_t = nm.Tensor(amps, requires_grad=True)
     with nm.GradientTape() as tape:
-        out = mss_project(amp_t, MssWeights(param), 1)
+        out = mss_scale(amp_t, param)
         loss = nm.mean_all(nm.mul(out, out))
     nm.backward(tape, loss)
 
     def loss_wrt_amps(a):
-        proj = mss_project(nm.Tensor(a), MssWeights(nm.Parameter(w, "w")), 1)
+        proj = mss_scale(nm.Tensor(a), nm.Parameter(w, "w"))
         return float(nm.mean_all(nm.mul(proj, proj)).data)
 
     def loss_wrt_w(wv):
-        proj = mss_project(nm.Tensor(amps), MssWeights(nm.Parameter(wv, "w")), 1)
+        proj = mss_scale(nm.Tensor(amps), nm.Parameter(wv, "w"))
         return float(nm.mean_all(nm.mul(proj, proj)).data)
 
     fd_amps = finite_difference_gradient(loss_wrt_amps, amps.copy())
