@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, FiniteInputError, ShapeError
 
 
 def mse(pred, target):
@@ -297,7 +297,20 @@ def write_pgm(path, matrix):
         fh.write(matrix_to_pgm_text(matrix))
 
 
+def json_text(obj, dest):
+    """obj as canonical JSON text; FiniteInputError naming `dest` for a NaN or infinity.
+
+    JSON has no non-finite numbers, so such a value is an error rather than
+    the invalid `NaN`/`Infinity` tokens. (An infinite condition number is
+    reported as the string "inf" before it gets here.)
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FiniteInputError(f"{dest}: {exc}; nothing written") from None
+
+
 def write_json(path, obj):
+    text = json_text(obj, path)
     with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -73,28 +73,6 @@ def orthogonal_init(in_dim, out_dim, seed):
     return q.T.copy() if transpose else q
 
 
-def _swap(ndim, first, second):
-    """Axis order of an `ndim` array with axes `first` and `second` exchanged."""
-    axes = list(range(ndim))
-    axes[first], axes[second] = axes[second], axes[first]
-    return tuple(axes)
-
-
-def split_heads(x, heads):
-    """(..., N, D) -> (..., H, N, D/H); head h gets the h-th contiguous column block."""
-    d = x.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"split_heads: width {d} not divisible by {heads} heads")
-    split = nm.reshape(x, x.shape[:-1] + (heads, d // heads))
-    return nm.transpose(split, _swap(len(split.shape), -3, -2))
-
-
-def merge_heads(x):
-    """(..., H, N, d) -> (..., N, H*d), inverse of split_heads."""
-    *lead, h, n, d = x.shape
-    return nm.reshape(nm.transpose(x, _swap(len(x.shape), -3, -2)), (*lead, n, h * d))
-
-
 def hcc(weights, kernel):
     """Head-coupling convolution: H->H conv over the N x N plane, then ReLU.
 
@@ -146,9 +124,7 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
         raise ShapeError(
             f"scaled_dot_attention: inconsistent head shapes {q.shape}/{k.shape}/{v.shape}"
         )
-    k_t = nm.transpose(k, _swap(k.data.ndim, -2, -1))
-    scores = nm.scale(nm.matmul(q, k_t), 1.0 / float(scale))
-    weights = nm.softmax_rows(scores)
+    weights = nm.attention_weights(q, k, 1.0 / float(scale))
     effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
     output = nm.matmul(effective, v)
     return weights, effective, output
@@ -197,13 +173,13 @@ class ConventionalAttention:
         self.bo = make_param("bo", ("zeros", (width,)))
 
     def forward(self, hidden, qk_source, layer_index, capture=None):
-        q = split_heads(nm.add(nm.matmul(hidden, self.wq), self.bq), self.heads)
-        k = split_heads(nm.add(nm.matmul(hidden, self.wk), self.bk), self.heads)
-        v = split_heads(nm.add(nm.matmul(hidden, self.wv), self.bv), self.heads)
+        q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
+        k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
+        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
         weights, effective, out = scaled_dot_attention(q, k, v, math.sqrt(self.head_dim))
         if capture is not None:
             _capture(capture, weights, effective, layer_index, self.mechanism)
-        return nm.add(nm.matmul(merge_heads(out), self.wo), self.bo)
+        return nm.linear(nm.merge_heads(out), self.wo, self.bo)
 
 
 class SpectrumAttention:
@@ -259,10 +235,10 @@ class SpectrumAttention:
             q, k = _qk_heads(qk_source, self.mss_q, self.mss_k, hadamard=True)
         else:
             q, k = _qk_heads(qk_source, self.lin_q, self.lin_k, hadamard=False)
-        v = split_heads(nm.add(nm.matmul(hidden, self.wv), self.bv), self.heads)
+        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
         weights, effective, out = scaled_dot_attention(
             q, k, v, math.sqrt(self.bin_count), hcc_kernel=self.kernel
         )
         if capture is not None:
             _capture(capture, weights, effective, layer_index, self.mechanism)
-        return nm.add(nm.matmul(merge_heads(out), self.wo), self.bo)
+        return nm.linear(nm.merge_heads(out), self.wo, self.bo)

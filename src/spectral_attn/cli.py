@@ -138,9 +138,7 @@ def cmd_evaluate(args):
     if args.out:
         analysis.write_json(args.out, report.to_dict())
     else:
-        import json
-
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        print(analysis.json_text(report.to_dict(), "evaluate"))
     return 0
 
 

@@ -203,9 +203,11 @@ def instance_normalize(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] < 2:
         raise ShapeError(f"instance_normalize: expected (..., C, L >= 2), got shape {x.shape}")
-    mean = x.mean(axis=-1, keepdims=True)
-    scale = np.maximum(np.sqrt(x.var(axis=-1, keepdims=True)), 1e-5)
-    return (x - mean) / scale, InstanceStats(mean=mean, scale=scale)
+    length = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / length  # bitwise equal to x.mean
+    xc = x - mean
+    scale = np.maximum(np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / length), 1e-5)
+    return xc / scale, InstanceStats(mean=mean, scale=scale)
 
 
 def instance_denormalize(x, stats):
@@ -251,10 +253,7 @@ class EncoderLayer:
             nm.add(hidden, nm.dropout(attn_out, self.dropout, dropout_rng, training)),
             self.ln1_gamma, self.ln1_beta,
         )
-        ffn = nm.add(
-            nm.matmul(nm.gelu(nm.add(nm.matmul(h1, self.ffn_w1), self.ffn_b1)), self.ffn_w2),
-            self.ffn_b2,
-        )
+        ffn = nm.linear(nm.gelu(nm.linear(h1, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
         return nm.layer_norm(
             nm.add(h1, nm.dropout(ffn, self.dropout, dropout_rng, training)),
             self.ln2_gamma, self.ln2_beta,
@@ -334,7 +333,7 @@ class ForecastModel:
         else:
             patches = patchify(xn, cfg.P, cfg.S)                      # (B, C, N, P)
             tokens = nm.Tensor(patches.reshape(batch * cfg.C, cfg.patch_count, cfg.P))
-        hidden = nm.add(nm.matmul(tokens, self.embed_w), self.embed_b)  # (B, C, D) or (B*C, N, D)
+        hidden = nm.linear(tokens, self.embed_w, self.embed_b)  # (B, C, D) or (B*C, N, D)
         qk_source = None
         if cfg.mechanism == "fsatten":
             amps = amplitude_matrix(xn.reshape(batch * cfg.C, cfg.L))
@@ -345,7 +344,7 @@ class ForecastModel:
             hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
         if cfg.architecture == "temporal":
             hidden = nm.reshape(hidden, (batch, cfg.C, cfg.patch_count * cfg.D))
-        pred = nm.add(nm.matmul(hidden, self.head_w), self.head_b)
+        pred = nm.linear(hidden, self.head_w, self.head_b)
         return pred, stats
 
     def _one(self, x, caller):
@@ -471,7 +470,12 @@ def _decode_param(source, name, entry):
         raise FormatError(f"{where}: 'data' is not valid base64") from None
     if len(raw) != 8 * math.prod(shape):
         raise FormatError(f"{where}: {len(raw)} data bytes do not hold float64 shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    values = np.frombuffer(raw, dtype="<f8")
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite))  # the first non-finite value
+        raise FormatError(f"{where}: value {values[index]} at flat index {index} is not finite")
+    return values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

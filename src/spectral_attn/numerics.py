@@ -15,6 +15,14 @@ Ops broadcast over leading axes, so one tape covers a whole minibatch:
 back over the broadcast axes; `layer_norm`, `softmax_rows` and `conv2d`
 act on the trailing axes of any stack.
 
+At desk scale (a handful of tokens, width 32) an op costs microseconds of
+Python around far less arithmetic, so the engine is bound by per-op
+latency, not compute. The encoder's fixed chains are therefore fused
+primitives, one record and one hand-written vjp each, with the same
+arithmetic as the chain: `linear` (matmul + bias add), `split_heads`
+(reshape + axis swap), `merge_heads` (axis swap + reshape) and
+`attention_weights` (transpose + matmul + scale + softmax).
+
 Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
 
@@ -227,6 +235,28 @@ def matmul(a, b):
     return _emit(out, (a, b), vjp)
 
 
+def linear(x, w, b):
+    """x @ W + b for a 2-D weight W (in, out) and a bias b (out,).
+
+    One record for the matmul and the bias add, with the same arithmetic:
+    x's leading axes fold into the rows of one GEMM, and the bias adjoint
+    sums over them. No input adjoint is formed for an x that needs none.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+    rows = x.data.reshape(-1, x.shape[-1])
+    out = (rows @ w.data).reshape(x.shape[:-1] + w.shape[1:]) + b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return (dx, rows.T @ g2, _unbroadcast(g, b.shape))
+
+    return _emit(out, (x, w, b), vjp)
+
+
 def add(a, b):
     """Elementwise sum with NumPy broadcasting (e.g. a trailing-axis bias)."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -300,25 +330,66 @@ def gelu(a):
     return _emit(x * cdf, (a,), vjp)
 
 
+def _softmax(s, op):
+    """Softmax of array `s` over its last axis; FiniteInputError names `op`.
+
+    Rows are shifted by their max before exponentiation, so arbitrarily large
+    finite scores cannot overflow.
+    """
+    if not np.isfinite(s).all():
+        raise FiniteInputError(f"{op}: input must be finite (no NaN/Inf)")
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(y, g):
+    """Adjoint of the scores, given the softmax output y and its adjoint g."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(s):
     """Softmax over the last axis (each row of each stacked matrix).
 
-    Rows are shifted by their max before exponentiation, so arbitrarily large
-    finite scores cannot overflow. Non-finite input raises FiniteInputError.
+    Non-finite input raises FiniteInputError.
     """
     s = _as_tensor(s)
     if s.data.ndim < 2:
         raise ShapeError(f"softmax_rows: need at least 2 dims, got shape {s.shape}")
-    if not np.isfinite(s.data).all():
-        raise FiniteInputError("softmax_rows: input must be finite (no NaN/Inf)")
-    z = s.data - s.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(s.data, "softmax_rows")
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        return (_softmax_vjp(y, g),)
 
     return _emit(y, (s,), vjp)
+
+
+def attention_weights(q, k, factor):
+    """softmax(Q Kᵀ · factor) over the last axis; leading axes broadcast.
+
+    q: (..., N, d) queries, k: (..., M, d) keys; returns (..., N, M)
+    row-stochastic weights. One record for the transpose, matmul, scale
+    and softmax chain, with the same arithmetic. Non-finite scores raise
+    FiniteInputError.
+    """
+    q, k = _as_tensor(q), _as_tensor(k)
+    if q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}")
+    factor = float(factor)
+    k_t = k.data.swapaxes(-1, -2)
+    try:
+        scores = q.data @ k_t
+    except ValueError:
+        raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}") from None
+    y = _softmax(scores * factor, "attention_weights")
+
+    def vjp(g):
+        gs = _softmax_vjp(y, g) * factor
+        return (
+            _unbroadcast(gs @ k.data, q.shape),
+            _unbroadcast(q.data.swapaxes(-1, -2) @ gs, k_t.shape).swapaxes(-1, -2),
+        )
+
+    return _emit(y, (q, k), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -334,7 +405,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
         )
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d  # bitwise equal to x.mean
     var = np.square(xc).sum(axis=-1, keepdims=True) / d  # bitwise equal to x.var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -419,6 +490,39 @@ def transpose(a, axes=None):
         return (g.transpose(inverse),)
 
     return _emit(a.data.transpose(axes), (a,), vjp)
+
+
+def split_heads(x, heads):
+    """(..., N, D) -> (..., H, N, D/H); head h gets the h-th contiguous column block.
+
+    One record for the reshape and the swap of the N and H axes; the output
+    is a view of x.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim < 2:
+        raise ShapeError(f"split_heads: expected (..., N, D) input, got shape {x.shape}")
+    in_shape = x.shape
+    d = in_shape[-1]
+    if d % heads != 0:
+        raise ConfigError(f"split_heads: width {d} not divisible by {heads} heads")
+
+    def vjp(g):
+        return (g.swapaxes(-3, -2).reshape(in_shape),)
+
+    return _emit(x.data.reshape(in_shape[:-1] + (heads, d // heads)).swapaxes(-3, -2), (x,), vjp)
+
+
+def merge_heads(x):
+    """(..., H, N, d) -> (..., N, H*d), inverse of split_heads; one record."""
+    x = _as_tensor(x)
+    if x.data.ndim < 3:
+        raise ShapeError(f"merge_heads: expected (..., H, N, d) input, got shape {x.shape}")
+    *lead, h, n, d = x.shape
+
+    def vjp(g):
+        return (g.reshape((*lead, n, h, d)).swapaxes(-3, -2),)
+
+    return _emit(x.data.swapaxes(-3, -2).reshape((*lead, n, h * d)), (x,), vjp)
 
 
 def reshape(a, shape):

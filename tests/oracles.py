@@ -1,13 +1,17 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive (explicit loops, direct definitions)
-and never shares code with the implementation under test.
+and never shares code with the implementation under test. The exception is
+the `unfused_*` chains: they rebuild each fused tape primitive from the
+elementary primitives it replaced in the model, so the two can be compared
+bitwise, forward and backward.
 """
 
 import math
 
 import numpy as np
 
+from spectral_attn import numerics as nm
 from spectral_attn.errors import ShapeError
 
 
@@ -276,3 +280,33 @@ class PerParameterAdam:
     def zero_grad(self):
         for p in self.params:
             p.grad[...] = 0.0
+
+
+def _swap(ndim, first, second):
+    """Axis order of an `ndim` array with axes `first` and `second` exchanged."""
+    axes = list(range(ndim))
+    axes[first], axes[second] = axes[second], axes[first]
+    return tuple(axes)
+
+
+def unfused_linear(x, w, b):
+    """matmul then bias add: the chain numerics.linear fuses."""
+    return nm.add(nm.matmul(x, w), b)
+
+
+def unfused_split_heads(x, heads):
+    """reshape to (..., N, H, d) then swap N and H: the chain numerics.split_heads fuses."""
+    split = nm.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+    return nm.transpose(split, _swap(len(split.shape), -3, -2))
+
+
+def unfused_merge_heads(x):
+    """swap H and N then reshape to (..., N, H*d): the chain numerics.merge_heads fuses."""
+    *lead, h, n, d = x.shape
+    return nm.reshape(nm.transpose(x, _swap(len(x.shape), -3, -2)), (*lead, n, h * d))
+
+
+def unfused_attention_weights(q, k, factor):
+    """transpose, matmul, scale, softmax: the chain numerics.attention_weights fuses."""
+    k_t = nm.transpose(k, _swap(len(k.shape), -2, -1))
+    return nm.softmax_rows(nm.scale(nm.matmul(q, k_t), factor))

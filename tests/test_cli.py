@@ -262,6 +262,48 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
     assert str(path) in single_error_line(capsys)
 
 
+def _micro_fsatten():
+    from spectral_attn.models import ForecastModel, ModelConfig
+
+    return ForecastModel(ModelConfig(mechanism="fsatten", L=32, T=8, C=2, H=2, D=8, layers=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_parameter_is_one_error_line(workdir, capsys, value):
+    from spectral_attn.models import save_checkpoint
+
+    tmp, _, csv = workdir
+    path, out = tmp / "checkpoint.json", tmp / "e.json"
+    model = _micro_fsatten()
+    model.params["head.bias"].data[3] = value
+    save_checkpoint(path, model)
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv), "--out", str(out)]) == 1
+    message = single_error_line(capsys)
+    for word in (str(path), "'head.bias'", "flat index 3", "not finite"):
+        assert word in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_non_finite_metric_is_one_error_line_not_invalid_json(workdir, capsys, to_file):
+    # finite parameters whose forecasts overflow the squared error to inf
+    from spectral_attn.models import save_checkpoint
+
+    tmp, _, csv = workdir
+    path, out = tmp / "checkpoint.json", tmp / "e.json"
+    model = _micro_fsatten()
+    model.params["head.bias"].data[...] = 1e200
+    save_checkpoint(path, model)
+    argv = ["evaluate", "--checkpoint", str(path), "--data", str(csv)]
+    with np.errstate(over="ignore"):
+        code = main(argv + ["--out", str(out)] if to_file else argv)
+    assert code == 1
+    message = single_error_line(capsys)
+    assert "not JSON compliant" in message
+    assert (str(out) if to_file else "evaluate") in message
+    assert not out.exists()
+
+
 def _synth_args(tmp, **changes):
     fields = dict(C="2", length="200", period="32", noise_sigma="0.05", seed="4",
                   tones_0="4:1.0:0.0", tones_1="4:1.0:1.3, 9:0.5:0.2")

@@ -7,10 +7,15 @@ traceback. Mutations replace bytes and never insert them, so no number in a
 file can grow by more than one digit; every config value is written without
 a space after `=` and the last line is the seed, which keeps mutated models
 small.
+
+A byte replacement inside a checkpoint's base64 data rarely lands on a
+float64 exponent, so non-finite parameter values get their own case.
 """
 
+import base64
 import contextlib
 import io
+import json
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -92,3 +97,28 @@ def test_mutated_input_exits_cleanly(kind, edits):
     if code != 0:
         assert code in (1, 2), (code, err)
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
+
+
+@FUZZ
+@given(param=st.integers(0, 1 << 16), position=st.integers(0, 1 << 16),
+       sign=st.integers(0, 1), mantissa=st.integers(0, (1 << 52) - 1))
+def test_non_finite_parameter_value_is_one_error_line(param, position, sign, mantissa):
+    # exponent bits all ones: an infinity (mantissa 0) or a NaN with any payload
+    files = dict(valid_inputs())
+    payload = json.loads(files["checkpoint"])
+    target = sorted(payload["params"])[param % len(payload["params"])]
+    values = bytearray(base64.b64decode(payload["params"][target]["data"]))
+    index = position % (len(values) // 8)
+    bits = (sign << 63) | (0x7FF << 52) | mantissa
+    values[8 * index:8 * index + 8] = bits.to_bytes(8, "little")
+    payload["params"][target]["data"] = base64.b64encode(bytes(values)).decode("ascii")
+    files["checkpoint"] = json.dumps(payload).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, raw in files.items():
+            (tmp / name).write_bytes(raw)
+        code, err = run(["evaluate", "--checkpoint", str(tmp / "checkpoint"),
+                         "--data", str(tmp / "csv")])
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (code, err)
+    assert f"parameter {target!r}" in lines[0] and f"flat index {index} " in lines[0]

@@ -113,6 +113,16 @@ def test_instance_normalize_standardized_input_unchanged():
     np.testing.assert_allclose(xn, x, atol=1e-9)
 
 
+def test_instance_normalize_is_bitwise_numpy_mean_and_var():
+    x = np.random.default_rng(9).standard_normal((4, 3, 96)) * 5 + 2
+    mean = x.mean(axis=-1, keepdims=True)
+    scale = np.maximum(np.sqrt(x.var(axis=-1, keepdims=True)), 1e-5)
+    xn, stats = instance_normalize(x)
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.scale.tobytes() == scale.tobytes()
+    assert xn.tobytes() == ((x - mean) / scale).tobytes()
+
+
 def test_instance_normalize_constant_series():
     x = np.full((2, 10), 4.2)
     xn, stats = instance_normalize(x)
@@ -666,3 +676,23 @@ def test_backward_peak_memory_stays_near_the_forward_tape():
     finally:
         tracemalloc.stop()
     assert backward <= 1.3 * forward
+
+
+@pytest.mark.parametrize("architecture, mechanism, records", [
+    ("variate", "fsatten", 39),
+    ("variate", "soatten", 46),
+    ("variate", "conventional", 43),
+    ("temporal", "soatten", 47),
+    ("temporal", "conventional", 44),
+])
+def test_training_loss_tape_records_stay_fused(architecture, mechanism, records):
+    # Two layers with dropout and HCC. Each linear, head split or merge and
+    # attention-weight chain is one record; unfusing any of them adds some.
+    cfg = micro_config(architecture=architecture, mechanism=mechanism, layers=2, dropout=0.2,
+                       F=6 if mechanism == "soatten" else 0)
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(5)
+    with nm.GradientTape() as tape:
+        model.batch_loss(rng.standard_normal((1, cfg.C, cfg.L)),
+                         rng.standard_normal((1, cfg.C, cfg.T)), training=True)
+    assert len(tape) == records

@@ -15,6 +15,10 @@ from oracles import (
     max_rel_error,
     naive_conv2d,
     naive_matmul,
+    unfused_attention_weights,
+    unfused_linear,
+    unfused_merge_heads,
+    unfused_split_heads,
 )
 
 GRAD_TOL = 1e-4
@@ -230,6 +234,7 @@ def test_composite_gradients_match_finite_differences(seed):
 @pytest.mark.parametrize("op_name", [
     "add", "add_bias", "sub", "mul", "scale", "relu", "gelu", "softmax",
     "layer_norm", "transpose", "reshape", "tile", "concat", "mean",
+    "linear", "linear_3d", "attention_weights", "split_heads", "merge_heads",
 ])
 @pytest.mark.parametrize("seed", range(20))
 def test_per_op_gradients(op_name, seed):
@@ -261,6 +266,34 @@ def test_per_op_gradients(op_name, seed):
         check_gradients(
             lambda t, g, b: nm.mean_all(nm.mul(nm.layer_norm(t, g, b), t)), x, gamma, beta
         )
+        return
+    if op_name in ("linear", "linear_3d"):
+        if op_name == "linear_3d":
+            x = rng.standard_normal((2, 3, 4))
+        w = rng.standard_normal((4, 5))
+        bias = rng.standard_normal(5)
+
+        def build(t, wt, bt):
+            out = nm.linear(t, wt, bt)
+            return nm.mean_all(nm.mul(out, out))
+
+        check_gradients(build, x, w, bias)
+        return
+    if op_name == "attention_weights":
+        keys = rng.standard_normal((5, 4))
+        probe = rng.standard_normal((3, 5))
+        check_gradients(
+            lambda q, k: nm.mean_all(nm.mul(nm.attention_weights(q, k, 0.7), probe)), x, keys
+        )
+        return
+    if op_name in ("split_heads", "merge_heads"):
+        # a fixed random probe makes the loss depend on where each entry lands
+        if op_name == "split_heads":
+            op = lambda t: nm.split_heads(t, 2)  # noqa: E731
+        else:
+            op, x = nm.merge_heads, x.reshape(2, 3, 2)
+        probe = rng.standard_normal(op(x).shape)
+        check_gradients(lambda t: nm.mean_all(nm.mul(op(t), probe)), x)
         return
     if op_name == "concat":
         top = rng.standard_normal((2, 4))
@@ -352,6 +385,61 @@ def test_conv2d_batch_axis_gradients():
 def test_incompatible_broadcast_raises_shape_error(op, left, right):
     with pytest.raises(ShapeError, match="incompatible shapes"):
         op(np.zeros(left), np.zeros(right))
+
+
+# fused primitive -> (fused op, the unfused chain it replaced, input shapes)
+FUSED_CHAINS = {
+    "linear_2d": (nm.linear, unfused_linear, [(3, 4), (4, 5), (5,)]),
+    "linear_3d": (nm.linear, unfused_linear, [(2, 3, 4), (4, 5), (5,)]),
+    "split_heads": (lambda x: nm.split_heads(x, 2), lambda x: unfused_split_heads(x, 2),
+                    [(2, 3, 6)]),
+    "merge_heads": (nm.merge_heads, unfused_merge_heads, [(2, 3, 4, 2)]),
+    "attention_weights": (lambda q, k: nm.attention_weights(q, k, 0.35),
+                          lambda q, k: unfused_attention_weights(q, k, 0.35),
+                          [(2, 3, 4, 5), (2, 3, 4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CHAINS))
+def test_fused_op_matches_unfused_chain_bitwise(name):
+    fused, chain, shapes = FUSED_CHAINS[name]
+    rng = np.random.default_rng(41)
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    probe = rng.standard_normal(fused(*arrays).shape)
+    results = []
+    for build in (fused, chain):
+        tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+        with nm.GradientTape() as tape:
+            out = build(*tensors)
+            loss = nm.mean_all(nm.mul(out, probe))
+        nm.backward(tape, loss)
+        results.append([out.data] + [t.grad for t in tensors])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fused_ops_record_once():
+    x = nm.Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    with nm.GradientTape() as tape:
+        heads = nm.split_heads(nm.linear(x, np.ones((4, 4)), np.zeros(4)), 2)
+        nm.merge_heads(heads)
+        nm.attention_weights(heads, heads, 1.0)
+    assert len(tape) == 4
+
+
+def test_fused_ops_reject_bad_input():
+    with pytest.raises(FiniteInputError, match="attention_weights: input must be finite"):
+        nm.attention_weights(np.array([[np.inf, 1.0]]), np.ones((3, 2)), 1.0)
+    with pytest.raises(ShapeError, match="incompatible shapes"):
+        nm.attention_weights(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+    with pytest.raises(ShapeError, match="incompatible shapes"):
+        nm.attention_weights(np.ones((2, 2, 3)), np.ones((3, 2, 3)), 1.0)
+    with pytest.raises(ShapeError, match="incompatible shapes"):
+        nm.linear(np.ones((2, 3)), np.ones((3, 4)), np.ones(3))
+    with pytest.raises(ConfigError, match="not divisible"):
+        nm.split_heads(np.ones((2, 3, 4)), 3)
+    with pytest.raises(ShapeError):
+        nm.merge_heads(np.ones((3, 4)))
 
 
 def test_layer_norm_variance_is_bitwise_numpy_var():
