@@ -88,20 +88,20 @@ def evaluate_on_split(model, dataset, which="test"):
 # ---------------------------------------------------------------------------
 
 def average_attention(maps):
-    """Arithmetic mean over every head of every layer; result is N x N."""
-    stacks = []
+    """Arithmetic mean of every N x N plane of the (..., N, N) maps, in order; result is N x N."""
+    planes = []
     for m in maps:
         arr = m.weights if isinstance(m, AttentionTensor) else np.asarray(m, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"average_attention: expected (H, N, N) maps, got shape {arr.shape}")
-        stacks.append(arr)
-    if not stacks:
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+            raise ShapeError(f"average_attention: expected (..., N, N) maps, got shape {arr.shape}")
+        planes.append(arr.reshape((-1,) + arr.shape[-2:]))
+    if not sum(len(p) for p in planes):
         raise DataError("average_attention: no attention maps given")
-    n = stacks[0].shape[1]
-    for arr in stacks:
-        if arr.shape[1:] != (n, n):
+    n = planes[0].shape[1]
+    for arr in planes:
+        if arr.shape[1] != n:
             raise ShapeError(f"average_attention: inconsistent map size {arr.shape} vs N={n}")
-    return np.concatenate(stacks, axis=0).mean(axis=0)
+    return np.concatenate(planes, axis=0).mean(axis=0)
 
 
 def condition_number(a):
@@ -123,8 +123,8 @@ def condition_number(a):
 
 def numerical_rank(a, tol=1e-10):
     """Count of singular values above tol * sigma_max."""
-    if tol <= 0:
-        raise ConfigError(f"numerical_rank: tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"numerical_rank: expected a nonempty matrix, got shape {arr.shape}")

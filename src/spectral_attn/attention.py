@@ -23,36 +23,24 @@ MECHANISMS = ("conventional", "fsatten", "soatten")
 
 @dataclass(frozen=True)
 class AttentionTensor:
-    """Immutable per-layer snapshot of (H, N, N) attention weights."""
+    """Read-only (..., H, N, N) attention weights of one encoder layer."""
 
     weights: np.ndarray
-    layer_index: int
-    mechanism: str
-
-    def __post_init__(self):
-        if self.weights.ndim != 3 or self.weights.shape[1] != self.weights.shape[2]:
-            raise ShapeError(f"AttentionTensor: expected (H, N, N), got shape {self.weights.shape}")
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"AttentionTensor: unknown mechanism {self.mechanism!r}")
 
 
 @dataclass(frozen=True)
 class LayerAttention:
-    """Attention snapshots of one encoder layer pass.
+    """Attention of one encoder layer pass, for the whole batch at once.
 
     `pre_hcc` is the row-stochastic softmax output; `final` is what actually
-    multiplies the values (identical to `pre_hcc` unless a head-coupling
-    convolution was applied).
+    multiplies the values (the same object as `pre_hcc` unless a head-coupling
+    convolution was applied). Each holds the forward's own weight stack,
+    marked read-only: (B, H, C, C) for the variate architecture and
+    (B*C, H, N, N), variates innermost, for the temporal one.
     """
 
     pre_hcc: AttentionTensor
     final: AttentionTensor
-
-
-def snapshot(weights, layer_index, mechanism):
-    arr = np.array(weights.data if isinstance(weights, nm.Tensor) else weights, copy=True)
-    arr.setflags(write=False)
-    return AttentionTensor(weights=arr, layer_index=layer_index, mechanism=mechanism)
 
 
 def orthogonal_init(in_dim, out_dim, seed):
@@ -142,19 +130,17 @@ def _qk_heads(source, q_map, k_map, hadamard):
     return op(shared, q_map), op(shared, k_map)
 
 
-def _capture(capture, weights, effective, layer_index, mechanism):
-    """One LayerAttention per (H, N, N) plane stack, in leading-axis order."""
-    planes = weights.shape[-3:]
-    for w, e in zip(weights.data.reshape((-1,) + planes), effective.data.reshape((-1,) + planes)):
-        pre = snapshot(w, layer_index, mechanism)
-        final = pre if effective is weights else snapshot(e, layer_index, mechanism)
-        capture.append(LayerAttention(pre_hcc=pre, final=final))
+def _capture(capture, weights, effective):
+    """Append one LayerAttention holding the layer's weight stacks, made read-only."""
+    for t in (weights, effective):
+        t.data.setflags(write=False)
+    pre = AttentionTensor(weights.data)
+    final = pre if effective is weights else AttentionTensor(effective.data)
+    capture.append(LayerAttention(pre_hcc=pre, final=final))
 
 
 class ConventionalAttention:
     """Standard multi-head self-attention over D-dimensional tokens (scale sqrt(D/H))."""
-
-    mechanism = "conventional"
 
     def __init__(self, width, heads, make_param):
         if width % heads != 0:
@@ -172,13 +158,13 @@ class ConventionalAttention:
         self.wo = make_param("wo", ("normal", std, (width, width)))
         self.bo = make_param("bo", ("zeros", (width,)))
 
-    def forward(self, hidden, qk_source, layer_index, capture=None):
+    def forward(self, hidden, qk_source, capture=None):
         q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
         k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
         v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
         weights, effective, out = scaled_dot_attention(q, k, v, math.sqrt(self.head_dim))
         if capture is not None:
-            _capture(capture, weights, effective, layer_index, self.mechanism)
+            _capture(capture, weights, effective)
         return nm.linear(nm.merge_heads(out), self.wo, self.bo)
 
 
@@ -193,7 +179,7 @@ class SpectrumAttention:
     """
 
     def __init__(self, mechanism, width, heads, tokens, bin_count, make_param,
-                 mss_enabled=True, kernel_size=None, kernel_noise=0.01):
+                 mss_enabled=True, kernel_size=None):
         if mechanism not in ("fsatten", "soatten"):
             raise ConfigError(f"SpectrumAttention: unsupported mechanism {mechanism!r}")
         if width % heads != 0:
@@ -220,10 +206,11 @@ class SpectrumAttention:
         self.bo = make_param("bo", ("zeros", (width,)))
         self.kernel = None
         if kernel_size is not None:
+            # identity coupling plus noise of std 0.01
             init = dirac_kernel(heads, kernel_size)
-            self.kernel = make_param("hcc_kernel", ("dirac_noise", init, kernel_noise))
+            self.kernel = make_param("hcc_kernel", ("dirac_noise", init, 0.01))
 
-    def forward(self, hidden, qk_source, layer_index, capture=None):
+    def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:
             raise ShapeError(f"{self.mechanism}: missing Q/K source matrix")
         if len(qk_source.shape) < 2 or qk_source.shape[-2:] != (self.tokens, self.bin_count):
@@ -240,5 +227,5 @@ class SpectrumAttention:
             q, k, v, math.sqrt(self.bin_count), hcc_kernel=self.kernel
         )
         if capture is not None:
-            _capture(capture, weights, effective, layer_index, self.mechanism)
+            _capture(capture, weights, effective)
         return nm.linear(nm.merge_heads(out), self.wo, self.bo)

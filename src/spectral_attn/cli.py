@@ -159,12 +159,11 @@ def cmd_analyze_attention(args):
         )
     capture = []
     model.predict_batch(np.stack([p.input for p in pairs[args.window_index:stop]]), capture=capture)
-    # The capture is layer-major. Averaging it window-major sums in the order
-    # of one forecast per window, which keeps every byte of the report.
-    per_window = len(capture) // (cfg.layers * count)
-    maps = [capture[(layer * count + w) * per_window + j].final
-            for w in range(count) for layer in range(cfg.layers) for j in range(per_window)]
-    report = analysis.attention_report(maps, cfg.mechanism, rank_tol=args.rank_tol)
+    # Averaging window-major, then layer, then plane, sums in the order of one
+    # forecast per window, which keeps every byte of the report.
+    n = capture[0].final.weights.shape[-1]
+    maps = np.stack([entry.final.weights.reshape(count, -1, n, n) for entry in capture], axis=1)
+    report = analysis.attention_report([maps], cfg.mechanism, rank_tol=args.rank_tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_matrix_csv(out / "attention_mean.csv", report.averaged_map)

@@ -153,14 +153,14 @@ def normalized_values(dataset):
     return (dataset.values - means[:, None]) / safe[:, None]
 
 
-def windows(dataset, which, L, T, stride=1):
+def windows(dataset, which, L, T):
     """All (input, target) pairs fully inside one split, in time order.
 
-    Values are standardized with the train-split statistics. For stride 1
-    the count is split_len - (L + T) + 1.
+    Values are standardized with the train-split statistics. The count is
+    split_len - (L + T) + 1.
     """
-    if L < 1 or T < 1 or stride < 1:
-        raise DataError(f"windows: L, T, stride must be positive, got {L}, {T}, {stride}")
+    if L < 1 or T < 1:
+        raise DataError(f"windows: L and T must be positive, got {L}, {T}")
     start, end = _split_range(dataset, which)
     span = L + T
     if end - start < span:
@@ -170,7 +170,7 @@ def windows(dataset, which, L, T, stride=1):
         )
     values = normalized_values(dataset)
     out = []
-    for origin in range(start, end - span + 1, stride):
+    for origin in range(start, end - span + 1):
         out.append(WindowPair(
             input=values[:, origin:origin + L].copy(),
             target=values[:, origin + L:origin + span].copy(),

@@ -14,9 +14,9 @@ folds the variates into the batch and carries (B*C, N, D) patch tokens.
 `forward_window`, `window_loss`, `predict` and `forecast` are its B = 1
 wrappers for a single (C, L) window.
 
-An attention `capture` list receives one LayerAttention per layer and per
-plane stack, layer-major: for a temporal window that is one entry per
-(layer, variate), for a variate batch one per (layer, window).
+An attention `capture` list receives one LayerAttention per encoder layer,
+in layer order, holding that layer's whole read-only weight stack: (B, H, C, C)
+for the variate architecture, (B*C, H, N, N) for the temporal one.
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ class EncoderLayer:
     """Post-norm residual block: attention sublayer then a GELU FFN (D -> 4D -> D)."""
 
     def __init__(self, config, index, create_param):
-        self.index = index
         self.dropout = config.dropout
         width = config.D
         scoped = lambda leaf, spec: create_param(f"layers.{index}.{leaf}", spec)
@@ -248,7 +247,7 @@ class EncoderLayer:
         self.ffn_b2 = scoped("ffn.b2", ("zeros", (width,)))
 
     def forward(self, hidden, qk_source, training, dropout_rng, capture=None):
-        attn_out = self.attn.forward(hidden, qk_source, self.index, capture)
+        attn_out = self.attn.forward(hidden, qk_source, capture)
         h1 = nm.layer_norm(
             nm.add(hidden, nm.dropout(attn_out, self.dropout, dropout_rng, training)),
             self.ln1_gamma, self.ln1_beta,

@@ -392,10 +392,11 @@ def attention_weights(q, k, factor):
     return _emit(y, (q, k), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalization over the last axis, with learnable affine terms.
 
-    x: (..., D) with any number of leading axes; gamma, beta: (D,).
+    x: (..., D) with any number of leading axes; gamma, beta: (D,). The
+    variance is regularized by 1e-5.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim < 1:
@@ -407,7 +408,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         )
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / d  # bitwise equal to x.mean
     var = np.square(xc).sum(axis=-1, keepdims=True) / d  # bitwise equal to x.var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
@@ -616,21 +617,15 @@ class Adam:
     (`param.data[...] = ...`) for the optimizer to keep stepping them.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ConfigError(f"Adam: learning rate must be positive, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"Adam: betas must lie in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ConfigError(f"Adam: eps must be positive, got {eps}")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ConfigError("Adam: a parameter is listed more than once")
         self.lr = float(lr)
-        self.beta1 = float(b1)
-        self.beta2 = float(b2)
-        self.eps = float(eps)
         self.t = 0
         total = sum(p.data.size for p in self.params)
         self.data = np.empty(total)

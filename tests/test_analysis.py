@@ -64,7 +64,7 @@ def test_metrics_shape_mismatch():
 
 def test_average_single_map_is_itself():
     w = np.abs(np.random.default_rng(2).standard_normal((1, 4, 4)))
-    avg = average_attention([AttentionTensor(w, 0, "conventional")])
+    avg = average_attention([AttentionTensor(w)])
     np.testing.assert_allclose(avg, w[0], atol=0)
 
 
@@ -157,8 +157,9 @@ def test_numerical_rank_sum_of_rank_ones():
 
 
 def test_numerical_rank_requires_positive_tol():
-    with pytest.raises(ConfigError):
-        numerical_rank(np.eye(3), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            numerical_rank(np.eye(3), tol=tol)
 
 
 # ---------------------------------------------------------------------------

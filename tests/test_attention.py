@@ -53,7 +53,7 @@ def make_param_factory(seed=0):
 def run_layer(layer, hidden, source=None):
     """One attention pass as the encoder runs it; returns (output, LayerAttention)."""
     capture = []
-    out = layer.forward(nm.Tensor(hidden), source, 0, capture)
+    out = layer.forward(nm.Tensor(hidden), source, capture)
     return out, capture[0]
 
 
@@ -316,13 +316,19 @@ def test_spectrum_attention_batched_source_matches_per_window():
     source = rng.standard_normal((4, 3, 5))
     hidden = rng.standard_normal((4, 3, 8))
     capture = []
-    out = layer.forward(nm.Tensor(hidden), nm.Tensor(source), 0, capture)
-    assert out.shape == (4, 3, 8) and len(capture) == 4
+    out = layer.forward(nm.Tensor(hidden), nm.Tensor(source), capture)
+    assert out.shape == (4, 3, 8) and len(capture) == 1
+    (entry,) = capture
+    assert entry.pre_hcc.weights.shape == entry.final.weights.shape == (4, 2, 3, 3)
+    assert not entry.pre_hcc.weights.flags.writeable
+    assert not entry.final.weights.flags.writeable
     for b in range(4):
         single = []
-        one = layer.forward(nm.Tensor(hidden[b]), nm.Tensor(source[b]), 0, single)
+        one = layer.forward(nm.Tensor(hidden[b]), nm.Tensor(source[b]), single)
+        assert len(single) == 1
         np.testing.assert_allclose(out.data[b], one.data, atol=1e-12)
-        np.testing.assert_allclose(capture[b].final.weights, single[0].final.weights, atol=1e-12)
+        np.testing.assert_allclose(entry.pre_hcc.weights[b], single[0].pre_hcc.weights, atol=1e-12)
+        np.testing.assert_allclose(entry.final.weights[b], single[0].final.weights, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +401,7 @@ def test_spectrum_attention_requires_source():
     layer = SpectrumAttention("soatten", width=8, heads=2, tokens=3, bin_count=5,
                               make_param=make, kernel_size=3)
     with pytest.raises(ShapeError):
-        layer.forward(nm.Tensor(np.zeros((3, 8))), None, 0)
+        layer.forward(nm.Tensor(np.zeros((3, 8))), None)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,19 @@ def test_non_finite_checkpoint_parameter_is_one_error_line(workdir, capsys, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_rank_tol_is_one_error_line(workdir, capsys, tol):
+    from spectral_attn.models import save_checkpoint
+
+    tmp, _, csv = workdir
+    path, out = tmp / "checkpoint.json", tmp / "maps"
+    save_checkpoint(path, _micro_fsatten())
+    argv = _analyze_args(path, csv, out, "test", 0, 2) + ["--rank-tol", tol]
+    assert main(argv) == 1
+    assert f"tol must be positive and finite, got {tol}" in single_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
 def test_non_finite_metric_is_one_error_line_not_invalid_json(workdir, capsys, to_file):
     # finite parameters whose forecasts overflow the squared error to inf

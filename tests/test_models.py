@@ -183,7 +183,7 @@ def test_encoder_layer_single_token_attention_is_value_projection():
     model = ForecastModel(micro_config(C=1))
     attn = model.layers[0].attn
     hidden = np.random.default_rng(5).standard_normal((1, 8))
-    out = attn.forward(nm.Tensor(hidden), None, 0)
+    out = attn.forward(nm.Tensor(hidden), None)
     expected = (hidden @ attn.wv.data + attn.bv.data) @ attn.wo.data + attn.bo.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -269,9 +269,11 @@ def test_attention_capture_has_layer_maps():
     model = ForecastModel(cfg)
     capture = []
     model.predict(np.random.default_rng(10).standard_normal((3, 16)), capture=capture)
-    assert len(capture) == 2
+    assert len(capture) == cfg.layers
     for entry in capture:
-        assert entry.pre_hcc.weights.shape == (2, 3, 3)
+        assert entry.pre_hcc.weights.shape == entry.final.weights.shape == (1, 2, 3, 3)
+        assert not entry.pre_hcc.weights.flags.writeable
+        assert not entry.final.weights.flags.writeable
         np.testing.assert_allclose(entry.pre_hcc.weights.sum(axis=-1), 1.0, atol=1e-9)
         assert (entry.final.weights >= 0).all()
 
@@ -583,12 +585,21 @@ def test_temporal_capture_is_layer_major_over_variates():
     x = np.random.default_rng(41).standard_normal((cfg.C, cfg.L))
     capture = []
     model.predict(x, capture=capture)
-    assert len(capture) == cfg.layers * cfg.C
-    assert [e.final.layer_index for e in capture] == [i // cfg.C for i in range(len(capture))]
+    assert len(capture) == cfg.layers
+    n = cfg.patch_count
     for entry in capture:
-        assert entry.pre_hcc.weights.shape == (cfg.H, cfg.patch_count, cfg.patch_count)
+        assert entry.pre_hcc.weights.shape == entry.final.weights.shape == (cfg.C, cfg.H, n, n)
+        assert not entry.pre_hcc.weights.flags.writeable
+        assert not entry.final.weights.flags.writeable
     # the variates of one layer are distinct inputs, so their maps differ
-    assert not np.array_equal(capture[0].pre_hcc.weights, capture[1].pre_hcc.weights)
+    assert not np.array_equal(capture[0].pre_hcc.weights[0], capture[0].pre_hcc.weights[1])
+    # in a batch, variates are innermost: rows [b*C, (b+1)*C) belong to window b
+    batched = []
+    model.predict_batch(np.stack([x[::-1], x]), capture=batched)
+    for got, want in zip(batched, capture):
+        assert got.final.weights.shape == (2 * cfg.C, cfg.H, n, n)
+        assert_within(got.pre_hcc.weights[cfg.C:], want.pre_hcc.weights)
+        assert_within(got.final.weights[cfg.C:], want.final.weights)
 
 
 def test_batched_capture_matches_single_window_captures():
@@ -597,19 +608,22 @@ def test_batched_capture_matches_single_window_captures():
     x = np.random.default_rng(42).standard_normal((3, cfg.C, cfg.L))
     batched = []
     model.predict_batch(x, capture=batched)
+    assert len(batched) == cfg.layers
     singles = []
     for window in x:
         capture = []
         model.predict(window, capture=capture)
+        assert len(capture) == cfg.layers
         singles.append(capture)
-    # layer-major: layer l of window b sits at l * B + b
-    for b in range(3):
-        for layer in range(cfg.layers):
-            got = batched[layer * 3 + b]
+    for layer, got in enumerate(batched):
+        assert got.pre_hcc.weights.shape == got.final.weights.shape == (3, cfg.H, cfg.C, cfg.C)
+        assert not got.pre_hcc.weights.flags.writeable
+        assert not got.final.weights.flags.writeable
+        # slice b of the layer's stack is window b's own capture
+        for b in range(3):
             want = singles[b][layer]
-            assert got.final.layer_index == layer
-            assert_within(got.pre_hcc.weights, want.pre_hcc.weights)
-            assert_within(got.final.weights, want.final.weights)
+            assert_within(got.pre_hcc.weights[b], want.pre_hcc.weights[0])
+            assert_within(got.final.weights[b], want.final.weights[0])
 
 
 def test_patchify_batched_matches_per_sequence():

@@ -501,7 +501,7 @@ def test_adam_descends_against_constant_gradient():
 def test_adam_single_step_hand_evaluation():
     # m1 = 0.1, v1 = 1e-3; bias-corrected both become 1 -> step = -lr/(1+eps)
     p = nm.Parameter(np.array([0.0]), "p")
-    opt = nm.Adam([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+    opt = nm.Adam([p], lr=0.1)
     p.grad[...] = 1.0
     opt.step()
     assert abs(p.data[0] - (-0.1)) < 1e-8
