@@ -28,6 +28,7 @@ from .data import (
     save_csv,
     split,
     synth_multisine,
+    window_arrays,
     windows,
 )
 from .errors import (

@@ -17,6 +17,7 @@ import numpy as np
 from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
+from .data import window_arrays
 from .errors import ConfigError, DataError, FiniteInputError, ShapeError
 
 
@@ -63,13 +64,11 @@ def evaluate_on_split(model, dataset, which="test"):
 
     Every window of the split is forecast in one batch.
     """
-    from .data import windows
     from .models import config_hash
 
     cfg = model.config
-    pairs = windows(dataset, which, cfg.L, cfg.T)
-    preds = model.predict_batch(np.stack([p.input for p in pairs]))    # (n, C, T)
-    targets = np.stack([p.target for p in pairs])
+    inputs, targets = window_arrays(dataset, which, cfg.L, cfg.T)
+    preds = model.predict_batch(inputs)    # (n, C, T)
     per_horizon = tuple(
         (t + 1, mse(preds[:, :, t], targets[:, :, t]), mae(preds[:, :, t], targets[:, :, t]))
         for t in range(cfg.T)

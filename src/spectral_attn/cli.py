@@ -30,8 +30,11 @@ _KIND_NAMES = {int: "an integer", float: "a finite number"}
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
+SWEEP_FIELDS = {"F": "F", "K": "kernel_K"}   # sweep --param choice -> ModelConfig field
+
 
 def parse_kv_text(text, source="<config>"):
+    """Ordered key -> value text; FormatError names the line of a malformed or repeated key."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -39,8 +42,10 @@ def parse_kv_text(text, source="<config>"):
             continue
         if "=" not in line:
             raise FormatError(f"{source}: line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise FormatError(f"{source}: line {lineno}: key {key!r} is already set")
+        out[key] = value
     return out
 
 
@@ -63,13 +68,9 @@ def _parse_value(kind, key, text, source):
 
 def config_from_kv(kv, source="<config>"):
     """ModelConfig from key=value text fields; ConfigError names source, key and value."""
-    kwargs = {}
-    for key, text in kv.items():
-        kind = models.CONFIG_TYPES.get(key)
-        if kind is None:
-            raise ConfigError(f"{source}: unknown config key {key!r}")
-        kwargs[key] = _parse_value(kind, key, text, source)
-    return ModelConfig(**kwargs)
+    typed = {key: _parse_value(models.CONFIG_TYPES.get(key, str), key, text, source)
+             for key, text in kv.items()}
+    return models.config_from_dict(typed, source)
 
 
 def _env_seed(default):
@@ -83,24 +84,23 @@ def load_config(path):
     return replace(cfg, seed=_env_seed(cfg.seed))
 
 
-def _load_split_dataset(path, splits_arg):
-    dataset = data.load_csv(path)
-    if splits_arg:
-        parts = splits_arg.split(",")
+def _load_split_dataset(args, cfg, source):
+    """The --data series split by --splits, and cfg with C filled in from it if 0;
+    ConfigError naming `source` (config or checkpoint path) if C differs."""
+    dataset = data.load_csv(args.data)
+    if args.splits:
+        parts = args.splits.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"--splits expects 'train,val' ratios, got {splits_arg!r}")
+            raise ConfigError(f"--splits expects 'train,val' ratios, got {args.splits!r}")
         ratios = tuple(_parse_value(float, "ratio", part, "--splits") for part in parts)
     else:
         ratios = data.default_ratios(dataset.name)
-    return data.split(dataset, ratios)
-
-
-def _resolve_variates(cfg, dataset):
+    dataset = data.split(dataset, ratios)
     if cfg.C == 0:
-        return replace(cfg, C=dataset.variates)
-    if cfg.C != dataset.variates:
-        raise ConfigError(f"config C={cfg.C} but dataset has {dataset.variates} variates")
-    return cfg
+        cfg = replace(cfg, C=dataset.variates)
+    elif cfg.C != dataset.variates:
+        raise ConfigError(f"{source}: C={cfg.C} but {args.data} has {dataset.variates} variates")
+    return dataset, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +108,7 @@ def _resolve_variates(cfg, dataset):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    dataset = _load_split_dataset(args.data, args.splits)
-    cfg = _resolve_variates(cfg, dataset)
+    dataset, cfg = _load_split_dataset(args, load_config(args.config), args.config)
     model = ForecastModel(cfg)
     report = models.train(model, dataset)
     out = Path(args.out)
@@ -129,11 +127,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model = models.load_checkpoint(args.checkpoint)
-    dataset = _load_split_dataset(args.data, args.splits)
-    if model.config.C != dataset.variates:
-        raise ConfigError(
-            f"checkpoint expects C={model.config.C} but dataset has {dataset.variates} variates"
-        )
+    dataset, _ = _load_split_dataset(args, model.config, args.checkpoint)
     report = analysis.evaluate_on_split(model, dataset, args.split)
     if args.out:
         analysis.write_json(args.out, report.to_dict())
@@ -144,21 +138,16 @@ def cmd_evaluate(args):
 
 def cmd_analyze_attention(args):
     model = models.load_checkpoint(args.checkpoint)
-    cfg = model.config
-    dataset = _load_split_dataset(args.data, args.splits)
-    if cfg.C != dataset.variates:
-        raise ConfigError(
-            f"checkpoint expects C={cfg.C} but dataset has {dataset.variates} variates"
-        )
-    pairs = data.windows(dataset, args.split, cfg.L, cfg.T)
+    dataset, cfg = _load_split_dataset(args, model.config, args.checkpoint)
+    inputs, _ = data.window_arrays(dataset, args.split, cfg.L, cfg.T)
     count = args.num_windows
     stop = args.window_index + count
-    if args.window_index < 0 or count < 1 or stop > len(pairs):
+    if args.window_index < 0 or count < 1 or stop > len(inputs):
         raise DataError(
-            f"windows [{args.window_index}, {stop}) out of range; split has {len(pairs)}"
+            f"windows [{args.window_index}, {stop}) out of range; split has {len(inputs)}"
         )
     capture = []
-    model.predict_batch(np.stack([p.input for p in pairs[args.window_index:stop]]), capture=capture)
+    model.predict_batch(inputs[args.window_index:stop], capture=capture)
     # Averaging window-major, then layer, then plane, sums in the order of one
     # forecast per window, which keeps every byte of the report.
     n = capture[0].final.weights.shape[-1]
@@ -256,19 +245,13 @@ def cmd_synth(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    dataset = _load_split_dataset(args.data, args.splits)
-    cfg = _resolve_variates(cfg, dataset)
+    dataset, cfg = _load_split_dataset(args, load_config(args.config), args.config)
     values = [_parse_value(int, "value", v, "--values") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one integer")
     rows = []
     for value in values:
-        if args.param == "F":
-            variant = replace(cfg, F=value)
-        else:
-            variant = replace(cfg, kernel_K=value)
-        model = ForecastModel(variant)
+        model = ForecastModel(replace(cfg, **{SWEEP_FIELDS[args.param]: value}))
         models.train(model, dataset)
         metrics = analysis.evaluate_on_split(model, dataset, "test")
         rows.append((args.param, value, metrics.mse, metrics.mae))
@@ -330,7 +313,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="sensitivity grid over F or K")
-    p.add_argument("--param", required=True, choices=("F", "K"))
+    p.add_argument("--param", required=True, choices=tuple(SWEEP_FIELDS))
     p.add_argument("--values", required=True, help="comma-separated integers")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
@@ -346,10 +329,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpectralAttnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpectralAttnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,10 @@ CSV layout: a header row whose first column is a date/index column, with one
 numeric column per variate after it. Column order is preserved, since
 neighboring-variate structure matters downstream. Missing or non-numeric
 cells are rejected, never imputed.
+
+`window_arrays` is the one place a split becomes model-ready batches:
+inputs (n, C, L) and targets (n, C, T). `windows` lists the same windows
+as WindowPair views.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import atomic_open, read_text
-from .errors import ConfigError, DataError, FormatError, ParseError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ParseError
 from .numerics import substream
 
 
@@ -54,7 +59,7 @@ class WindowPair:
     origin_index: int
 
 
-def load_csv(path, name=None):
+def load_csv(path):
     """Parse a dataset file into a SeriesDataset (values transposed to C x Tlen)."""
     rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
@@ -82,9 +87,8 @@ def load_csv(path, name=None):
                 raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
             columns[c - 1].append(value)
     values = np.array(columns, dtype=np.float64)
-    stem = name if name is not None else _stem(path)
     return SeriesDataset(
-        name=stem,
+        name=_stem(path),
         values=values,
         timestamps=tuple(timestamps),
         variate_names=tuple(header[1:]),
@@ -153,11 +157,12 @@ def normalized_values(dataset):
     return (dataset.values - means[:, None]) / safe[:, None]
 
 
-def windows(dataset, which, L, T):
-    """All (input, target) pairs fully inside one split, in time order.
+def window_arrays(dataset, which, L, T):
+    """Inputs (n, C, L) and targets (n, C, T) of every window fully inside one split.
 
-    Values are standardized with the train-split statistics. The count is
-    split_len - (L + T) + 1.
+    Window i starts i points into the split, so n = split_len - (L + T) + 1.
+    Values are standardized with the train-split statistics. Both arrays are
+    C-contiguous copies cut from one sliding-window view of the split.
     """
     if L < 1 or T < 1:
         raise DataError(f"windows: L and T must be positive, got {L}, {T}")
@@ -168,15 +173,16 @@ def windows(dataset, which, L, T):
             f"windows: split {which!r} holds {end - start} points, "
             f"fewer than one window of length {span}"
         )
-    values = normalized_values(dataset)
-    out = []
-    for origin in range(start, end - span + 1):
-        out.append(WindowPair(
-            input=values[:, origin:origin + L].copy(),
-            target=values[:, origin + L:origin + span].copy(),
-            origin_index=origin,
-        ))
-    return out
+    values = normalized_values(dataset)[:, start:end]
+    spans = sliding_window_view(values, span, axis=1).transpose(1, 0, 2)   # (n, C, L + T)
+    return np.ascontiguousarray(spans[..., :L]), np.ascontiguousarray(spans[..., L:])
+
+
+def windows(dataset, which, L, T):
+    """`window_arrays` as a list of WindowPair views, one per window, in time order."""
+    inputs, targets = window_arrays(dataset, which, L, T)
+    start = _split_range(dataset, which)[0]
+    return [WindowPair(x, y, start + i) for i, (x, y) in enumerate(zip(inputs, targets))]
 
 
 def synth_multisine(C, Tlen, tone_spec, noise_sigma, seed, period=96, name="synth_multisine"):

@@ -34,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import numerics as nm
 from .artifacts import atomic_open, read_text
 from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
+from .data import window_arrays
 from .errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
 from .spectral import amplitude_matrix
 
@@ -130,10 +131,6 @@ class ModelConfig:
         return self.L if self.architecture == "variate" else self.P
 
 
-def config_to_dict(config):
-    return asdict(config)
-
-
 CONFIG_TYPES = typing.get_type_hints(ModelConfig)  # field name -> str, int, float or bool
 
 
@@ -158,7 +155,7 @@ def config_from_dict(d, source="config"):
 
 def config_hash(config):
     """Stable short hash of a config's canonical key=value rendering."""
-    text = "\n".join(f"{k}={v!r}" for k, v in sorted(config_to_dict(config).items()))
+    text = "\n".join(f"{k}={v!r}" for k, v in sorted(asdict(config).items()))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -421,7 +418,7 @@ def save_checkpoint(path, model):
     """Write config + named parameter tensors; lossless at 64-bit precision."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "params": {
             name: {
                 "shape": list(p.data.shape),
@@ -492,18 +489,10 @@ class TrainReport:
     test_mae: float | None
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_val_mse": self.best_val_mse,
-            "test_mse": self.test_mse,
-            "test_mae": self.test_mae,
-        }
+        return asdict(self)
 
 
-def train(model, dataset, config=None):
+def train(model, dataset):
     """Minimize normalized-scale MSE with Adam; keep the best-validation state.
 
     Deterministic for a fixed (seed, config, data): shuffling, dropout, and
@@ -512,16 +501,9 @@ def train(model, dataset, config=None):
     epoch and batch before Adam steps, so the parameters keep their last
     finite values.
     """
-    from .data import windows  # local import keeps data free of model deps
-
     cfg = model.config
-    if config is not None and config != cfg:
-        raise ConfigError("train: explicit config does not match the model's config")
-    train_pairs = windows(dataset, "train", cfg.L, cfg.T)
-    if not train_pairs:
-        raise DataError("train: empty training split")
-    train_x, train_y = _stack(train_pairs)
-    val_x, val_y = _stack(windows(dataset, "val", cfg.L, cfg.T))
+    train_x, train_y = window_arrays(dataset, "train", cfg.L, cfg.T)
+    val_x, val_y = window_arrays(dataset, "val", cfg.L, cfg.T)
     shuffle_rng = nm.substream(cfg.seed, "shuffle")
     optimizer = nm.Adam(model.parameters(), cfg.lr) if cfg.lr > 0 else None
 
@@ -530,7 +512,7 @@ def train(model, dataset, config=None):
     best_epoch = 0
     best_state = model.state_arrays()
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(train_pairs))
+        order = shuffle_rng.permutation(len(train_x))
         total = 0.0
         for number, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             batch = order[start:start + cfg.batch_size]
@@ -548,7 +530,7 @@ def train(model, dataset, config=None):
                 optimizer.step()
                 optimizer.zero_grad()
             total += value * len(batch)
-        train_mse = total / len(train_pairs)
+        train_mse = total / len(train_x)
         val_mse = float(model.batch_loss(val_x, val_y).data)
         records.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
@@ -559,11 +541,10 @@ def train(model, dataset, config=None):
 
     test_mse = test_mae = None
     try:
-        test_pairs = windows(dataset, "test", cfg.L, cfg.T)
+        test_x, test_y = window_arrays(dataset, "test", cfg.L, cfg.T)
     except DataError:
-        test_pairs = []
-    if test_pairs:
-        test_x, test_y = _stack(test_pairs)
+        pass
+    else:
         err = model.predict_batch(test_x) - test_y
         test_mse = float(np.mean(err ** 2))
         test_mae = float(np.mean(np.abs(err)))
@@ -576,11 +557,6 @@ def train(model, dataset, config=None):
         test_mse=test_mse,
         test_mae=test_mae,
     )
-
-
-def _stack(pairs):
-    """Inputs (B, C, L) and targets (B, C, T) of a list of WindowPairs."""
-    return np.stack([p.input for p in pairs]), np.stack([p.target for p in pairs])
 
 
 def naive_repeat_forecast(x, horizon):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -179,17 +180,31 @@ def test_non_finite_csv_cell_is_one_error_line(workdir, capsys):
     assert err[0].startswith("error:") and "row 6" in err[0] and "'nan'" in err[0]
 
 
-def test_evaluate_rejects_mismatched_variates(workdir, tmp_path):
-    tmp, config, csv = workdir
-    out = tmp / "run"
-    main(["train", "--config", str(config), "--data", str(csv), "--out", str(out)])
-    other = synth_multisine(3, 560, [[(4, 1.0, 0.0)]] * 3, noise_sigma=0.0, seed=1, period=32)
-    other_csv = tmp_path / "other.csv"
-    save_csv(other_csv, other)
-    code = main([
-        "evaluate", "--checkpoint", str(out / "checkpoint.json"), "--data", str(other_csv),
-    ])
-    assert code == 1
+@pytest.mark.parametrize("command", ["train", "sweep", "evaluate", "analyze-attention"])
+def test_variate_count_mismatch_is_one_error_line(workdir, capsys, command):
+    """Every command checks the dataset against the config's or checkpoint's C
+    before it writes anything, and names that file and both counts."""
+    from spectral_attn.models import save_checkpoint
+
+    tmp, config, _ = workdir
+    wide = tmp / "wide.csv"
+    save_csv(wide, synth_multisine(3, 560, [[(4, 1.0, 0.0)]] * 3, noise_sigma=0.0, seed=1,
+                                   period=32))
+    out = tmp / "out"
+    if command in ("train", "sweep"):
+        source = config
+        config.write_text(CONFIG_TEXT + "C = 2\n", encoding="utf-8")
+        argv = [command, "--config", str(config)]
+        argv += ["--param", "K", "--values", "3"] if command == "sweep" else []
+    else:
+        source = tmp / "checkpoint.json"
+        save_checkpoint(source, _micro_fsatten())
+        argv = [command, "--checkpoint", str(source)]
+    assert main(argv + ["--data", str(wide), "--out", str(out)]) == 1
+    message = single_error_line(capsys)
+    for word in (str(source), "C=2", "3 variates"):
+        assert word in message
+    assert not out.exists()
 
 
 def single_error_line(capsys):
@@ -207,13 +222,41 @@ def single_error_line(capsys):
 ])
 def test_malformed_config_value_is_one_error_line(workdir, capsys, line, named):
     tmp, config, csv = workdir
-    config.write_text(CONFIG_TEXT + line + "\n", encoding="utf-8")
+    text = re.sub(rf"^{named[0]} = .*$", line, CONFIG_TEXT, flags=re.M)
+    assert text != CONFIG_TEXT
+    config.write_text(text, encoding="utf-8")
     code = main(["train", "--config", str(config), "--data", str(csv), "--out", str(tmp / "run")])
     assert code == 1
     message = single_error_line(capsys)
     assert str(config) in message
     for word in named:
         assert word in message
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("config", "L = abc"),
+    ("config", "lr = fast"),
+    ("config", "dropout = nan"),
+    ("config", "layers = 1.5"),
+    ("config", "mechanism = soatten"),
+    ("synth-spec", "seed = 5"),
+])
+def test_repeated_key_is_one_error_line(workdir, capsys, kind, line):
+    """A key set twice is rejected, not resolved to its last value."""
+    tmp, config, csv = workdir
+    if kind == "config":
+        argv, source, out = _train_args(tmp, config, csv), config, tmp / "run"
+    else:
+        argv, source = _synth_args(tmp)
+        source, out = Path(source), Path(argv[-1])
+    text = source.read_text(encoding="utf-8")
+    source.write_text(text + line + "\n", encoding="utf-8")
+    assert main(argv) == 1
+    message = single_error_line(capsys)
+    key, lineno = line.split("=")[0].strip(), text.count("\n") + 1
+    for word in (str(source), f"line {lineno}", repr(key)):
+        assert word in message
+    assert not out.exists()
 
 
 def _edit_config(payload, **changes):

@@ -11,6 +11,7 @@ from spectral_attn.data import (
     save_csv,
     split,
     synth_multisine,
+    window_arrays,
     windows,
 )
 from spectral_attn.errors import ConfigError, DataError, FormatError, ParseError
@@ -170,13 +171,26 @@ def test_windows_count_matches_enumeration_oracle():
 
 
 def test_window_target_continues_input():
-    ds = split(make_dataset(80, seed=5), (0.7, 0.1))
+    """For every split, window_arrays holds bit for bit the normalized slices
+    at each origin, and windows() lists the same windows with their origins."""
+    ds = split(make_dataset(120, seed=5), (0.6, 0.2))
     values = normalized_values(ds)
-    for pair in windows(ds, "train", 6, 3):
-        joined = np.concatenate([pair.input, pair.target], axis=1)
-        np.testing.assert_array_equal(
-            joined, values[:, pair.origin_index:pair.origin_index + 9]
-        )
+    train_end, val_end = ds.split_bounds
+    for which, start in (("train", 0), ("val", train_end), ("test", val_end)):
+        pairs = windows(ds, which, 6, 3)
+        for pair in pairs:
+            joined = np.concatenate([pair.input, pair.target], axis=1)
+            np.testing.assert_array_equal(
+                joined, values[:, pair.origin_index:pair.origin_index + 9]
+            )
+        inputs, targets = window_arrays(ds, which, 6, 3)
+        origins = range(start, start + len(inputs))
+        assert [pair.origin_index for pair in pairs] == list(origins)
+        assert inputs.flags.c_contiguous and targets.flags.c_contiguous
+        assert np.array_equal(inputs, np.stack([values[:, o:o + 6] for o in origins]))
+        assert np.array_equal(targets, np.stack([values[:, o + 6:o + 9] for o in origins]))
+        assert np.array_equal(inputs, np.stack([pair.input for pair in pairs]))
+        assert np.array_equal(targets, np.stack([pair.target for pair in pairs]))
 
 
 def test_windows_use_train_statistics():

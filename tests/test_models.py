@@ -8,7 +8,7 @@ import pytest
 import spectral_attn.models as models_mod
 from spectral_attn import numerics as nm
 from spectral_attn.attention import dirac_kernel
-from spectral_attn.data import split, synth_multisine, windows
+from spectral_attn.data import split, synth_multisine, window_arrays
 from spectral_attn.errors import ConfigError, FiniteInputError, ShapeError
 from spectral_attn.models import (
     ForecastModel,
@@ -393,10 +393,8 @@ def test_train_best_validation_state_is_restored():
 def _one_epoch(model, dataset, replay, optimizer):
     """The minibatch steps of one `train` epoch, with the given backward and optimizer."""
     cfg = model.config
-    pairs = windows(dataset, "train", cfg.L, cfg.T)
-    x = np.stack([p.input for p in pairs])
-    y = np.stack([p.target for p in pairs])
-    order = nm.substream(cfg.seed, "shuffle").permutation(len(pairs))
+    x, y = window_arrays(dataset, "train", cfg.L, cfg.T)
+    order = nm.substream(cfg.seed, "shuffle").permutation(len(x))
     losses = []
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
