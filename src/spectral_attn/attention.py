@@ -1,6 +1,9 @@
 """Attention mechanisms: conventional multi-head, frequency-spectrum (fsatten),
 scaled-orthogonal (soatten), head-coupling convolution, orthogonal init.
 
+The mechanisms differ only in how they build Q and K; the value projection,
+the softmax step, the capture and the output projection are shared.
+
 Heads are carried as stacked (..., H, N, d) tensors: any leading axes (the
 windows of a minibatch, or windows times variates) ride along in every op.
 Pre-convolution attention weights are row-stochastic; after head-coupling
@@ -130,81 +133,81 @@ def _qk_heads(source, q_map, k_map, hadamard):
     return op(shared, q_map), op(shared, k_map)
 
 
-def _capture(capture, weights, effective):
-    """Append one LayerAttention holding the layer's weight stacks, made read-only."""
-    for t in (weights, effective):
-        t.data.setflags(write=False)
-    pre = AttentionTensor(weights.data)
-    final = pre if effective is weights else AttentionTensor(effective.data)
-    capture.append(LayerAttention(pre_hcc=pre, final=final))
+class _SharedAttention:
+    """The value path, attention step and output projection every mechanism shares.
 
+    A subclass creates its Q/K parameters before calling `__init__` (which adds
+    wv, bv, wo, bo), and its `forward` returns `_attend` on its Q/K head stacks.
+    """
 
-class ConventionalAttention:
-    """Standard multi-head self-attention over D-dimensional tokens (scale sqrt(D/H))."""
+    kernel = None   # head-coupling kernel (H, H, K, K), or None for plain softmax
 
     def __init__(self, width, heads, make_param):
         if width % heads != 0:
             raise ConfigError(f"attention width {width} not divisible by {heads} heads")
-        self.width = width
         self.heads = heads
-        self.head_dim = width // heads
+        std = 1.0 / math.sqrt(width)
+        self.wv = make_param("wv", ("normal", std, (width, width)))
+        self.bv = make_param("bv", ("zeros", (width,)))
+        self.wo = make_param("wo", ("normal", std, (width, width)))
+        self.bo = make_param("bo", ("zeros", (width,)))
+
+    def _attend(self, q, k, hidden, scale, capture):
+        """Output of the layer; appends its read-only weight stacks to `capture` if given."""
+        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
+        weights, effective, out = scaled_dot_attention(q, k, v, scale, hcc_kernel=self.kernel)
+        if capture is not None:
+            for t in (weights, effective):
+                t.data.setflags(write=False)
+            pre = AttentionTensor(weights.data)
+            final = pre if effective is weights else AttentionTensor(effective.data)
+            capture.append(LayerAttention(pre_hcc=pre, final=final))
+        return nm.linear(nm.merge_heads(out), self.wo, self.bo)
+
+
+class ConventionalAttention(_SharedAttention):
+    """Multi-head self-attention with Q/K linear in the hidden state (scale sqrt(D/H))."""
+
+    def __init__(self, width, heads, make_param):
         std = 1.0 / math.sqrt(width)
         self.wq = make_param("wq", ("normal", std, (width, width)))
         self.bq = make_param("bq", ("zeros", (width,)))
         self.wk = make_param("wk", ("normal", std, (width, width)))
         self.bk = make_param("bk", ("zeros", (width,)))
-        self.wv = make_param("wv", ("normal", std, (width, width)))
-        self.bv = make_param("bv", ("zeros", (width,)))
-        self.wo = make_param("wo", ("normal", std, (width, width)))
-        self.bo = make_param("bo", ("zeros", (width,)))
+        super().__init__(width, heads, make_param)
+        self.head_dim = width // heads
 
     def forward(self, hidden, qk_source, capture=None):
         q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
         k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
-        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
-        weights, effective, out = scaled_dot_attention(q, k, v, math.sqrt(self.head_dim))
-        if capture is not None:
-            _capture(capture, weights, effective)
-        return nm.linear(nm.merge_heads(out), self.wo, self.bo)
+        return self._attend(q, k, hidden, math.sqrt(self.head_dim), capture)
 
 
-class SpectrumAttention:
+class SpectrumAttention(_SharedAttention):
     """Q/K from a shared (..., tokens, F) source via per-head spectrum scaling.
 
     Covers both the frequency-spectrum mechanism (source = amplitude matrix)
     and the scaled-orthogonal mechanism (source = orthogonally-initialized
     embedding, optionally with head-coupling convolution on the weights).
-    The value path stays a conventional linear projection of the hidden
-    state, and scores are scaled by sqrt(F).
+    Q and K are the source times (H, tokens, F) MSS scales, or, with
+    `mss_enabled` off, times (H, F, F) dense maps; scores are scaled by
+    sqrt(F).
     """
 
-    def __init__(self, mechanism, width, heads, tokens, bin_count, make_param,
+    def __init__(self, width, heads, tokens, bin_count, make_param,
                  mss_enabled=True, kernel_size=None):
-        if mechanism not in ("fsatten", "soatten"):
-            raise ConfigError(f"SpectrumAttention: unsupported mechanism {mechanism!r}")
-        if width % heads != 0:
-            raise ConfigError(f"attention width {width} not divisible by {heads} heads")
-        self.mechanism = mechanism
-        self.width = width
-        self.heads = heads
-        self.head_dim = width // heads
         self.tokens = tokens
         self.bin_count = bin_count
         self.mss_enabled = mss_enabled
-        std = 1.0 / math.sqrt(width)
         if mss_enabled:
             # All-ones start: untrained scores are raw source correlation.
-            self.mss_q = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
-            self.mss_k = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
+            self.mss_q = self.q_map = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
+            self.mss_k = self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
         else:
-            lin_std = 1.0 / math.sqrt(bin_count)
-            self.lin_q = make_param("lin_q", ("normal", lin_std, (heads, bin_count, bin_count)))
-            self.lin_k = make_param("lin_k", ("normal", lin_std, (heads, bin_count, bin_count)))
-        self.wv = make_param("wv", ("normal", std, (width, width)))
-        self.bv = make_param("bv", ("zeros", (width,)))
-        self.wo = make_param("wo", ("normal", std, (width, width)))
-        self.bo = make_param("bo", ("zeros", (width,)))
-        self.kernel = None
+            dense = ("normal", 1.0 / math.sqrt(bin_count), (heads, bin_count, bin_count))
+            self.lin_q = self.q_map = make_param("lin_q", dense)
+            self.lin_k = self.k_map = make_param("lin_k", dense)
+        super().__init__(width, heads, make_param)
         if kernel_size is not None:
             # identity coupling plus noise of std 0.01
             init = dirac_kernel(heads, kernel_size)
@@ -212,20 +215,11 @@ class SpectrumAttention:
 
     def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:
-            raise ShapeError(f"{self.mechanism}: missing Q/K source matrix")
+            raise ShapeError("SpectrumAttention: missing Q/K source matrix")
         if len(qk_source.shape) < 2 or qk_source.shape[-2:] != (self.tokens, self.bin_count):
             raise ShapeError(
-                f"{self.mechanism}: source shape {qk_source.shape} does not match "
+                f"SpectrumAttention: source shape {qk_source.shape} does not match "
                 f"(..., {self.tokens}, {self.bin_count})"
             )
-        if self.mss_enabled:
-            q, k = _qk_heads(qk_source, self.mss_q, self.mss_k, hadamard=True)
-        else:
-            q, k = _qk_heads(qk_source, self.lin_q, self.lin_k, hadamard=False)
-        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
-        weights, effective, out = scaled_dot_attention(
-            q, k, v, math.sqrt(self.bin_count), hcc_kernel=self.kernel
-        )
-        if capture is not None:
-            _capture(capture, weights, effective)
-        return nm.linear(nm.merge_heads(out), self.wo, self.bo)
+        q, k = _qk_heads(qk_source, self.q_map, self.k_map, hadamard=self.mss_enabled)
+        return self._attend(q, k, hidden, math.sqrt(self.bin_count), capture)

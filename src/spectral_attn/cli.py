@@ -204,7 +204,7 @@ def cmd_gradcheck(args):
               f"(threshold {report.threshold:g})")
         if not report.passed:
             for entry in report.entries:
-                if not entry.passed:
+                if entry.max_rel_error >= report.threshold:
                     print(f"  {entry.name}: {entry.max_rel_error:.3g}")
     return 0 if all_ok else 1
 
@@ -249,6 +249,10 @@ def cmd_sweep(args):
     values = [_parse_value(int, "value", v, "--values") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one integer")
+    # F is read only by soatten's Q/K maps, K only by its head-coupling kernel
+    if cfg.mechanism != "soatten" or (args.param == "K" and not cfg.hcc_enabled):
+        arm = "soatten with hcc_enabled = false" if cfg.mechanism == "soatten" else cfg.mechanism
+        raise ConfigError(f"{args.config}: mechanism {arm} never reads {args.param}; nothing to sweep")
     rows = []
     for value in values:
         model = ForecastModel(replace(cfg, **{SWEEP_FIELDS[args.param]: value}))

@@ -226,12 +226,10 @@ class EncoderLayer:
         if config.mechanism == "conventional":
             self.attn = ConventionalAttention(width, config.H, attn_param)
         else:
-            kernel_size = None
-            if config.mechanism == "soatten" and config.hcc_enabled:
-                kernel_size = config.kernel_K
+            hcc_on = config.mechanism == "soatten" and config.hcc_enabled
             self.attn = SpectrumAttention(
-                config.mechanism, width, config.H, config.token_count, config.resolved_f,
-                attn_param, mss_enabled=config.mss_enabled, kernel_size=kernel_size,
+                width, config.H, config.token_count, config.resolved_f, attn_param,
+                mss_enabled=config.mss_enabled, kernel_size=config.kernel_K if hcc_on else None,
             )
         self.ln1_gamma = scoped("ln1.gamma", ("ones", (width,)))
         self.ln1_beta = scoped("ln1.beta", ("zeros", (width,)))

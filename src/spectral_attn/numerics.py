@@ -98,9 +98,6 @@ class Parameter(Tensor):
         self.name = str(name)
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 

@@ -233,7 +233,7 @@ def test_orthogonal_init_deterministic_in_seed():
 
 def test_fsatten_identical_sequences_give_uniform_attention():
     make, _ = make_param_factory()
-    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=3, bin_count=9, make_param=make)
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=9, make_param=make)
     rng = np.random.default_rng(8)
     row = rng.standard_normal(16)
     x = np.tile(row, (3, 1))
@@ -251,7 +251,7 @@ def test_fsatten_orthogonal_tones_attend_diagonally():
     assert scores[0, 0] > 0 and scores[1, 1] > 0
 
     make, _ = make_param_factory()
-    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=2, bin_count=9, make_param=make)
+    layer = SpectrumAttention(width=8, heads=2, tokens=2, bin_count=9, make_param=make)
     hidden = np.random.default_rng(9).standard_normal((2, 8))
     _, attn = fsatten_pass(x, hidden, layer)
     for head in attn.pre_hcc.weights:
@@ -261,7 +261,7 @@ def test_fsatten_orthogonal_tones_attend_diagonally():
 def test_fsatten_composition_of_primitives():
     rng = np.random.default_rng(10)
     make, params = make_param_factory(seed=5)
-    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=3, bin_count=9, make_param=make)
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=9, make_param=make)
     for name in ("mss_q", "mss_k"):
         params[name].data = rng.standard_normal(params[name].data.shape)
     x = rng.standard_normal((3, 16))
@@ -283,7 +283,7 @@ def test_fsatten_composition_of_primitives():
 
 def test_fsatten_f_mismatch_raises_shape_error():
     make, _ = make_param_factory()
-    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=3, bin_count=9, make_param=make)
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=9, make_param=make)
     with pytest.raises(ShapeError):
         # L = 20 gives F = 11 != 9
         fsatten_pass(np.random.default_rng(0).standard_normal((3, 20)),
@@ -295,7 +295,7 @@ def test_fsatten_linear_arm_is_dense_map_when_tokens_equal_bins():
     # must still multiply the amplitude rows as matrices
     rng = np.random.default_rng(18)
     make, params = make_param_factory(seed=4)
-    layer = SpectrumAttention("fsatten", width=8, heads=2, tokens=9, bin_count=9,
+    layer = SpectrumAttention(width=8, heads=2, tokens=9, bin_count=9,
                               make_param=make, mss_enabled=False)
     x = rng.standard_normal((9, 16))
     _, attn = fsatten_pass(x, rng.standard_normal((9, 8)), layer)
@@ -309,7 +309,7 @@ def test_fsatten_linear_arm_is_dense_map_when_tokens_equal_bins():
 def test_spectrum_attention_batched_source_matches_per_window():
     rng = np.random.default_rng(19)
     make, params = make_param_factory(seed=5)
-    layer = SpectrumAttention("soatten", width=8, heads=2, tokens=3, bin_count=5,
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=5,
                               make_param=make, kernel_size=3)
     for name in ("mss_q", "mss_k", "hcc_kernel"):
         params[name].data = rng.standard_normal(params[name].data.shape) * 0.5
@@ -337,10 +337,10 @@ def test_spectrum_attention_batched_source_matches_per_window():
 
 def test_soatten_dirac_kernel_equals_ablated_hcc():
     make_a, params_a = make_param_factory(seed=2)
-    with_hcc = SpectrumAttention("soatten", width=8, heads=2, tokens=4, bin_count=6,
+    with_hcc = SpectrumAttention(width=8, heads=2, tokens=4, bin_count=6,
                                  make_param=make_a, kernel_size=3)
     make_b, _ = make_param_factory(seed=2)
-    without = SpectrumAttention("soatten", width=8, heads=2, tokens=4, bin_count=6,
+    without = SpectrumAttention(width=8, heads=2, tokens=4, bin_count=6,
                                 make_param=make_b, kernel_size=None)
     params_a["hcc_kernel"].data = dirac_kernel(2, 3)
 
@@ -355,7 +355,7 @@ def test_soatten_dirac_kernel_equals_ablated_hcc():
 
 def test_soatten_single_token_unit_kernel():
     make, params = make_param_factory(seed=3)
-    layer = SpectrumAttention("soatten", width=4, heads=2, tokens=1, bin_count=3,
+    layer = SpectrumAttention(width=4, heads=2, tokens=1, bin_count=3,
                               make_param=make, kernel_size=1)
     center = np.array([[[[0.7]], [[0.4]]], [[[0.2]], [[1.1]]]])  # (2, 2, 1, 1)
     params["hcc_kernel"].data = center
@@ -371,7 +371,7 @@ def test_soatten_single_token_unit_kernel():
 def test_soatten_composition_of_primitives():
     rng = np.random.default_rng(14)
     make, params = make_param_factory(seed=6)
-    layer = SpectrumAttention("soatten", width=8, heads=2, tokens=3, bin_count=5,
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=5,
                               make_param=make, kernel_size=3)
     for name in ("mss_q", "mss_k", "hcc_kernel"):
         params[name].data = rng.standard_normal(params[name].data.shape) * 0.5
@@ -398,7 +398,7 @@ def test_soatten_composition_of_primitives():
 
 def test_spectrum_attention_requires_source():
     make, _ = make_param_factory()
-    layer = SpectrumAttention("soatten", width=8, heads=2, tokens=3, bin_count=5,
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=5,
                               make_param=make, kernel_size=3)
     with pytest.raises(ShapeError):
         layer.forward(nm.Tensor(np.zeros((3, 8))), None)

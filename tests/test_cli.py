@@ -152,6 +152,32 @@ def test_sweep_writes_results_table(workdir):
     assert lines[1].startswith("K,1,") and lines[2].startswith("K,3,")
 
 
+# case -> (mechanism lines of the config, swept param, values the config accepts)
+UNREAD_SWEEPS = {
+    "fsatten-K": ("mechanism = fsatten", "K", "1,3"),
+    "fsatten-F": ("mechanism = fsatten", "F", "0,17"),
+    "conventional-F": ("mechanism = conventional", "F", "4,8"),
+    "conventional-K": ("mechanism = conventional", "K", "1,3"),
+    "soatten-hcc-off-K": ("mechanism = soatten\nF = 6\nhcc_enabled = false", "K", "1,3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SWEEPS))
+def test_sweep_of_an_unread_field_is_one_error_line(workdir, capsys, case):
+    """A swept field the mechanism never reads would train identical models."""
+    tmp, config, csv = workdir
+    lines, param, values = UNREAD_SWEEPS[case]
+    config.write_text(CONFIG_TEXT.replace("mechanism = fsatten", lines), encoding="utf-8")
+    out = tmp / "sweep"
+    assert main(["sweep", "--param", param, "--values", values, "--config", str(config),
+                 "--data", str(csv), "--out", str(out)]) == 1
+    message = single_error_line(capsys)
+    mechanism = lines.split("\n")[0].split()[-1]
+    for word in (str(config), f"mechanism {mechanism}", f"never reads {param}"):
+        assert word in message
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_with_usage_error(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus", "x"])

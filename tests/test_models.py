@@ -1,6 +1,7 @@
 """Architectures: patching, normalization, encoder blocks, training, checkpoints."""
 
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import spectral_attn.models as models_mod
 from spectral_attn import numerics as nm
 from spectral_attn.attention import dirac_kernel
+from spectral_attn.cli import gradcheck_configs
 from spectral_attn.data import split, synth_multisine, window_arrays
 from spectral_attn.errors import ConfigError, FiniteInputError, ShapeError
 from spectral_attn.models import (
@@ -319,6 +321,32 @@ def test_ablation_arms_parameter_accounting():
     assert fs_lin - fs_mss == 2 * h * (f_fs * f_fs - c * f_fs)
 
 
+_LAYER_TAIL = "ln1.gamma ln1.beta ln2.gamma ln2.beta ffn.w1 ffn.b1 ffn.w2 ffn.b2"
+
+# gradcheck config index, overrides, has qk_embed, attention leaves in order
+PARAM_ORDER_CASES = {
+    "conventional-variate": (0, {}, False, "wq bq wk bk wv bv wo bo"),
+    "conventional-temporal": (1, {}, False, "wq bq wk bk wv bv wo bo"),
+    "fsatten-variate": (2, {}, False, "mss_q mss_k wv bv wo bo"),
+    "soatten-variate": (3, {}, True, "mss_q mss_k wv bv wo bo hcc_kernel"),
+    "soatten-temporal": (4, {}, True, "mss_q mss_k wv bv wo bo hcc_kernel"),
+    "fsatten-mss-off": (2, dict(mss_enabled=False), False, "lin_q lin_k wv bv wo bo"),
+    "soatten-hcc-off": (3, dict(hcc_enabled=False), True, "mss_q mss_k wv bv wo bo"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_ORDER_CASES))
+def test_parameter_order_is_pinned(case):
+    # The order fixes the checkpoint layout and Adam's flat buffer layout.
+    index, overrides, qk_embed, attn = PARAM_ORDER_CASES[case]
+    cfg = replace(gradcheck_configs()[index], **overrides)
+    expected = (["embed.weight", "embed.bias"] + ["qk_embed.weight"] * qk_embed
+                + [f"layers.0.attn.{leaf}" for leaf in attn.split()]
+                + [f"layers.0.{leaf}" for leaf in _LAYER_TAIL.split()]
+                + ["head.weight", "head.bias"])
+    assert list(ForecastModel(cfg).params) == expected
+
+
 def test_hcc_off_equals_dirac_kernel_bitwise():
     cfg_on = micro_config(mechanism="soatten", F=6, layers=2, hcc_enabled=True)
     cfg_off = micro_config(mechanism="soatten", F=6, layers=2, hcc_enabled=False)
@@ -555,7 +583,7 @@ def test_forward_batch_matches_stack_of_single_window_passes(name):
     nm.backward(tape, loss)
     batched = {n: p.grad.copy() for n, p in model.params.items()}
     for param in model.params.values():
-        param.zero_grad()
+        param.grad[...] = 0.0
     total = 0.0
     for window, target in zip(x, y):
         with nm.GradientTape() as tape:
