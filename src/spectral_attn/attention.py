@@ -107,14 +107,11 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
     q = q if isinstance(q, nm.Tensor) else nm.Tensor(q)
     k = k if isinstance(k, nm.Tensor) else nm.Tensor(k)
     v = v if isinstance(v, nm.Tensor) else nm.Tensor(v)
-    if q.data.ndim < 3 or k.data.ndim < 3 or v.data.ndim < 3:
-        raise ShapeError(
-            f"scaled_dot_attention: expected (..., H, N, d) stacks, got {q.shape}/{k.shape}/{v.shape}"
-        )
-    if q.shape != k.shape or q.shape[:-1] != v.shape[:-1]:
-        raise ShapeError(
-            f"scaled_dot_attention: inconsistent head shapes {q.shape}/{k.shape}/{v.shape}"
-        )
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if len(qs) < 3 or len(ks) < 3 or len(vs) < 3:
+        raise ShapeError(f"scaled_dot_attention: expected (..., H, N, d) stacks, got {qs}/{ks}/{vs}")
+    if qs != ks or qs[:-1] != vs[:-1]:
+        raise ShapeError(f"scaled_dot_attention: inconsistent head shapes {qs}/{ks}/{vs}")
     weights = nm.attention_weights(q, k, 1.0 / float(scale))
     effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
     output = nm.matmul(effective, v)

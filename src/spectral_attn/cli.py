@@ -253,9 +253,16 @@ def cmd_sweep(args):
     if cfg.mechanism != "soatten" or (args.param == "K" and not cfg.hcc_enabled):
         arm = "soatten with hcc_enabled = false" if cfg.mechanism == "soatten" else cfg.mechanism
         raise ConfigError(f"{args.config}: mechanism {arm} never reads {args.param}; nothing to sweep")
-    rows = []
+    swept = {}   # resolved value -> (--values entry, model); all built before any training
     for value in values:
         model = ForecastModel(replace(cfg, **{SWEEP_FIELDS[args.param]: value}))
+        resolved = model.config.resolved_f if args.param == "F" else value
+        if resolved in swept:
+            raise ConfigError(f"--values: {args.param}={swept[resolved][0]} and {args.param}={value} "
+                              f"both train {args.param}={resolved}; list each value once")
+        swept[resolved] = (value, model)
+    rows = []
+    for value, model in swept.values():
         models.train(model, dataset)
         metrics = analysis.evaluate_on_split(model, dataset, "test")
         rows.append((args.param, value, metrics.mse, metrics.mae))

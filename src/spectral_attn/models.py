@@ -29,7 +29,7 @@ import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import numerics as nm
 from .artifacts import atomic_open, read_text
@@ -168,7 +168,7 @@ def patchify(x, P, S):
 
     Returns a read-only (..., N, P) array whose row j is the patch starting
     at j*S; the final patch is completed by repeating the last observed
-    value. The patches are a `sliding_window_view` of the padded sequences,
+    value. The patches are a strided view of the padded sequences,
     so no patch is copied.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -182,7 +182,9 @@ def patchify(x, P, S):
     n = (length - P) // S + 2
     pad = (n - 1) * S + P - length
     extended = np.concatenate([x, np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
-    return sliding_window_view(extended, P, axis=-1)[..., ::S, :]
+    *lead, step = extended.strides
+    return as_strided(extended, extended.shape[:-1] + (n, P), (*lead, S * step, step),
+                      writeable=False)
 
 
 @dataclass(frozen=True)
@@ -201,10 +203,12 @@ def instance_normalize(x):
     if x.ndim < 2 or x.shape[-1] < 2:
         raise ShapeError(f"instance_normalize: expected (..., C, L >= 2), got shape {x.shape}")
     length = x.shape[-1]
-    mean = x.sum(axis=-1, keepdims=True) / length  # bitwise equal to x.mean
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / length  # bitwise equal to x.mean
     xc = x - mean
-    scale = np.maximum(np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / length), 1e-5)
-    return xc / scale, InstanceStats(mean=mean, scale=scale)
+    scale = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / length
+    scale = np.maximum(np.sqrt(scale, out=scale), 1e-5, out=scale)
+    xc /= scale
+    return xc, InstanceStats(mean=mean, scale=scale)
 
 
 def instance_denormalize(x, stats):

@@ -23,6 +23,13 @@ arithmetic as the chain: `linear` (matmul + bias add), `split_heads`
 (reshape + axis swap), `merge_heads` (axis swap + reshape) and
 `attention_weights` (transpose + matmul + scale + softmax).
 
+What is left of a batch-1 forecast is Python per primitive against the
+floor of one NumPy call each. So `_emit` loops over its inputs, `Tensor`
+keeps a float64 array as it is, reductions call the ufuncs' `reduce` rather
+than the `sum`/`max` method wrappers, elementwise chains finish in place, and
+`_im2col` copies one strided view; the arithmetic and its order are those of
+the plainer formulations in `tests/oracles.py`, bit for bit.
+
 Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
 
@@ -42,11 +49,13 @@ import hashlib
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .errors import ConfigError, EmptyTapeError, FiniteInputError, ShapeError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_F64 = np.dtype(np.float64)
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -76,7 +85,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -131,21 +142,18 @@ class GradientTape:
 _TAPES: list[GradientTape] = []
 
 
-def _active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _emit(out_data, inputs, vjp):
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    tape = _active_tape()
-    if requires and tape is not None:
-        tape.record(out, inputs, vjp)
-    return out
+    for t in inputs:
+        if t.requires_grad:
+            out = Tensor(out_data, True)
+            if _TAPES:
+                _TAPES[-1].record(out, inputs, vjp)
+            return out
+    return Tensor(out_data)
 
 
 def backward(tape, loss):
@@ -215,7 +223,8 @@ def matmul(a, b):
 
         def vjp(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ b.data.T).reshape(a.shape), rows.T @ g2)
+            da = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            return (da, rows.T @ g2 if b.requires_grad else None)
 
         return _emit(out, (a, b), vjp)
     try:
@@ -240,15 +249,16 @@ def linear(x, w, b):
     sums over them. No input adjoint is formed for an x that needs none.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
-    rows = x.data.reshape(-1, x.shape[-1])
-    out = (rows @ w.data).reshape(x.shape[:-1] + w.shape[1:]) + b.data
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or bs != ws[1:]:
+        raise ShapeError(f"linear: incompatible shapes {xs} x {ws} + {bs}")
+    rows = x.data.reshape(-1, xs[-1])
+    out = (rows @ w.data).reshape(xs[:-1] + ws[1:])
+    out += b.data
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        dx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        dx = (g2 @ w.data.T).reshape(xs) if x.requires_grad else None
         return (dx, rows.T @ g2, _unbroadcast(g, b.shape))
 
     return _emit(out, (x, w, b), vjp)
@@ -288,7 +298,8 @@ def mul(a, b):
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}") from None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _emit(out, (a, b), vjp)
 
@@ -335,8 +346,10 @@ def _softmax(s, op):
     """
     if not np.isfinite(s).all():
         raise FiniteInputError(f"{op}: input must be finite (no NaN/Inf)")
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_vjp(y, g):
@@ -377,7 +390,8 @@ def attention_weights(q, k, factor):
         scores = q.data @ k_t
     except ValueError:
         raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}") from None
-    y = _softmax(scores * factor, "attention_weights")
+    scores *= factor
+    y = _softmax(scores, "attention_weights")
 
     def vjp(g):
         gs = _softmax_vjp(y, g) * factor
@@ -398,16 +412,18 @@ def layer_norm(x, gamma, beta):
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim < 1:
         raise ShapeError(f"layer_norm: expected at least 1-D input, got shape {x.shape}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    xd, d = x.data, x.data.shape[-1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
+            f"layer_norm: affine shapes {gamma.data.shape}/{beta.data.shape} do not match width {d}"
         )
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d  # bitwise equal to x.mean
-    var = np.square(xc).sum(axis=-1, keepdims=True) / d  # bitwise equal to x.var
-    inv = 1.0 / np.sqrt(var + 1e-5)
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d  # bitwise equal to x.mean
+    inv = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / d  # bitwise equal to x.var
+    inv += 1e-5
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
     xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
         dbeta = g.reshape(-1, d).sum(axis=0)
@@ -429,11 +445,9 @@ def _im2col(x, size):
     pad = (size - 1) // 2
     padded = np.zeros((*lead, c, n + 2 * pad, m + 2 * pad))
     padded[..., pad:pad + n, pad:pad + m] = x
-    cols = np.empty((*lead, c, size, size, n, m))
-    for a in range(size):
-        for b in range(size):
-            cols[..., a, b, :, :] = padded[..., a:a + n, b:b + m]
-    return cols.reshape(*lead, c * size * size, n * m)
+    *lead_strides, row, col = padded.strides
+    patches = as_strided(padded, (*lead, c, size, size, n, m), (*lead_strides, row, col, row, col))
+    return patches.reshape(*lead, c * size * size, n * m)
 
 
 def _correlate(cols, shape, kernel):
@@ -563,15 +577,6 @@ def concat_rows(parts):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _emit(out, tuple(parts), vjp)
-
-
-def sum_all(a):
-    a = _as_tensor(a)
-
-    def vjp(g):
-        return (np.full_like(a.data, float(g)),)
-
-    return _emit(np.asarray(a.data.sum()), (a,), vjp)
 
 
 def mean_all(a):

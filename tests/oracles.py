@@ -1,15 +1,19 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive (explicit loops, direct definitions)
-and never shares code with the implementation under test. The exception is
-the `unfused_*` chains: they rebuild each fused tape primitive from the
+and never shares code with the implementation under test. The exceptions:
+the `unfused_*` chains rebuild each fused tape primitive from the
 elementary primitives it replaced in the model, so the two can be compared
-bitwise, forward and backward.
+bitwise, forward and backward; the `method_*`, `loop_im2col` and
+`sliding_window_patchify` functions are plainer formulations of the same
+arithmetic as hot-path code, which must agree bitwise; and `sum_all`
+records a scalar loss on the package's tape.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spectral_attn import numerics as nm
 from spectral_attn.errors import ShapeError
@@ -310,3 +314,58 @@ def unfused_attention_weights(q, k, factor):
     """transpose, matmul, scale, softmax: the chain numerics.attention_weights fuses."""
     k_t = nm.transpose(k, _swap(len(k.shape), -2, -1))
     return nm.softmax_rows(nm.scale(nm.matmul(q, k_t), factor))
+
+
+def sum_all(a):
+    """Sum of every element as a taped scalar (a loss for the tape tests)."""
+    a = a if isinstance(a, nm.Tensor) else nm.Tensor(a)
+
+    def vjp(g):
+        return (np.full_like(a.data, float(g)),)
+
+    return nm._emit(np.asarray(a.data.sum()), (a,), vjp)
+
+
+def loop_im2col(x, size):
+    """numerics._im2col by one slice assignment per kernel offset."""
+    *lead, c, n, m = x.shape
+    pad = (size - 1) // 2
+    padded = np.zeros((*lead, c, n + 2 * pad, m + 2 * pad))
+    padded[..., pad:pad + n, pad:pad + m] = x
+    cols = np.empty((*lead, c, size, size, n, m))
+    for a in range(size):
+        for b in range(size):
+            cols[..., a, b, :, :] = padded[..., a:a + n, b:b + m]
+    return cols.reshape(*lead, c * size * size, n * m)
+
+
+def sliding_window_patchify(x, P, S):
+    """models.patchify as every S-th window of a sliding_window_view."""
+    length = x.shape[-1]
+    n = (length - P) // S + 2
+    pad = (n - 1) * S + P - length
+    extended = np.concatenate([x, np.repeat(x[..., -1:], pad, axis=-1)], axis=-1)
+    return sliding_window_view(extended, P, axis=-1)[..., ::S, :]
+
+
+def method_softmax(s):
+    """numerics._softmax with ndarray max/sum methods and out-of-place steps."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def method_layer_norm(x, gamma, beta):
+    """Forward value of numerics.layer_norm with ndarray sum methods."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = np.square(xc).sum(axis=-1, keepdims=True) / d
+    return xc * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta
+
+
+def method_instance_normalize(x):
+    """models.instance_normalize's (normalized, mean, scale) with ndarray sum methods."""
+    length = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / length
+    xc = x - mean
+    scale = np.maximum(np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / length), 1e-5)
+    return xc / scale, mean, scale

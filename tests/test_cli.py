@@ -152,6 +152,34 @@ def test_sweep_writes_results_table(workdir):
     assert lines[1].startswith("K,1,") and lines[2].startswith("K,3,")
 
 
+# case -> (swept param, values, words the error line must hold)
+BAD_SWEEP_VALUES = {
+    "F-default-and-32": ("F", "0,32", ("F=0 and F=32", "both train F=32")),
+    "K-twice": ("K", "3,3", ("K=3 and K=3", "both train K=3")),
+    "F-valid-then-negative": ("F", "8,-1", ("F must be >= 0, got -1",)),
+    "K-valid-then-even": ("K", "3,4", ("kernel_K must be odd",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_VALUES))
+def test_sweep_checks_every_value_before_training(workdir, capsys, case):
+    """A repeated (after resolution) or invalid value fails before any model trains."""
+    tmp, config, csv = workdir
+    param, values, words = BAD_SWEEP_VALUES[case]
+    config.write_text(CONFIG_TEXT.replace("mechanism = fsatten", "mechanism = soatten\nF = 6"),
+                      encoding="utf-8")
+    out = tmp / "sweep"
+    assert main(["sweep", "--param", param, "--values", values, "--config", str(config),
+                 "--data", str(csv), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "test mse" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    for word in words:
+        assert word in err[0]
+    assert not out.exists()
+
+
 # case -> (mechanism lines of the config, swept param, values the config accepts)
 UNREAD_SWEEPS = {
     "fsatten-K": ("mechanism = fsatten", "K", "1,3"),

@@ -15,6 +15,7 @@ from oracles import (
     max_rel_error,
     naive_conv2d,
     naive_matmul,
+    sum_all,
     unfused_attention_weights,
     unfused_linear,
     unfused_merge_heads,
@@ -146,7 +147,7 @@ def test_softmax_rows_properties():
 def test_backward_sum_gives_ones():
     w = nm.Parameter(np.arange(6.0).reshape(2, 3), "w")
     with nm.GradientTape() as tape:
-        loss = nm.sum_all(w)
+        loss = sum_all(w)
     nm.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
@@ -154,7 +155,7 @@ def test_backward_sum_gives_ones():
 def test_backward_quadratic():
     w = nm.Parameter(np.array([[2.0]]), "w")
     with nm.GradientTape() as tape:
-        loss = nm.sum_all(nm.mul(w, w))
+        loss = sum_all(nm.mul(w, w))
     nm.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, np.array([[4.0]]))
 
@@ -168,7 +169,7 @@ def test_backward_empty_tape_raises():
 def test_backward_accumulates_across_uses():
     w = nm.Parameter(np.array([[1.0, 2.0]]), "w")
     with nm.GradientTape() as tape:
-        loss = nm.sum_all(nm.add(w, w))
+        loss = sum_all(nm.add(w, w))
     nm.backward(tape, loss)
     np.testing.assert_array_equal(w.grad, np.full((1, 2), 2.0))
 
@@ -187,7 +188,7 @@ def test_backward_frees_intermediate_adjoints_and_keeps_leaf_grads():
 def test_backward_stores_a_transposed_view_adjoint_c_contiguous():
     x = nm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with nm.GradientTape() as tape:
-        loss = nm.sum_all(nm.mul(nm.transpose(x), np.arange(6.0).reshape(3, 2)))
+        loss = sum_all(nm.mul(nm.transpose(x), np.arange(6.0).reshape(3, 2)))
     nm.backward(tape, loss)  # transpose's vjp hands x a transposed view
     assert x.grad.flags.c_contiguous
     np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
@@ -247,7 +248,7 @@ def test_per_op_gradients(op_name, seed):
         "add": lambda t: nm.mean_all(nm.mul(nm.add(t, t), t)),
         "sub": lambda t: nm.mean_all(nm.mul(nm.sub(t, nm.scale(t, 0.3)), t)),
         "mul": lambda t: nm.mean_all(nm.mul(t, t)),
-        "scale": lambda t: nm.sum_all(nm.scale(t, -1.7)),
+        "scale": lambda t: sum_all(nm.scale(t, -1.7)),
         "relu": lambda t: nm.mean_all(nm.mul(nm.relu(t), t)),
         "gelu": lambda t: nm.mean_all(nm.mul(nm.gelu(t), t)),
         "softmax": lambda t: nm.mean_all(nm.mul(nm.softmax_rows(t), t)),
@@ -427,6 +428,36 @@ def test_fused_ops_record_once():
     assert len(tape) == 4
 
 
+# op -> (left shape, right shape): fsatten's constant amplitude source times
+# its MSS scales, and soatten's constant patch tokens times qk_embed
+NO_ADJOINT_CASES = {
+    "mul": (nm.mul, (2, 1, 3, 4), (2, 3, 4)),
+    "matmul_weight": (nm.matmul, (2, 5, 6), (6, 3)),
+}
+
+
+@pytest.mark.parametrize("constant_side", [0, 1])
+@pytest.mark.parametrize("name", sorted(NO_ADJOINT_CASES))
+def test_vjp_forms_no_adjoint_for_an_input_that_needs_none(name, constant_side):
+    op, left, right = NO_ADJOINT_CASES[name]
+    rng = np.random.default_rng(5)
+    arrays = [rng.standard_normal(left), rng.standard_normal(right)]
+    tensors = [nm.Tensor(a, requires_grad=i != constant_side) for i, a in enumerate(arrays)]
+    with nm.GradientTape() as tape:
+        out = op(*tensors)
+    (_, _, vjp), = tape._records
+    g = rng.standard_normal(out.shape)
+    adjoints = vjp(g)
+    assert adjoints[constant_side] is None
+    # the other adjoint is what the op gives when both inputs need one
+    both = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    with nm.GradientTape() as tape:
+        op(*both)
+    (_, _, full_vjp), = tape._records
+    kept = 1 - constant_side
+    assert adjoints[kept].tobytes() == full_vjp(g)[kept].tobytes()
+
+
 def test_fused_ops_reject_bad_input():
     with pytest.raises(FiniteInputError, match="attention_weights: input must be finite"):
         nm.attention_weights(np.array([[np.inf, 1.0]]), np.ones((3, 2)), 1.0)
@@ -468,7 +499,7 @@ def test_dropout_mask_and_gradient():
     rng = nm.substream(1, "dropout")
     with nm.GradientTape() as tape:
         out = nm.dropout(x, 0.25, rng, training=True)
-        loss = nm.sum_all(out)
+        loss = sum_all(out)
     nm.backward(tape, loss)
     kept = out.data != 0
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.75)
