@@ -8,8 +8,6 @@ from .analysis import (
     condition_number,
     evaluate_on_split,
     grad_check,
-    mae,
-    mse,
     numerical_rank,
 )
 from .attention import (
@@ -50,6 +48,8 @@ from .models import (
     instance_denormalize,
     instance_normalize,
     load_checkpoint,
+    mae,
+    mse,
     naive_repeat_forecast,
     patchify,
     save_checkpoint,

@@ -1,14 +1,14 @@
 """Metrics, attention-map forensics, gradient checking, and export formats.
 
 Exports are deliberately plain: CSV with 8-significant-digit decimals for
-matrices, canonical JSON for reports, and P2 PGM (256 levels, min-max
-scaled) for heatmaps. All of them are byte-deterministic for a fixed
-(config, seed, data).
+matrices and P2 PGM (256 levels, min-max scaled) for heatmaps; reports go
+out as canonical JSON through `artifacts.write_json`. All of them are
+byte-deterministic for a fixed (config, seed, data). `mse` and `mae` live
+in `models`, beside the training loop that also reports them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,26 +18,8 @@ from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
 from .data import window_arrays
-from .errors import ConfigError, DataError, FiniteInputError, ShapeError
-from .models import ForecastModel, config_hash
-
-
-def mse(pred, target):
-    """Mean squared error over all entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
-
-
-def mae(pred, target):
-    """Mean absolute error over all entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mae: shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean(np.abs(pred - target)))
+from .errors import ConfigError, DataError, ShapeError
+from .models import ForecastModel, config_hash, mae, mse
 
 
 @dataclass(frozen=True)
@@ -272,22 +254,3 @@ def matrix_to_pgm_text(matrix):
 def write_pgm(path, matrix):
     with atomic_open(path) as fh:
         fh.write(matrix_to_pgm_text(matrix))
-
-
-def json_text(obj, dest):
-    """obj as canonical JSON text; FiniteInputError naming `dest` for a NaN or infinity.
-
-    JSON has no non-finite numbers, so such a value is an error rather than
-    the invalid `NaN`/`Infinity` tokens. (An infinite condition number is
-    reported as the string "inf" before it gets here.)
-    """
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise FiniteInputError(f"{dest}: {exc}; nothing written") from None
-
-
-def write_json(path, obj):
-    text = json_text(obj, path)
-    with atomic_open(path) as fh:
-        fh.write(text + "\n")

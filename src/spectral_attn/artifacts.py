@@ -1,4 +1,4 @@
-"""Text file reads and atomic artifact writes.
+"""Text file reads, atomic artifact writes, and canonical JSON.
 
 Every input file (CSV, config, checkpoint, synth spec) is decoded by
 `read_text`, so bytes that are not UTF-8 end in a FormatError naming the
@@ -14,10 +14,11 @@ is no fsync: this guards against failed writers, not against power loss.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FiniteInputError, FormatError
 
 
 def read_text(path):
@@ -44,3 +45,23 @@ def atomic_open(path, newline=None):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def json_text(obj, dest):
+    """obj as canonical JSON text; FiniteInputError naming `dest` for a NaN or infinity.
+
+    JSON has no non-finite numbers, so such a value is an error rather than
+    the invalid `NaN`/`Infinity` tokens. (An infinite condition number is
+    reported as the string "inf" before it gets here.)
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FiniteInputError(f"{dest}: {exc}; nothing written") from None
+
+
+def write_json(path, obj):
+    """obj as canonical JSON plus a newline, encoded before `path` is opened."""
+    text = json_text(obj, path)
+    with atomic_open(path) as fh:
+        fh.write(text + "\n")

@@ -118,18 +118,6 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
     return weights, effective, output
 
 
-def _qk_heads(source, q_map, k_map, hadamard):
-    """Q/K head stacks (..., H, tokens, F) from a shared (..., tokens, F) source.
-
-    The source gains a head axis of size 1 and broadcasts against q_map /
-    k_map: (H, tokens, F) spectrum-scaling parameters when `hadamard`, else
-    (H, F, F) dense maps (the linear ablation arm).
-    """
-    shared = nm.reshape(source, source.shape[:-2] + (1,) + source.shape[-2:])
-    op = nm.mul if hadamard else nm.matmul
-    return op(shared, q_map), op(shared, k_map)
-
-
 class _SharedAttention:
     """The value path, attention step and output projection every mechanism shares.
 
@@ -186,24 +174,26 @@ class SpectrumAttention(_SharedAttention):
     Covers both the frequency-spectrum mechanism (source = amplitude matrix)
     and the scaled-orthogonal mechanism (source = orthogonally-initialized
     embedding, optionally with head-coupling convolution on the weights).
-    Q and K are the source times (H, tokens, F) MSS scales, or, with
-    `mss_enabled` off, times (H, F, F) dense maps; scores are scaled by
-    sqrt(F).
+    The source gains a head axis of size 1, and Q and K are it times
+    (H, tokens, F) MSS scales (`nm.mul`), or, with `mss_enabled` off, times
+    (H, F, F) dense maps (`nm.matmul`, the linear ablation arm); scores are
+    scaled by sqrt(F).
     """
 
     def __init__(self, width, heads, tokens, bin_count, make_param,
                  mss_enabled=True, kernel_size=None):
         self.tokens = tokens
         self.bin_count = bin_count
-        self.mss_enabled = mss_enabled
         if mss_enabled:
             # All-ones start: untrained scores are raw source correlation.
             self.mss_q = self.q_map = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
             self.mss_k = self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
+            self.qk_product = nm.mul
         else:
             dense = ("normal", 1.0 / math.sqrt(bin_count), (heads, bin_count, bin_count))
             self.lin_q = self.q_map = make_param("lin_q", dense)
             self.lin_k = self.k_map = make_param("lin_k", dense)
+            self.qk_product = nm.matmul
         super().__init__(width, heads, make_param)
         if kernel_size is not None:
             # identity coupling plus noise of std 0.01
@@ -213,10 +203,12 @@ class SpectrumAttention(_SharedAttention):
     def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:
             raise ShapeError("SpectrumAttention: missing Q/K source matrix")
-        if len(qk_source.shape) < 2 or qk_source.shape[-2:] != (self.tokens, self.bin_count):
+        shape = qk_source.shape
+        if len(shape) < 2 or shape[-2:] != (self.tokens, self.bin_count):
             raise ShapeError(
-                f"SpectrumAttention: source shape {qk_source.shape} does not match "
+                f"SpectrumAttention: source shape {shape} does not match "
                 f"(..., {self.tokens}, {self.bin_count})"
             )
-        q, k = _qk_heads(qk_source, self.q_map, self.k_map, hadamard=self.mss_enabled)
+        shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
+        q, k = self.qk_product(shared, self.q_map), self.qk_product(shared, self.k_map)
         return self._attend(q, k, hidden, math.sqrt(self.bin_count), capture)

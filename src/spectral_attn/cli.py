@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, data, models
-from .artifacts import atomic_open, read_text
+from .artifacts import atomic_open, json_text, read_text, write_json
 from .errors import ConfigError, DataError, FormatError, SpectralAttnError
 from .models import ForecastModel, ModelConfig
 
@@ -114,10 +114,10 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     models.save_checkpoint(out / "checkpoint.json", model)
-    analysis.write_json(out / "train_report.json", report.to_dict())
+    write_json(out / "train_report.json", report.to_dict())
     try:
         metrics = analysis.evaluate_on_split(model, dataset, "test")
-        analysis.write_json(out / "metrics.json", metrics.to_dict())
+        write_json(out / "metrics.json", metrics.to_dict())
     except DataError as exc:
         print(f"note: no test metrics ({exc})", file=sys.stderr)
     print(f"trained {cfg.mechanism}/{cfg.architecture}: "
@@ -130,9 +130,9 @@ def cmd_evaluate(args):
     dataset, _ = _load_split_dataset(args, model.config, args.checkpoint)
     report = analysis.evaluate_on_split(model, dataset, args.split)
     if args.out:
-        analysis.write_json(args.out, report.to_dict())
+        write_json(args.out, report.to_dict())
     else:
-        print(analysis.json_text(report.to_dict(), "evaluate"))
+        print(json_text(report.to_dict(), "evaluate"))
     return 0
 
 
@@ -166,7 +166,7 @@ def cmd_analyze_attention(args):
         "num_windows": args.num_windows,
         "rank_tolerance": args.rank_tol,
     })
-    analysis.write_json(out / "attention_report.json", payload)
+    write_json(out / "attention_report.json", payload)
     kappa = payload["condition_number"]
     print(f"attention map {report.averaged_map.shape[0]}x{report.averaged_map.shape[0]}: "
           f"rank {report.rank}, condition number {kappa}")
@@ -246,6 +246,7 @@ def cmd_synth(args):
 
 def cmd_sweep(args):
     dataset, cfg = _load_split_dataset(args, load_config(args.config), args.config)
+    data.window_arrays(dataset, "test", cfg.L, cfg.T)   # DataError now, not after training
     values = [_parse_value(int, "value", v, "--values") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one integer")
@@ -263,10 +264,9 @@ def cmd_sweep(args):
         swept[resolved] = (value, model)
     rows = []
     for value, model in swept.values():
-        models.train(model, dataset)
-        metrics = analysis.evaluate_on_split(model, dataset, "test")
-        rows.append((args.param, value, metrics.mse, metrics.mae))
-        print(f"{args.param}={value}: test mse {metrics.mse:.6g}, mae {metrics.mae:.6g}")
+        report = models.train(model, dataset)
+        rows.append((args.param, value, report.test_mse, report.test_mae))
+        print(f"{args.param}={value}: test mse {report.test_mse:.6g}, mae {report.test_mae:.6g}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,value,test_mse,test_mae"]
@@ -286,28 +286,27 @@ def build_parser():
         description="Desk-scale forecasting with spectrum/orthogonal attention.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    series = argparse.ArgumentParser(add_help=False)   # the dataset flags of four subcommands
+    series.add_argument("--data", required=True)
+    series.add_argument("--splits", default=None, help="train,val ratios (default by dataset name)")
 
-    p = sub.add_parser("train", help="train a model and write its artifacts")
+    p = sub.add_parser("train", parents=[series], help="train a model and write its artifacts")
     p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--splits", default=None, help="train,val ratios (default by dataset name)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="metrics for a checkpoint on a dataset split")
+    p = sub.add_parser("evaluate", parents=[series],
+                       help="metrics for a checkpoint on a dataset split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--splits", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("analyze-attention", help="averaged attention map, rank, condition number")
+    p = sub.add_parser("analyze-attention", parents=[series],
+                       help="averaged attention map, rank, condition number")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--splits", default=None)
     p.add_argument("--window-index", type=int, default=0)
     p.add_argument("--num-windows", type=int, default=1)
     p.add_argument("--rank-tol", type=float, default=1e-10)
@@ -323,13 +322,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("sweep", help="sensitivity grid over F or K")
+    p = sub.add_parser("sweep", parents=[series], help="sensitivity grid over F or K")
     p.add_argument("--param", required=True, choices=tuple(SWEEP_FIELDS))
     p.add_argument("--values", required=True, help="comma-separated integers")
     p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--splits", default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser

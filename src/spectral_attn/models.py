@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import numerics as nm
-from .artifacts import atomic_open, read_text
+from .artifacts import read_text, write_json
 from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
 from .data import window_arrays
 from .errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
@@ -102,8 +102,8 @@ class ModelConfig:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -337,7 +337,7 @@ class ForecastModel:
             amps = amplitude_matrix(xn.reshape(batch * cfg.C, cfg.L))
             qk_source = nm.Tensor(amps.reshape(batch, cfg.C, -1))
         elif cfg.mechanism == "soatten":
-            qk_source = nm.matmul(tokens, self.qk_embed)
+            qk_source = nm.linear(tokens, self.qk_embed)
         for layer in self.layers:
             hidden = layer.forward(hidden, qk_source, training, self._dropout_rng, capture)
         if cfg.architecture == "temporal":
@@ -429,9 +429,7 @@ def save_checkpoint(path, model):
             for name, p in sorted(model.params.items())
         },
     }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path):
@@ -479,6 +477,24 @@ def _decode_param(source, name, entry):
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+def mse(pred, target):
+    """Mean squared error over all entries."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse: shape mismatch {pred.shape} vs {target.shape}")
+    return float(np.mean((pred - target) ** 2))
+
+
+def mae(pred, target):
+    """Mean absolute error over all entries."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mae: shape mismatch {pred.shape} vs {target.shape}")
+    return float(np.mean(np.abs(pred - target)))
+
 
 @dataclass
 class TrainReport:
@@ -547,9 +563,8 @@ def train(model, dataset):
     except DataError:
         pass
     else:
-        err = model.predict_batch(test_x) - test_y
-        test_mse = float(np.mean(err ** 2))
-        test_mae = float(np.mean(np.abs(err)))
+        preds = model.predict_batch(test_x)
+        test_mse, test_mae = mse(preds, test_y), mae(preds, test_y)
     return TrainReport(
         seed=cfg.seed,
         config_hash=config_hash(cfg),

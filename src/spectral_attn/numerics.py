@@ -19,7 +19,7 @@ At desk scale (a handful of tokens, width 32) an op costs microseconds of
 Python around far less arithmetic, so the engine is bound by per-op
 latency, not compute. The encoder's fixed chains are therefore fused
 primitives, one record and one hand-written vjp each, with the same
-arithmetic as the chain: `linear` (matmul + bias add), `split_heads`
+arithmetic as the chain: `linear` (matmul + optional bias add), `split_heads`
 (reshape + axis swap), `merge_heads` (axis swap + reshape) and
 `attention_weights` (transpose + matmul + scale + softmax).
 
@@ -209,24 +209,13 @@ def _unbroadcast(g, shape):
 def matmul(a, b):
     """C = A @ B over the last two axes; leading axes broadcast.
 
-    A 2-D right operand (a weight) multiplies every row of A in one GEMM,
-    and its adjoint folds A's leading axes into rows, so no per-plane
-    intermediate is built. Otherwise dA = G @ Bᵀ and dB = Aᵀ @ G are summed
-    back over the broadcast axes.
+    dA = G @ Bᵀ and dB = Aᵀ @ G are summed back over the broadcast axes, and
+    neither is formed for an operand that needs none. A 2-D weight goes
+    through `linear`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    if b.data.ndim == 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            da = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            return (da, rows.T @ g2 if b.requires_grad else None)
-
-        return _emit(out, (a, b), vjp)
     try:
         out = a.data @ b.data
     except ValueError:
@@ -234,34 +223,37 @@ def matmul(a, b):
 
     def vjp(g):
         return (
-            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
-            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
+            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None,
+            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None,
         )
 
     return _emit(out, (a, b), vjp)
 
 
-def linear(x, w, b):
-    """x @ W + b for a 2-D weight W (in, out) and a bias b (out,).
+def linear(x, w, b=None):
+    """x @ W, plus b if given, for a 2-D weight W (in, out) and a bias b (out,).
 
     One record for the matmul and the bias add, with the same arithmetic:
     x's leading axes fold into the rows of one GEMM, and the bias adjoint
-    sums over them. No input adjoint is formed for an x that needs none.
+    sums over them. No adjoint is formed for an x or W that needs none.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or bs != ws[1:]:
-        raise ShapeError(f"linear: incompatible shapes {xs} x {ws} + {bs}")
+    x, w = _as_tensor(x), _as_tensor(w)
+    inputs = (x, w) if b is None else (x, w, _as_tensor(b))
+    xs, ws, bs = x.data.shape, w.data.shape, inputs[-1].data.shape
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or (b is not None and bs != ws[1:]):
+        raise ShapeError(f"linear: incompatible shapes {xs} x {ws}" + ("" if b is None else f" + {bs}"))
     rows = x.data.reshape(-1, xs[-1])
     out = (rows @ w.data).reshape(xs[:-1] + ws[1:])
-    out += b.data
+    if b is not None:
+        out += inputs[2].data
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
         dx = (g2 @ w.data.T).reshape(xs) if x.requires_grad else None
-        return (dx, rows.T @ g2, _unbroadcast(g, b.shape))
+        dw = rows.T @ g2 if w.requires_grad else None
+        return (dx, dw) if b is None else (dx, dw, _unbroadcast(g, bs))
 
-    return _emit(out, (x, w, b), vjp)
+    return _emit(out, inputs, vjp)
 
 
 def add(a, b):
@@ -622,8 +614,8 @@ class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr):
-        if lr <= 0:
-            raise ConfigError(f"Adam: learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"Adam: learning rate must be positive and finite, got {lr}")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ConfigError("Adam: a parameter is listed more than once")

@@ -6,8 +6,9 @@ the `unfused_*` chains rebuild each fused tape primitive from the
 elementary primitives it replaced in the model, so the two can be compared
 bitwise, forward and backward; the `method_*`, `loop_im2col` and
 `sliding_window_patchify` functions are plainer formulations of the same
-arithmetic as hot-path code, which must agree bitwise; and `sum_all`
-records a scalar loss on the package's tape.
+arithmetic as hot-path code, which must agree bitwise; `weight_matmul` is
+the 2-D-weight product that `numerics.matmul` carried before `linear` took
+over that job; and `sum_all` records a scalar loss on the package's tape.
 """
 
 import math
@@ -293,9 +294,29 @@ def _swap(ndim, first, second):
     return tuple(axes)
 
 
+def weight_matmul(a, b):
+    """A @ W for a 2-D weight W: every row of A in one GEMM, as numerics.matmul once did.
+
+    The adjoint of W folds A's leading axes into rows, and neither adjoint
+    is formed for an operand that needs none.
+    """
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"weight_matmul: incompatible shapes {a.shape} x {b.shape}")
+    rows = a.data.reshape(-1, a.shape[-1])
+    out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        da = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+        return (da, rows.T @ g2 if b.requires_grad else None)
+
+    return nm._emit(out, (a, b), vjp)
+
+
 def unfused_linear(x, w, b):
-    """matmul then bias add: the chain numerics.linear fuses."""
-    return nm.add(nm.matmul(x, w), b)
+    """weight product then bias add: the chain numerics.linear fuses."""
+    return nm.add(weight_matmul(x, w), b)
 
 
 def unfused_split_heads(x, heads):

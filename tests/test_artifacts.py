@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spectral_attn import analysis, data, models
-from spectral_attn.artifacts import atomic_open
+from spectral_attn import analysis, artifacts, data, models
+from spectral_attn.artifacts import atomic_open, write_json
 
 
 def _raise_inside(path):
@@ -18,18 +18,18 @@ def _raise_inside(path):
 
 
 def _checkpoint_failing_midway(path, monkeypatch):
-    def partial_dump(obj, fh, **kwargs):
-        fh.write('{"format": ')
-        raise RuntimeError("disk full")
+    # the text is encoded before the temporary file opens, so the last step fails
+    def failing_rename(src, dst):
+        raise OSError("rename failed")
 
-    monkeypatch.setattr(models.json, "dump", partial_dump)
+    monkeypatch.setattr(artifacts.os, "replace", failing_rename)
     models.save_checkpoint(path, models.ForecastModel(models.ModelConfig(L=16, T=4, C=2, H=2, D=8)))
 
 
 # writer -> call that fails after the target's temporary file was opened
 FAILING_WRITES = {
     "atomic_open": lambda path, mp: _raise_inside(path),
-    "write_json": lambda path, mp: analysis.write_json(path, {"a": 1.0, "b": object()}),
+    "write_json": lambda path, mp: write_json(path, {"a": 1.0, "b": object()}),
     "write_matrix_csv": lambda path, mp: analysis.write_matrix_csv(path, np.zeros(3)),
     "write_pgm": lambda path, mp: analysis.write_pgm(path, np.zeros(3)),
     "save_csv": lambda path, mp: data.save_csv(path, SimpleNamespace(
@@ -51,6 +51,6 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
 def test_atomic_write_replaces_target(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("old", encoding="utf-8")
-    analysis.write_json(target, {"b": 2, "a": 1})
+    write_json(target, {"b": 2, "a": 1})
     assert json.loads(target.read_text(encoding="utf-8")) == {"a": 1, "b": 2}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

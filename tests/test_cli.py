@@ -206,6 +206,34 @@ def test_sweep_of_an_unread_field_is_one_error_line(workdir, capsys, case):
     assert not out.exists()
 
 
+def test_sweep_without_a_test_window_fails_before_training(workdir, capsys):
+    """The swept rows are test metrics, so a split with no test window is one error up front."""
+    tmp, config, csv = workdir
+    config.write_text(CONFIG_TEXT.replace("mechanism = fsatten", "mechanism = soatten\nF = 6"),
+                      encoding="utf-8")
+    out = tmp / "sweep"
+    assert main(["sweep", "--param", "K", "--values", "1,3", "--config", str(config),
+                 "--data", str(csv), "--splits", "0.7,0.3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "K=" not in captured.out
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'test'" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "analyze-attention", "sweep"])
+def test_dataset_flags_are_shared_by_every_data_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--data DATA" in text and "--splits SPLITS train,val ratios (default by dataset name)" in text
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "--data" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_with_usage_error(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus", "x"])

@@ -153,6 +153,13 @@ def test_config_rejects_even_kernel_and_bad_dropout():
         micro_config(dropout=1.0).validate()
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_nonfinite_lr(lr):
+    """A NaN lr would build no optimizer and train nothing; infinity is no step size."""
+    with pytest.raises(ConfigError, match="learning rate must be finite"):
+        micro_config(lr=lr).validate()
+
+
 def test_fsatten_f_resolution():
     cfg = micro_config(mechanism="fsatten", L=96)
     assert cfg.resolved_f == 49

@@ -20,6 +20,7 @@ from oracles import (
     unfused_linear,
     unfused_merge_heads,
     unfused_split_heads,
+    weight_matmul,
 )
 
 GRAD_TOL = 1e-4
@@ -429,10 +430,13 @@ def test_fused_ops_record_once():
 
 
 # op -> (left shape, right shape): fsatten's constant amplitude source times
-# its MSS scales, and soatten's constant patch tokens times qk_embed
+# its MSS scales or, in the linear arm, its dense Q/K maps, and soatten's
+# constant patch tokens times qk_embed
 NO_ADJOINT_CASES = {
     "mul": (nm.mul, (2, 1, 3, 4), (2, 3, 4)),
     "matmul_weight": (nm.matmul, (2, 5, 6), (6, 3)),
+    "matmul_linear_arm": (nm.matmul, (2, 1, 3, 4), (3, 4, 4)),
+    "linear_no_bias": (nm.linear, (2, 5, 6), (6, 3)),
 }
 
 
@@ -458,6 +462,26 @@ def test_vjp_forms_no_adjoint_for_an_input_that_needs_none(name, constant_side):
     assert adjoints[kept].tobytes() == full_vjp(g)[kept].tobytes()
 
 
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+@pytest.mark.parametrize("x_shape", [(5, 6), (2, 5, 6), (2, 1, 5, 6)])
+def test_linear_without_bias_matches_weight_matmul_bitwise(x_shape, x_needs_grad):
+    """`linear(x, W)` is the 2-D-weight product `matmul` used to carry, forward and backward."""
+    rng = np.random.default_rng(17)
+    x, w = rng.standard_normal(x_shape), rng.standard_normal((6, 3))
+    probe = rng.standard_normal(x_shape[:-1] + (3,))
+    results = []
+    for op in (nm.linear, weight_matmul):
+        xt, wt = nm.Tensor(x, requires_grad=x_needs_grad), nm.Tensor(w, requires_grad=True)
+        with nm.GradientTape() as tape:
+            out = op(xt, wt)
+            loss = nm.mean_all(nm.mul(out, probe))
+        nm.backward(tape, loss)
+        results.append((out.data, xt.grad, wt.grad))
+    (out, dx, dw), (ref_out, ref_dx, ref_dw) = results
+    assert out.tobytes() == ref_out.tobytes() and dw.tobytes() == ref_dw.tobytes()
+    assert (dx is None and ref_dx is None) if not x_needs_grad else dx.tobytes() == ref_dx.tobytes()
+
+
 def test_fused_ops_reject_bad_input():
     with pytest.raises(FiniteInputError, match="attention_weights: input must be finite"):
         nm.attention_weights(np.array([[np.inf, 1.0]]), np.ones((3, 2)), 1.0)
@@ -467,6 +491,8 @@ def test_fused_ops_reject_bad_input():
         nm.attention_weights(np.ones((2, 2, 3)), np.ones((3, 2, 3)), 1.0)
     with pytest.raises(ShapeError, match="incompatible shapes"):
         nm.linear(np.ones((2, 3)), np.ones((3, 4)), np.ones(3))
+    with pytest.raises(ShapeError, match=r"incompatible shapes \(2, 3\) x \(4, 4\)$"):
+        nm.linear(np.ones((2, 3)), np.ones((4, 4)))
     with pytest.raises(ConfigError, match="not divisible"):
         nm.split_heads(np.ones((2, 3, 4)), 3)
     with pytest.raises(ShapeError):
@@ -565,6 +591,12 @@ def test_adam_rejects_nonpositive_lr():
         nm.Adam([p], lr=0.0)
     with pytest.raises(ConfigError):
         nm.Adam([p], lr=-1e-3)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_adam_rejects_nonfinite_lr(lr):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        nm.Adam([nm.Parameter(np.zeros(1), "p")], lr=lr)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def squared_mean(op):
 @PROPERTY
 @given(data=st.data(), lead=LEAD, m=DIM, k=DIM, n=DIM, seed=SEED)
 def test_matmul_gradients_on_broadcast_shapes(data, lead, m, k, n, seed):
-    # an empty right-hand lead is the 2-D weight path
+    # an empty right-hand lead is a 2-D weight, which `linear` takes in the model
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(data.draw(partner(lead)) + (m, k))
     b = rng.standard_normal(data.draw(partner(lead)) + (k, n))

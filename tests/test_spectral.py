@@ -6,7 +6,6 @@ import pytest
 
 from spectral_attn import numerics as nm
 from spectral_attn.errors import ShapeError
-from spectral_attn.attention import _qk_heads
 from spectral_attn.spectral import amplitude_matrix
 
 from oracles import dft_naive, finite_difference_gradient, max_rel_error, recursive_amplitudes
@@ -18,10 +17,9 @@ def amplitudes(x):
 
 
 def mss_scale(amps, weights):
-    """Per-head scaled rows (H, tokens, F): the Q half of `_qk_heads` with MSS on."""
-    q, _ = _qk_heads(amps if isinstance(amps, nm.Tensor) else nm.Tensor(amps),
-                     weights, weights, hadamard=True)
-    return q
+    """Per-head scaled rows (H, tokens, F): the Q product of `SpectrumAttention` with MSS on."""
+    amps = amps if isinstance(amps, nm.Tensor) else nm.Tensor(amps)
+    return nm.mul(nm.reshape(amps, amps.shape[:-2] + (1,) + amps.shape[-2:]), weights)
 
 
 def test_dft_constant_signal_is_dc_only():
