@@ -107,8 +107,7 @@ def save_csv(path, dataset):
         names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
         writer.writerow(("date",) + tuple(names))
         stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
-        for t in range(dataset.length):
-            writer.writerow([stamps[t]] + [repr(float(v)) for v in dataset.values[:, t]])
+        writer.writerows([t, *map(repr, row)] for t, row in zip(stamps, dataset.values.T.tolist(), strict=True))
 
 
 def default_ratios(name):
@@ -119,7 +118,7 @@ def default_ratios(name):
 def split(dataset, ratios):
     """Set contiguous chronological split bounds and train-only norm stats."""
     r_train, r_val = ratios
-    if r_train <= 0 or r_val < 0 or r_train + r_val > 1.0 + 1e-12:
+    if not (r_train > 0 and r_val >= 0 and r_train + r_val <= 1.0 + 1e-12):  # NaN fails each
         raise DataError(f"split: invalid ratios {ratios}")
     length = dataset.length
     train_end = int(length * r_train)
@@ -197,14 +196,16 @@ def synth_multisine(C, Tlen, tone_spec, noise_sigma, seed, period=96, name="synt
         raise ConfigError(f"synth_multisine: need C >= 1 and Tlen >= 2, got {C}, {Tlen}")
     if len(tone_spec) != C:
         raise ConfigError(f"synth_multisine: tone_spec has {len(tone_spec)} entries for C={C}")
-    if noise_sigma < 0:
-        raise ConfigError(f"synth_multisine: noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"synth_multisine: noise_sigma must be finite and >= 0, got {noise_sigma}")
     if period < 2:
         raise ConfigError(f"synth_multisine: period must be >= 2, got {period}")
     t = np.arange(Tlen)
     values = np.zeros((C, Tlen))
     for c, tones in enumerate(tone_spec):
         for freq, amp, phase in tones:
+            if not all(map(math.isfinite, (freq, amp, phase))):
+                raise ConfigError(f"synth_multisine: variate {c} has a non-finite tone {(freq, amp, phase)}")
             if freq >= period / 2:
                 raise ConfigError(
                     f"synth_multisine: frequency {freq} reaches Nyquist for period {period}"

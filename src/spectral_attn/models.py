@@ -263,14 +263,17 @@ class ForecastModel:
 
     Single-threaded per instance: the dropout stream and gradient buffers
     are stateful. Parameters are registered by name in creation order.
+    Only "normal", "dirac_noise" and "orthogonal" initial values draw, each
+    from its own named seed; `load_checkpoint` passes `_draw=False` to draw none.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, *, _draw=True):
         config.validate()
         if config.C < 1:
             raise ConfigError("model construction requires a concrete variate count C >= 1")
         self.config = config
         self.params = {}
+        self._draw = _draw
         self._dropout_rng = nm.substream(config.seed, "dropout")
         in_dim = config.qk_input_dim
         width = config.D
@@ -285,23 +288,31 @@ class ForecastModel:
         self.head_b = self._create("head.bias", ("zeros", (config.T,)))
 
     def _create(self, name, spec):
+        """Register parameter `name`, initialized as `spec` says.
+
+        Only "normal" and "dirac_noise" open the `init/<name>` substream, and
+        only "orthogonal" derives a seed; without `_draw` none of them draws.
+        """
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        rng = nm.substream(self.config.seed, f"init/{name}")
+        draw = np.zeros  # a checkpoint load fills every value
+        if self._draw:
+            draw = lambda shape: nm.substream(self.config.seed, f"init/{name}").standard_normal(shape)
         kind = spec[0]
         if kind == "normal":
             _, std, shape = spec
-            data = rng.standard_normal(shape) * std
+            data = draw(shape) * std
         elif kind == "zeros":
             data = np.zeros(spec[1])
         elif kind == "ones":
             data = np.ones(spec[1])
         elif kind == "dirac_noise":
             _, base, sigma = spec
-            data = base + rng.standard_normal(base.shape) * sigma
+            data = base + draw(base.shape) * sigma
         elif kind == "orthogonal":
             _, rows, cols = spec
-            data = orthogonal_init(rows, cols, nm.derive_seed(self.config.seed, f"init/{name}"))
+            data = (orthogonal_init(rows, cols, nm.derive_seed(self.config.seed, f"init/{name}"))
+                    if self._draw else np.zeros((rows, cols)))
         else:
             raise ConfigError(f"unknown parameter init {kind!r}")
         param = nm.Parameter(data, name)
@@ -433,7 +444,10 @@ def save_checkpoint(path, model):
 
 
 def load_checkpoint(path):
-    """Model from a checkpoint file; FormatError or ConfigError if it is malformed."""
+    """Model from a checkpoint file; FormatError or ConfigError if it is malformed.
+
+    The model draws no initial value; only its dropout stream is opened.
+    """
     source = f"checkpoint {path}"
     text = read_text(path)
     try:
@@ -446,7 +460,7 @@ def load_checkpoint(path):
     for key in ("config", "params"):
         if not isinstance(payload.get(key), dict):
             raise FormatError(f"{source}: {key!r} must be a JSON object, got {payload.get(key)!r:.60}")
-    model = ForecastModel(config_from_dict(payload["config"], source))
+    model = ForecastModel(config_from_dict(payload["config"], source), _draw=False)
     state = {name: _decode_param(source, name, entry) for name, entry in payload["params"].items()}
     model.load_state_arrays(state)
     return model

@@ -8,7 +8,9 @@ bitwise, forward and backward; the `method_*`, `loop_im2col` and
 `sliding_window_patchify` functions are plainer formulations of the same
 arithmetic as hot-path code, which must agree bitwise; `weight_matmul` is
 the 2-D-weight product that `numerics.matmul` carried before `linear` took
-over that job; and `sum_all` records a scalar loss on the package's tape.
+over that job; `eager_create` is the parameter initializer that opened an
+init stream for every parameter, drawing or not; and `sum_all` records a
+scalar loss on the package's tape.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spectral_attn import numerics as nm
-from spectral_attn.errors import ShapeError
+from spectral_attn.attention import orthogonal_init
+from spectral_attn.errors import ConfigError, ShapeError
 
 
 def naive_matmul(a, b):
@@ -390,3 +393,30 @@ def method_instance_normalize(x):
     xc = x - mean
     scale = np.maximum(np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / length), 1e-5)
     return xc / scale, mean, scale
+
+
+def eager_create(model, name, spec):
+    """ForecastModel._create as it was when every parameter opened its
+    `init/<name>` substream up front, whether its init kind drew from it or not."""
+    if name in model.params:
+        raise ConfigError(f"duplicate parameter name {name!r}")
+    rng = nm.substream(model.config.seed, f"init/{name}")
+    kind = spec[0]
+    if kind == "normal":
+        _, std, shape = spec
+        data = rng.standard_normal(shape) * std
+    elif kind == "zeros":
+        data = np.zeros(spec[1])
+    elif kind == "ones":
+        data = np.ones(spec[1])
+    elif kind == "dirac_noise":
+        _, base, sigma = spec
+        data = base + rng.standard_normal(base.shape) * sigma
+    elif kind == "orthogonal":
+        _, rows, cols = spec
+        data = orthogonal_init(rows, cols, nm.derive_seed(model.config.seed, f"init/{name}"))
+    else:
+        raise ConfigError(f"unknown parameter init {kind!r}")
+    param = nm.Parameter(data, name)
+    model.params[name] = param
+    return param

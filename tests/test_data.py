@@ -1,5 +1,7 @@
 """CSV ingestion, splits, windows, and synthetic generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(write(tmp_path, "date,a,b\nt0,1,2\nt1,3\n"))
 
 
+def test_save_csv_writes_each_value_as_its_float_repr(tmp_path):
+    ds = SeriesDataset(name="r", values=np.array([[0.1, -0.0, 1e300], [2.5, 5e-324, -1 / 3]]))
+    path = tmp_path / "r.csv"
+    save_csv(path, ds)
+    assert path.read_bytes() == (b"date,v0,v1\r\n0,0.1,2.5\r\n1,-0.0,5e-324\r\n"
+                                 b"2,1e+300,-0.3333333333333333\r\n")
+
+
 def test_csv_round_trip_is_idempotent(tmp_path):
     rng = np.random.default_rng(0)
     ds = SeriesDataset(
@@ -119,6 +129,13 @@ def test_split_rejects_bad_ratios():
         split(make_dataset(50), (0.0, 0.5))
     with pytest.raises(DataError):
         split(make_dataset(50), (0.8, 0.3))
+
+
+@pytest.mark.parametrize("ratios", [(math.nan, 0.1), (0.5, math.nan), (math.inf, 0.0),
+                                    (0.5, -math.inf)])
+def test_split_rejects_non_finite_ratios(ratios):
+    with pytest.raises(DataError, match="invalid ratios"):
+        split(make_dataset(50), ratios)
 
 
 def test_norm_stats_from_train_only():
@@ -232,3 +249,15 @@ def test_synth_deterministic():
 def test_synth_rejects_nyquist_tone():
     with pytest.raises(ConfigError):
         synth_multisine(1, 100, [[(48, 1.0, 0.0)]], noise_sigma=0.0, seed=0, period=96)
+
+
+@pytest.mark.parametrize("noise, tone", [
+    (math.nan, (3, 1.0, 0.0)),
+    (math.inf, (3, 1.0, 0.0)),
+    (0.0, (math.nan, 1.0, 0.0)),
+    (0.0, (3, math.nan, 0.0)),
+    (0.0, (3, 1.0, math.inf)),
+])
+def test_synth_rejects_non_finite_noise_or_tone(noise, tone):
+    with pytest.raises(ConfigError, match="non-finite|finite and >= 0"):
+        synth_multisine(1, 100, [[tone]], noise_sigma=noise, seed=0, period=96)

@@ -24,7 +24,7 @@ from spectral_attn.models import (
     train,
 )
 
-from oracles import PerParameterAdam, accumulating_backward, naive_matmul
+from oracles import PerParameterAdam, accumulating_backward, eager_create, naive_matmul
 
 
 def micro_config(**overrides):
@@ -743,3 +743,73 @@ def test_training_loss_tape_records_stay_fused(architecture, mechanism, records)
         model.batch_loss(rng.standard_normal((1, cfg.C, cfg.L)),
                          rng.standard_normal((1, cfg.C, cfg.T)), training=True)
     assert len(tape) == records
+
+
+# ---------------------------------------------------------------------------
+# initialization draws only what it uses; a checkpoint load draws nothing
+# ---------------------------------------------------------------------------
+
+def _record_streams(monkeypatch):
+    """Log every call of the init entry points as (function name, second argument),
+    which is the stream name for `substream` and `derive_seed`."""
+    calls = []
+    for module, name in ((nm, "substream"), (nm, "derive_seed"), (models_mod, "orthogonal_init")):
+        def logged(*args, _name=name, _real=getattr(module, name)):
+            calls.append((_name, args[1]))
+            return _real(*args)
+        monkeypatch.setattr(module, name, logged)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 905])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_lazy_init_matches_eager_per_parameter_streams_bitwise(monkeypatch, name, seed):
+    cfg = micro_config(seed=seed, **EQUIVALENCE_CONFIGS[name])
+    model = ForecastModel(cfg)
+    monkeypatch.setattr(ForecastModel, "_create", eager_create)
+    eager = ForecastModel(cfg)
+    assert list(model.params) == list(eager.params)
+    for key, param in model.params.items():
+        want = eager.params[key].data
+        assert param.data.strides == want.strides
+        assert param.data.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_construction_opens_one_stream_per_drawing_parameter(monkeypatch, name):
+    kinds = {}
+    create = ForecastModel._create
+
+    def recording_create(model, param, spec):
+        kinds[param] = spec[0]
+        return create(model, param, spec)
+
+    monkeypatch.setattr(ForecastModel, "_create", recording_create)
+    calls = _record_streams(monkeypatch)
+    ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
+    drawing = [f"init/{p}" for p, kind in kinds.items() if kind in ("normal", "dirac_noise")]
+    orthogonal = [f"init/{p}" for p, kind in kinds.items() if kind == "orthogonal"]
+    assert sorted(n for f, n in calls if f == "substream") == sorted(["dropout"] + drawing)
+    assert [n for f, n in calls if f == "derive_seed"] == orthogonal
+    assert sum(f == "orthogonal_init" for f, _ in calls) == len(orthogonal)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_checkpoint_load_opens_only_the_dropout_stream(tmp_path, monkeypatch, name):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name])))
+    calls = _record_streams(monkeypatch)
+    load_checkpoint(path)
+    assert calls == [("substream", "dropout")]
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, name):
+    cfg = micro_config(seed=11, **EQUIVALENCE_CONFIGS[name])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_checkpoint(first, ForecastModel(cfg))
+    loaded = load_checkpoint(first)
+    save_checkpoint(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+    x = np.random.default_rng(2).standard_normal((cfg.C, cfg.L))
+    assert loaded.predict(x).tobytes() == ForecastModel(cfg).predict(x).tobytes()
