@@ -10,7 +10,7 @@ in `models`, beside the training loop that also reports them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,15 +31,8 @@ class MetricsReport:
     seed: int
 
     def to_dict(self):
-        return {
-            "mse": self.mse,
-            "mae": self.mae,
-            "per_horizon": [
-                {"t": t, "mse": m, "mae": a} for t, m, a in (self.per_horizon or ())
-            ],
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-        }
+        per_horizon = [{"t": t, "mse": m, "mae": a} for t, m, a in (self.per_horizon or ())]
+        return {**asdict(self), "per_horizon": per_horizon}
 
 
 def evaluate_on_split(model, dataset, which="test"):

@@ -88,9 +88,7 @@ def dirac_kernel(heads, size):
     if size % 2 == 0:
         raise ConfigError(f"dirac_kernel: size must be odd, got {size}")
     k = np.zeros((heads, heads, size, size))
-    center = size // 2
-    for h in range(heads):
-        k[h, h, center, center] = 1.0
+    k[range(heads), range(heads), size // 2, size // 2] = 1.0
     return k
 
 
@@ -132,9 +130,9 @@ class _SharedAttention:
             raise ConfigError(f"attention width {width} not divisible by {heads} heads")
         self.heads = heads
         std = 1.0 / math.sqrt(width)
-        self.wv = make_param("wv", ("normal", std, (width, width)))
+        self.wv = make_param("wv", ("normal", (width, width), std))
         self.bv = make_param("bv", ("zeros", (width,)))
-        self.wo = make_param("wo", ("normal", std, (width, width)))
+        self.wo = make_param("wo", ("normal", (width, width), std))
         self.bo = make_param("bo", ("zeros", (width,)))
 
     def _attend(self, q, k, hidden, scale, capture):
@@ -155,9 +153,9 @@ class ConventionalAttention(_SharedAttention):
 
     def __init__(self, width, heads, make_param):
         std = 1.0 / math.sqrt(width)
-        self.wq = make_param("wq", ("normal", std, (width, width)))
+        self.wq = make_param("wq", ("normal", (width, width), std))
         self.bq = make_param("bq", ("zeros", (width,)))
-        self.wk = make_param("wk", ("normal", std, (width, width)))
+        self.wk = make_param("wk", ("normal", (width, width), std))
         self.bk = make_param("bk", ("zeros", (width,)))
         super().__init__(width, heads, make_param)
         self.head_dim = width // heads
@@ -190,15 +188,14 @@ class SpectrumAttention(_SharedAttention):
             self.mss_k = self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
             self.qk_product = nm.mul
         else:
-            dense = ("normal", 1.0 / math.sqrt(bin_count), (heads, bin_count, bin_count))
+            dense = ("normal", (heads, bin_count, bin_count), 1.0 / math.sqrt(bin_count))
             self.lin_q = self.q_map = make_param("lin_q", dense)
             self.lin_k = self.k_map = make_param("lin_k", dense)
             self.qk_product = nm.matmul
         super().__init__(width, heads, make_param)
         if kernel_size is not None:
-            # identity coupling plus noise of std 0.01
-            init = dirac_kernel(heads, kernel_size)
-            self.kernel = make_param("hcc_kernel", ("dirac_noise", init, 0.01))
+            # identity coupling (`dirac_kernel`) plus noise of std 0.01
+            self.kernel = make_param("hcc_kernel", ("dirac_noise", (heads, heads, kernel_size, kernel_size), 0.01))
 
     def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:

@@ -337,8 +337,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpectralAttnError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpectralAttnError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

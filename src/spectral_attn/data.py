@@ -41,6 +41,14 @@ class SeriesDataset:
     split_bounds: tuple | None = None      # (train_end, val_end)
     norm_stats: tuple | None = None        # (means (C,), stds (C,))
 
+    def __post_init__(self):
+        if np.ndim(self.values) != 2:
+            raise DataError(f"dataset {self.name!r}: values must be (C, Tlen), got shape {np.shape(self.values)}")
+        for field, count in (("timestamps", self.length), ("variate_names", self.variates)):
+            entries = getattr(self, field)
+            if entries is not None and len(entries) != count:
+                raise DataError(f"dataset {self.name!r}: {field} holds {len(entries)} entries, expected {count}")
+
     @property
     def variates(self):
         return self.values.shape[0]

@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import numerics as nm
 from .artifacts import read_text, write_json
-from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, orthogonal_init
+from .attention import MECHANISMS, ConventionalAttention, SpectrumAttention, dirac_kernel, orthogonal_init
 from .data import window_arrays
 from .errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
 from .spectral import amplitude_matrix
@@ -240,9 +240,9 @@ class EncoderLayer:
         self.ln2_gamma = scoped("ln2.gamma", ("ones", (width,)))
         self.ln2_beta = scoped("ln2.beta", ("zeros", (width,)))
         hidden = 4 * width
-        self.ffn_w1 = scoped("ffn.w1", ("normal", 1.0 / math.sqrt(width), (width, hidden)))
+        self.ffn_w1 = scoped("ffn.w1", ("normal", (width, hidden), 1.0 / math.sqrt(width)))
         self.ffn_b1 = scoped("ffn.b1", ("zeros", (hidden,)))
-        self.ffn_w2 = scoped("ffn.w2", ("normal", 1.0 / math.sqrt(hidden), (hidden, width)))
+        self.ffn_w2 = scoped("ffn.w2", ("normal", (hidden, width), 1.0 / math.sqrt(hidden)))
         self.ffn_b2 = scoped("ffn.b2", ("zeros", (width,)))
 
     def forward(self, hidden, qk_source, training, dropout_rng, capture=None):
@@ -264,55 +264,56 @@ class ForecastModel:
     Single-threaded per instance: the dropout stream and gradient buffers
     are stateful. Parameters are registered by name in creation order.
     Only "normal", "dirac_noise" and "orthogonal" initial values draw, each
-    from its own named seed; `load_checkpoint` passes `_draw=False` to draw none.
+    from its own named seed; given `_state` (a checkpoint's arrays), none draws.
     """
 
-    def __init__(self, config, *, _draw=True):
+    def __init__(self, config, *, _state=None):
         config.validate()
         if config.C < 1:
             raise ConfigError("model construction requires a concrete variate count C >= 1")
         self.config = config
         self.params = {}
-        self._draw = _draw
+        self._state = _state
         self._dropout_rng = nm.substream(config.seed, "dropout")
         in_dim = config.qk_input_dim
         width = config.D
-        self.embed_w = self._create("embed.weight", ("normal", 1.0 / math.sqrt(in_dim), (in_dim, width)))
+        self.embed_w = self._create("embed.weight", ("normal", (in_dim, width), 1.0 / math.sqrt(in_dim)))
         self.embed_b = self._create("embed.bias", ("zeros", (width,)))
         self.qk_embed = None
         if config.mechanism == "soatten":
-            self.qk_embed = self._create("qk_embed.weight", ("orthogonal", in_dim, config.resolved_f))
+            self.qk_embed = self._create("qk_embed.weight", ("orthogonal", (in_dim, config.resolved_f)))
         self.layers = [EncoderLayer(config, i, self._create) for i in range(config.layers)]
         head_in = width if config.architecture == "variate" else config.patch_count * width
-        self.head_w = self._create("head.weight", ("normal", 1.0 / math.sqrt(head_in), (head_in, config.T)))
+        self.head_w = self._create("head.weight", ("normal", (head_in, config.T), 1.0 / math.sqrt(head_in)))
         self.head_b = self._create("head.bias", ("zeros", (config.T,)))
+        if _state:
+            raise FormatError(f"unexpected parameters {sorted(_state)}")
 
     def _create(self, name, spec):
-        """Register parameter `name`, initialized as `spec` says.
-
-        Only "normal" and "dirac_noise" open the `init/<name>` substream, and
-        only "orthogonal" derives a seed; without `_draw` none of them draws.
+        """Register parameter `name` as `spec` = (kind, shape[, scale]) says, or as its
+        array in `_state`, checked before anything is allocated. Only "normal" and
+        "dirac_noise" open the `init/<name>` substream; "orthogonal" derives a seed.
         """
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        draw = np.zeros  # a checkpoint load fills every value
-        if self._draw:
-            draw = lambda shape: nm.substream(self.config.seed, f"init/{name}").standard_normal(shape)
-        kind = spec[0]
-        if kind == "normal":
-            _, std, shape = spec
-            data = draw(shape) * std
+        kind, shape, *scale = spec
+        draw = lambda: nm.substream(self.config.seed, f"init/{name}").standard_normal(shape) * scale[0]
+        if self._state is not None:
+            data = self._state.pop(name, None)
+            if data is None:
+                raise FormatError(f"parameter {name!r} is missing")
+            if data.shape != shape:
+                raise ShapeError(f"parameter {name!r}: shape {data.shape}, expected {shape}")
+        elif kind == "normal":
+            data = draw()
         elif kind == "zeros":
-            data = np.zeros(spec[1])
+            data = np.zeros(shape)
         elif kind == "ones":
-            data = np.ones(spec[1])
+            data = np.ones(shape)
         elif kind == "dirac_noise":
-            _, base, sigma = spec
-            data = base + draw(base.shape) * sigma
+            data = dirac_kernel(shape[0], shape[2]) + draw()
         elif kind == "orthogonal":
-            _, rows, cols = spec
-            data = (orthogonal_init(rows, cols, nm.derive_seed(self.config.seed, f"init/{name}"))
-                    if self._draw else np.zeros((rows, cols)))
+            data = orthogonal_init(*shape, nm.derive_seed(self.config.seed, f"init/{name}"))
         else:
             raise ConfigError(f"unknown parameter init {kind!r}")
         param = nm.Parameter(data, name)
@@ -405,10 +406,9 @@ class ForecastModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, state):
-        if set(state) != set(self.params):
-            missing = set(self.params) - set(state)
-            extra = set(state) - set(self.params)
-            raise FormatError(f"parameter names mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        if state.keys() != self.params.keys():
+            missing, extra = sorted(self.params.keys() - state.keys()), sorted(state.keys() - self.params.keys())
+            raise FormatError(f"parameter names mismatch: missing {missing}, extra {extra}")
         for name, arr in state.items():
             param = self.params[name]
             arr = np.asarray(arr, dtype=np.float64)
@@ -446,7 +446,8 @@ def save_checkpoint(path, model):
 def load_checkpoint(path):
     """Model from a checkpoint file; FormatError or ConfigError if it is malformed.
 
-    The model draws no initial value; only its dropout stream is opened.
+    Each parameter is the file's array, so a config that disagrees with them
+    fails before it allocates; only the dropout stream is opened.
     """
     source = f"checkpoint {path}"
     text = read_text(path)
@@ -460,16 +461,17 @@ def load_checkpoint(path):
     for key in ("config", "params"):
         if not isinstance(payload.get(key), dict):
             raise FormatError(f"{source}: {key!r} must be a JSON object, got {payload.get(key)!r:.60}")
-    model = ForecastModel(config_from_dict(payload["config"], source), _draw=False)
+    config = config_from_dict(payload["config"], source)
     state = {name: _decode_param(source, name, entry) for name, entry in payload["params"].items()}
-    model.load_state_arrays(state)
-    return model
+    try:
+        return ForecastModel(config, _state=state)
+    except (ConfigError, FormatError, ShapeError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def _decode_param(source, name, entry):
     where = f"{source}: parameter {name!r}"
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    data = entry.get("data") if isinstance(entry, dict) else None
+    shape, data = (entry.get("shape"), entry.get("data")) if isinstance(entry, dict) else (None, None)
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise FormatError(f"{where}: 'shape' must be a list of nonnegative integers, got {shape!r:.60}")
     if not isinstance(data, str):
@@ -480,7 +482,7 @@ def _decode_param(source, name, entry):
         raise FormatError(f"{where}: 'data' is not valid base64") from None
     if len(raw) != 8 * math.prod(shape):
         raise FormatError(f"{where}: {len(raw)} data bytes do not hold float64 shape {shape}")
-    values = np.frombuffer(raw, dtype="<f8")
+    values = np.frombuffer(bytearray(raw), dtype="<f8")  # writable, unshared
     finite = np.isfinite(values)
     if not finite.all():
         index = int(np.argmin(finite))  # the first non-finite value

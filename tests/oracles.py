@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spectral_attn import numerics as nm
-from spectral_attn.attention import orthogonal_init
+from spectral_attn.attention import dirac_kernel, orthogonal_init
 from spectral_attn.errors import ConfigError, ShapeError
 
 
@@ -401,20 +401,17 @@ def eager_create(model, name, spec):
     if name in model.params:
         raise ConfigError(f"duplicate parameter name {name!r}")
     rng = nm.substream(model.config.seed, f"init/{name}")
-    kind = spec[0]
+    kind, shape, *scale = spec
     if kind == "normal":
-        _, std, shape = spec
-        data = rng.standard_normal(shape) * std
+        data = rng.standard_normal(shape) * scale[0]
     elif kind == "zeros":
-        data = np.zeros(spec[1])
+        data = np.zeros(shape)
     elif kind == "ones":
-        data = np.ones(spec[1])
+        data = np.ones(shape)
     elif kind == "dirac_noise":
-        _, base, sigma = spec
-        data = base + rng.standard_normal(base.shape) * sigma
+        data = dirac_kernel(shape[0], shape[2]) + rng.standard_normal(shape) * scale[0]
     elif kind == "orthogonal":
-        _, rows, cols = spec
-        data = orthogonal_init(rows, cols, nm.derive_seed(model.config.seed, f"init/{name}"))
+        data = orthogonal_init(*shape, nm.derive_seed(model.config.seed, f"init/{name}"))
     else:
         raise ConfigError(f"unknown parameter init {kind!r}")
     param = nm.Parameter(data, name)

@@ -30,17 +30,15 @@ def make_param_factory(seed=0):
 
     def make(name, spec):
         rng = nm.substream(seed, f"init/{name}")
-        kind = spec[0]
+        kind, shape, *scale = spec
         if kind == "normal":
-            _, std, shape = spec
-            data = rng.standard_normal(shape) * std
+            data = rng.standard_normal(shape) * scale[0]
         elif kind == "zeros":
-            data = np.zeros(spec[1])
+            data = np.zeros(shape)
         elif kind == "ones":
-            data = np.ones(spec[1])
+            data = np.ones(shape)
         elif kind == "dirac_noise":
-            _, base, sigma = spec
-            data = base + rng.standard_normal(base.shape) * sigma
+            data = dirac_kernel(shape[0], shape[2]) + rng.standard_normal(shape) * scale[0]
         else:
             raise ValueError(kind)
         param = nm.Parameter(data, name)

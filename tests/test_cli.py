@@ -367,6 +367,13 @@ CHECKPOINT_DEFECTS = {
     "numeric-data": lambda p: _edit_first_param(p, data=7),
     "bad-base64": lambda p: _edit_first_param(p, data="***"),
     "short-data": lambda p: _edit_first_param(p, data="AAAA"),
+    # a config that disagrees with the arrays fails before its parameters are allocated
+    "config-D-huge": lambda p: _edit_config(p, D=2**40),
+    "config-layers-grown": lambda p: _edit_config(p, layers=p["config"]["layers"] + 1),
+    "soatten-config-kernel-grown": lambda p: _edit_config(p, kernel_K=99999),
+    "param-deleted": lambda p: p["params"].pop("head.bias"),
+    "param-added": lambda p: p["params"].update({"head.extra": p["params"]["head.bias"]}),
+    "param-reshaped": lambda p: _edit_first_param(p, shape=[2, 4]),
 }
 
 
@@ -376,7 +383,8 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
 
     tmp, _, csv = workdir
     path = tmp / "checkpoint.json"
-    save_checkpoint(path, ForecastModel(ModelConfig(mechanism="fsatten", L=32, T=8, C=2,
+    mechanism = "soatten" if defect.startswith("soatten") else "fsatten"
+    save_checkpoint(path, ForecastModel(ModelConfig(mechanism=mechanism, L=32, T=8, C=2,
                                                     H=2, D=8, layers=1)))
     assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 0
     capsys.readouterr()
@@ -385,6 +393,16 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 1
     assert str(path) in single_error_line(capsys)
+
+
+def test_failed_allocation_is_one_error_line(workdir, capsys):
+    # 2**40 columns exceed the 47-bit address space: the request fails at once
+    tmp, config, csv = workdir
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("D = 8", "D = 1099511627776"), encoding="utf-8")
+    assert main(_train_args(tmp, config, csv)) == 1
+    assert "allocate" in single_error_line(capsys)
+    assert not (tmp / "run").exists()
 
 
 def _micro_fsatten():

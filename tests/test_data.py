@@ -1,6 +1,7 @@
 """CSV ingestion, splits, windows, and synthetic generation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ def test_csv_round_trip_is_idempotent(tmp_path):
     second = tmp_path / "second.csv"
     save_csv(second, loaded)
     assert first.read_text() == second.read_text()
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(values=np.zeros(5)), "values must be (C, Tlen)"),
+    (dict(values=np.zeros((2, 5)), timestamps=("t0", "t1", "t2", "t3")), "timestamps holds 4 entries, expected 5"),
+    (dict(values=np.zeros((3, 5)), variate_names=("a", "b")), "variate_names holds 2 entries, expected 3"),
+], ids=["1-d-values", "short-timestamps", "short-variate-names"])
+def test_dataset_that_disagrees_with_itself_is_rejected(fields, named):
+    with pytest.raises(DataError, match=re.escape(named)):
+        SeriesDataset(name="bad", **fields)
 
 
 # ---------------------------------------------------------------------------

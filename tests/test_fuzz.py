@@ -5,8 +5,10 @@ runs the command that reads it in-process. Whatever the bytes, the command
 must exit 0, or exit 1 or 2 with exactly one `error:` line on stderr and no
 traceback. Mutations replace bytes and never insert them, so no number in a
 file can grow by more than one digit; every config value is written without
-a space after `=` and the last line is the seed, which keeps mutated models
-small.
+a space after `=` and the last line is the seed, which keeps models built
+from mutated config files small. A mutated checkpoint needs no such care:
+a load checks each parameter's array against the config before it
+allocates anything, so a grown size is an error, not a large model.
 
 A byte replacement inside a checkpoint's base64 data rarely lands on a
 float64 exponent, so non-finite parameter values get their own case.

@@ -1,5 +1,6 @@
 """Architectures: patching, normalization, encoder blocks, training, checkpoints."""
 
+import json
 import platform
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from spectral_attn import numerics as nm
 from spectral_attn.attention import dirac_kernel
 from spectral_attn.cli import gradcheck_configs
 from spectral_attn.data import split, synth_multisine, window_arrays
-from spectral_attn.errors import ConfigError, FiniteInputError, ShapeError
+from spectral_attn.errors import ConfigError, FiniteInputError, FormatError, ShapeError
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
@@ -537,10 +538,29 @@ def test_checkpoint_round_trip_is_lossless(tmp_path):
 def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other", "config": {}, "params": {}}')
-    from spectral_attn.errors import FormatError
-
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_many_more_layers_fails_at_the_first_missing_one(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, ForecastModel(micro_config(layers=1)))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["config"]["layers"] = 10**7
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match=r"layers\.1\.") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_loaded_parameters_take_new_values_in_place(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, ForecastModel(micro_config(mechanism="soatten", F=6)))
+    loaded = load_checkpoint(path)
+    other = ForecastModel(micro_config(mechanism="soatten", F=6, seed=4))
+    loaded.load_state_arrays(other.state_arrays())
+    for name, param in loaded.params.items():
+        assert param.data.tobytes() == other.params[name].data.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
