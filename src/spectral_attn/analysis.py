@@ -77,6 +77,29 @@ def average_attention(maps):
     return np.concatenate(planes, axis=0).mean(axis=0)
 
 
+@dataclass(frozen=True)
+class _Spectrum:
+    """A matrix's singular values, nonincreasing, and its larger dimension."""
+
+    values: np.ndarray
+    size: int
+
+
+def _spectrum(a, caller):
+    """The _Spectrum of nonempty matrix `a` by one SVD; `a` itself if it already is one."""
+    if isinstance(a, _Spectrum):
+        return a
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"{caller}: expected a nonempty matrix, got shape {arr.shape}")
+    return _Spectrum(nm.svd_singular_values(arr), max(arr.shape))
+
+
+def _check_rank_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
+
+
 def condition_number(a):
     """Ratio of largest to smallest singular value.
 
@@ -84,24 +107,17 @@ def condition_number(a):
     eps * sigma_max, NumPy's own rank cutoff, below which sigma_min is
     rounding noise (an exactly rank-deficient matrix, or the zero matrix).
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"condition_number: expected a nonempty matrix, got shape {arr.shape}")
-    values = nm.svd_singular_values(arr)
-    largest, smallest = values[0], values[-1]
-    if smallest <= max(arr.shape) * np.finfo(np.float64).eps * largest:
+    spectrum = _spectrum(a, "condition_number")
+    largest, smallest = spectrum.values[0], spectrum.values[-1]
+    if smallest <= spectrum.size * np.finfo(np.float64).eps * largest:
         return math.inf
     return float(largest / smallest)
 
 
 def numerical_rank(a, tol=1e-10):
     """Count of singular values above tol * sigma_max."""
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"numerical_rank: expected a nonempty matrix, got shape {arr.shape}")
-    values = nm.svd_singular_values(arr)
+    _check_rank_tol(tol)
+    values = _spectrum(a, "numerical_rank").values
     top = values[0]
     if top == 0.0:
         return 0
@@ -126,11 +142,16 @@ class AttentionReport:
 
 
 def attention_report(maps, mechanism, rank_tol=1e-10):
+    """The averaged map with its rank and condition number, both from one SVD."""
     averaged = average_attention(maps)
+    _check_rank_tol(rank_tol)
+    spectrum = _spectrum(averaged, "numerical_rank")
+    # Both public functions take the spectrum in place of the matrix, so each
+    # still runs, and can be traced or replaced, under its own name.
     return AttentionReport(
         averaged_map=averaged,
-        rank=numerical_rank(averaged, rank_tol),
-        condition_number=condition_number(averaged),
+        rank=numerical_rank(spectrum, rank_tol),
+        condition_number=condition_number(spectrum),
         mechanism=mechanism,
     )
 

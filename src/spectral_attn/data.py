@@ -2,8 +2,10 @@
 
 CSV layout: a header row whose first column is a date/index column, with one
 numeric column per variate after it. Column order is preserved, since
-neighboring-variate structure matters downstream. Missing or non-numeric
-cells are rejected, never imputed.
+neighboring-variate structure matters downstream. Each cell is parsed as
+Python's `float` parses it; a missing, non-numeric or non-finite cell is
+rejected, never imputed, and the error names the first bad cell in row
+order.
 
 `window_arrays` is the one place a split becomes model-ready batches:
 inputs (n, C, L) and targets (n, C, T). `windows` lists the same windows
@@ -16,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,19 +71,45 @@ class WindowPair:
 
 
 def load_csv(path):
-    """Parse a dataset file into a SeriesDataset (values transposed to C x Tlen)."""
+    """Parse a dataset file into a SeriesDataset (values transposed to C x Tlen).
+
+    All cells are converted in one NumPy call, which parses each `str` as
+    Python's `float` does. If that fails, or a row has the wrong width, or a
+    value is not finite, the cell-by-cell parse runs instead and names the
+    first bad cell in row order.
+    """
     rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 2:
         raise FormatError(f"{path}: header must have a date column plus at least one variate")
-    width = len(header)
     if len(rows) < 2:
         raise FormatError(f"{path}: no data rows")
+    body = rows[1:]
+    try:
+        # Fortran order makes the (C, Tlen) transpose C-contiguous without a copy.
+        cells = np.array([row[1:] for row in body], dtype=np.float64, order="F")
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape != (len(body), len(header) - 1) or not np.isfinite(cells).all():
+        timestamps, values = _parse_cells(path, header, body)
+    else:
+        timestamps, values = tuple(row[0] for row in body), cells.T
+    return SeriesDataset(
+        name=_stem(path),
+        values=values,
+        timestamps=timestamps,
+        variate_names=tuple(header[1:]),
+    )
+
+
+def _parse_cells(path, header, body):
+    """Timestamps and (C, Tlen) values, one cell at a time; raises at the first bad cell."""
+    width = len(header)
     timestamps = []
     columns = [[] for _ in range(width - 1)]
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(body, start=2):
         if len(row) != width:
             raise FormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         timestamps.append(row[0])
@@ -94,13 +123,7 @@ def load_csv(path):
             if not math.isfinite(value):
                 raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
             columns[c - 1].append(value)
-    values = np.array(columns, dtype=np.float64)
-    return SeriesDataset(
-        name=_stem(path),
-        values=values,
-        timestamps=tuple(timestamps),
-        variate_names=tuple(header[1:]),
-    )
+    return tuple(timestamps), np.array(columns, dtype=np.float64)
 
 
 def _stem(path):
@@ -109,13 +132,26 @@ def _stem(path):
 
 
 def save_csv(path, dataset):
-    """Write a dataset back out in the same schema; values survive exactly."""
+    """Write a dataset back out in the same schema; values survive exactly.
+
+    The csv module writes the header and quotes each timestamp. Each row's
+    values are joined in one step: a float's repr never needs quoting.
+    """
+    names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
+    stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    writer.writerow(("date",) + tuple(names))
+    # Each stamp goes out as the first of two fields, so that csv quotes it as
+    # it would in a full row; the empty second field is where the values go.
+    # With no variates the stamp is the whole row, as a full row would be.
+    values_field = ("",) if dataset.variates else ()
+    writer.writerows((stamp, *values_field) for stamp in stamps)
+    cut = len(writer.dialect.lineterminator)
+    rows = zip(lines[1:], map(np.ndarray.tolist, dataset.values.T), strict=True)
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
-        writer.writerow(("date",) + tuple(names))
-        stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
-        writer.writerows([t, *map(repr, row)] for t, row in zip(stamps, dataset.values.T.tolist(), strict=True))
+        fh.write(lines[0])
+        fh.writelines(line[:-cut] + ",".join(map(repr, row)) + line[-cut:] for line, row in rows)
 
 
 def default_ratios(name):

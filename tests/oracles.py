@@ -9,18 +9,24 @@ bitwise, forward and backward; the `method_*`, `loop_im2col` and
 arithmetic as hot-path code, which must agree bitwise; `weight_matmul` is
 the 2-D-weight product that `numerics.matmul` carried before `linear` took
 over that job; `eager_create` is the parameter initializer that opened an
-init stream for every parameter, drawing or not; and `sum_all` records a
-scalar loss on the package's tape.
+init stream for every parameter, drawing or not; `cellwise_load_csv` and
+`fieldwise_save_csv` are the CSV reader and writer that parsed and wrote
+one cell at a time, which the package's must match bit for bit and byte for
+byte; and `sum_all` records a scalar loss on the package's tape.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from spectral_attn import numerics as nm
+from spectral_attn.artifacts import atomic_open, read_text
 from spectral_attn.attention import dirac_kernel, orthogonal_init
-from spectral_attn.errors import ConfigError, ShapeError
+from spectral_attn.data import SeriesDataset
+from spectral_attn.errors import ConfigError, FormatError, ParseError, ShapeError
 
 
 def naive_matmul(a, b):
@@ -417,3 +423,50 @@ def eager_create(model, name, spec):
     param = nm.Parameter(data, name)
     model.params[name] = param
     return param
+
+
+def cellwise_load_csv(path):
+    """data.load_csv as it was when every cell went through float() and
+    math.isfinite() on its own."""
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    header = rows[0]
+    if len(header) < 2:
+        raise FormatError(f"{path}: header must have a date column plus at least one variate")
+    width = len(header)
+    if len(rows) < 2:
+        raise FormatError(f"{path}: no data rows")
+    timestamps = []
+    columns = [[] for _ in range(width - 1)]
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise FormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        timestamps.append(row[0])
+        for c, cell in enumerate(row[1:], start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell at row {r}, column {header[c]!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
+            columns[c - 1].append(value)
+    base = str(path).replace("\\", "/").rsplit("/", 1)[-1]
+    return SeriesDataset(
+        name=base.rsplit(".", 1)[0] if "." in base else base,
+        values=np.array(columns, dtype=np.float64),
+        timestamps=tuple(timestamps),
+        variate_names=tuple(header[1:]),
+    )
+
+
+def fieldwise_save_csv(path, dataset):
+    """data.save_csv as it was when csv.writer wrote every value's repr as its own field."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
+        writer.writerow(("date",) + tuple(names))
+        stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
+        writer.writerows([t, *map(repr, row)] for t, row in zip(stamps, dataset.values.T.tolist(), strict=True))

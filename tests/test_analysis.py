@@ -1,11 +1,14 @@
 """Metrics, attention forensics, exports, and a gradient-check smoke test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from spectral_attn import numerics as nm
 from spectral_attn.analysis import (
+    attention_report,
     average_attention,
     condition_number,
     evaluate_on_split,
@@ -17,7 +20,7 @@ from spectral_attn.analysis import (
     numerical_rank,
 )
 from spectral_attn.attention import AttentionTensor
-from spectral_attn.errors import ConfigError, DataError, ShapeError
+from spectral_attn.errors import ConfigError, DataError, FiniteInputError, ShapeError
 from spectral_attn.data import split, synth_multisine, windows
 from spectral_attn.models import ForecastModel, ModelConfig
 
@@ -160,6 +163,45 @@ def test_numerical_rank_requires_positive_tol():
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ConfigError):
             numerical_rank(np.eye(3), tol=tol)
+
+
+def counting_svd(monkeypatch):
+    calls = []
+    original = nm.svd_singular_values
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(nm, "svd_singular_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rank", [1, 3, 6], ids=["rank-1", "rank-3", "full-rank"])
+def test_attention_report_takes_rank_and_kappa_from_one_svd(monkeypatch, rank):
+    rng = np.random.default_rng(rank)
+    maps = rng.random((6, rank)) @ rng.random((3, 2, rank, 6))   # every plane in one column space
+    averaged = average_attention([maps])
+    want_rank, want_kappa = numerical_rank(averaged, 1e-10), condition_number(averaged)
+    calls = counting_svd(monkeypatch)
+    report = attention_report([maps], "fsatten")
+    assert calls == [(6, 6)]
+    assert report.averaged_map.tobytes() == averaged.tobytes()
+    assert report.rank == want_rank
+    assert report.condition_number == want_kappa and (rank < 6) == math.isinf(want_kappa)
+
+
+@pytest.mark.parametrize("maps, tol, error, message", [
+    (np.eye(3)[None], 0.0, ConfigError, "numerical_rank: tol must be positive and finite, got 0.0"),
+    (np.eye(3)[None], math.nan, ConfigError, "numerical_rank: tol must be positive and finite, got nan"),
+    (np.full((1, 2, 2), np.inf), math.inf, ConfigError, "numerical_rank: tol must be positive"),
+    (np.full((1, 2, 2), np.nan), 1e-10, FiniteInputError, "svd_singular_values: matrix must be finite"),
+], ids=["zero-tol", "nan-tol", "tol-before-finiteness", "non-finite-map"])
+def test_attention_report_errors_before_and_at_the_svd(monkeypatch, maps, tol, error, message):
+    calls = counting_svd(monkeypatch)
+    with pytest.raises(error, match=re.escape(message)):
+        attention_report([maps], "soatten", rank_tol=tol)
+    assert len(calls) == (error is FiniteInputError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -130,6 +131,31 @@ def test_synth_roundtrip(tmp_path):
         noise_sigma=0.05, seed=4, period=32,
     )
     np.testing.assert_array_equal(ds.values, expected.values)
+
+
+# The README walkthrough's desk spec, and the SHA-256 of the CSV that `synth`
+# wrote for it when every value went through csv.writer as its own field.
+README_DESK_SPEC = """\
+C = 4
+length = 1280
+period = 96
+noise_sigma = 0.05
+seed = 7
+tones_0 = 5:0.33:0.0
+tones_1 = 5:0.30:1.57
+tones_2 = 11:0.33:0.8
+tones_3 = 11:0.36:2.37
+"""
+README_DESK_SHA256 = "18465eded15ad75b0783bd3fa81bf7fc8a690b3ba60400dc174b7eb7f9a2b9a3"
+
+
+def test_synth_writes_the_readme_desk_series_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPECTRAL_ATTN_SEED", raising=False)
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(README_DESK_SPEC, encoding="utf-8")
+    out = tmp_path / "series.csv"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_DESK_SHA256
 
 
 def test_sweep_writes_results_table(workdir):
