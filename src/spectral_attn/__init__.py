@@ -3,10 +3,8 @@ orthogonally-embedded attention mechanisms, plus attention forensics."""
 
 from .analysis import (
     AttentionReport,
-    MetricsReport,
     average_attention,
     condition_number,
-    evaluate_on_split,
     grad_check,
     numerical_rank,
 )
@@ -41,9 +39,12 @@ from .errors import (
 )
 from .models import (
     ForecastModel,
+    MetricsReport,
     ModelConfig,
     TrainReport,
     config_hash,
+    evaluate_on_split,
+    evaluate_windows,
     forecast,
     instance_denormalize,
     instance_normalize,

@@ -1,59 +1,25 @@
-"""Metrics, attention-map forensics, gradient checking, and export formats.
+"""Attention-map forensics, gradient checking, and export formats.
 
 Exports are deliberately plain: CSV with 8-significant-digit decimals for
 matrices and P2 PGM (256 levels, min-max scaled) for heatmaps; reports go
 out as canonical JSON through `artifacts.write_json`. All of them are
-byte-deterministic for a fixed (config, seed, data). `mse` and `mae` live
-in `models`, beside the training loop that also reports them.
+byte-deterministic for a fixed (config, seed, data). The metrics and the
+split evaluation live in `models`, beside `train`, which keeps its test
+split's MetricsReport; their names stay importable from here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
-from .data import window_arrays
 from .errors import ConfigError, DataError, ShapeError
-from .models import ForecastModel, config_hash, mae, mse
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    mse: float
-    mae: float
-    per_horizon: tuple | None   # ((t, mse, mae), ...) for t = 1..T
-    config_hash: str
-    seed: int
-
-    def to_dict(self):
-        per_horizon = [{"t": t, "mse": m, "mae": a} for t, m, a in (self.per_horizon or ())]
-        return {**asdict(self), "per_horizon": per_horizon}
-
-
-def evaluate_on_split(model, dataset, which="test"):
-    """MetricsReport for one split, on the de-normalized (window-native) scale.
-
-    Every window of the split is forecast in one batch.
-    """
-    cfg = model.config
-    inputs, targets = window_arrays(dataset, which, cfg.L, cfg.T)
-    preds = model.predict_batch(inputs)    # (n, C, T)
-    per_horizon = tuple(
-        (t + 1, mse(preds[:, :, t], targets[:, :, t]), mae(preds[:, :, t], targets[:, :, t]))
-        for t in range(cfg.T)
-    )
-    return MetricsReport(
-        mse=mse(preds, targets),
-        mae=mae(preds, targets),
-        per_horizon=per_horizon,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-    )
+from .models import ForecastModel, MetricsReport, evaluate_on_split, evaluate_windows, mae, mse  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +31,8 @@ def average_attention(maps):
     planes = []
     for m in maps:
         arr = m.weights if isinstance(m, AttentionTensor) else np.asarray(m, dtype=np.float64)
-        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-            raise ShapeError(f"average_attention: expected (..., N, N) maps, got shape {arr.shape}")
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+            raise ShapeError(f"average_attention: expected (..., N, N) maps, N >= 1, got shape {arr.shape}")
         planes.append(arr.reshape((-1,) + arr.shape[-2:]))
     if not sum(len(p) for p in planes):
         raise DataError("average_attention: no attention maps given")

@@ -115,11 +115,10 @@ def cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     models.save_checkpoint(out / "checkpoint.json", model)
     write_json(out / "train_report.json", report.to_dict())
-    try:
-        metrics = analysis.evaluate_on_split(model, dataset, "test")
-        write_json(out / "metrics.json", metrics.to_dict())
-    except DataError as exc:
-        print(f"note: no test metrics ({exc})", file=sys.stderr)
+    if report.test_metrics is None:
+        print(f"note: no test metrics (the test split holds no window of {cfg.L + cfg.T} points)", file=sys.stderr)
+    else:
+        write_json(out / "metrics.json", report.test_metrics.to_dict())
     print(f"trained {cfg.mechanism}/{cfg.architecture}: "
           f"best epoch {report.best_epoch}, val mse {report.best_val_mse:.6g}")
     return 0
@@ -128,7 +127,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     model = models.load_checkpoint(args.checkpoint)
     dataset, _ = _load_split_dataset(args, model.config, args.checkpoint)
-    report = analysis.evaluate_on_split(model, dataset, args.split)
+    report = models.evaluate_on_split(model, dataset, args.split)
     if args.out:
         write_json(args.out, report.to_dict())
     else:

@@ -30,7 +30,7 @@ from .numerics import substream
 
 @dataclass(frozen=True)
 class SeriesDataset:
-    """An immutable C-variate series with optional split bookkeeping.
+    """An immutable C-variate series, C >= 1 and Tlen >= 1, with optional split bookkeeping.
 
     `norm_stats` (per-variate mean/std) is derived exclusively from indices
     before `split_bounds[0]`, so no statistics leak from validation or test
@@ -45,8 +45,9 @@ class SeriesDataset:
     norm_stats: tuple | None = None        # (means (C,), stds (C,))
 
     def __post_init__(self):
-        if np.ndim(self.values) != 2:
-            raise DataError(f"dataset {self.name!r}: values must be (C, Tlen), got shape {np.shape(self.values)}")
+        if np.ndim(self.values) != 2 or 0 in np.shape(self.values):
+            raise DataError(f"dataset {self.name!r}: values must be (C, Tlen), both >= 1, "
+                            f"got shape {np.shape(self.values)}")
         for field, count in (("timestamps", self.length), ("variate_names", self.variates)):
             entries = getattr(self, field)
             if entries is not None and len(entries) != count:
@@ -144,9 +145,7 @@ def save_csv(path, dataset):
     writer.writerow(("date",) + tuple(names))
     # Each stamp goes out as the first of two fields, so that csv quotes it as
     # it would in a full row; the empty second field is where the values go.
-    # With no variates the stamp is the whole row, as a full row would be.
-    values_field = ("",) if dataset.variates else ()
-    writer.writerows((stamp, *values_field) for stamp in stamps)
+    writer.writerows((stamp, "") for stamp in stamps)
     cut = len(writer.dialect.lineterminator)
     rows = zip(lines[1:], map(np.ndarray.tolist, dataset.values.T), strict=True)
     with atomic_open(path, newline="") as fh:

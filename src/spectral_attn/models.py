@@ -1,5 +1,6 @@
 """Forecasting models: temporal (patch tokens) and variate (series tokens)
-encoders around a configurable attention mechanism, plus training.
+encoders around a configurable attention mechanism, plus training and
+evaluation: `train` keeps the MetricsReport of one forecast of its test split.
 
 Both architectures instance-normalize each input window, run post-norm
 residual encoder blocks, and invert the normalization after the linear
@@ -491,25 +492,61 @@ def _decode_param(source, name, entry):
 
 
 # ---------------------------------------------------------------------------
-# training
+# evaluation and training
 # ---------------------------------------------------------------------------
 
-def mse(pred, target):
-    """Mean squared error over all entries."""
+def _error(pred, target, caller):
+    """pred - target as float64; ShapeError naming `caller` unless the shapes agree."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ShapeError(f"mse: shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
+        raise ShapeError(f"{caller}: shape mismatch {pred.shape} vs {target.shape}")
+    return pred - target
+
+
+def mse(pred, target):
+    """Mean squared error over all entries."""
+    return float(np.mean(_error(pred, target, "mse") ** 2))
 
 
 def mae(pred, target):
     """Mean absolute error over all entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mae: shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean(np.abs(pred - target)))
+    return float(np.mean(np.abs(_error(pred, target, "mae"))))
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    mse: float
+    mae: float
+    per_horizon: tuple   # ((t, mse, mae), ...) for t = 1..T
+    config_hash: str
+    seed: int
+
+    def to_dict(self):
+        per_horizon = [{"t": t, "mse": m, "mae": a} for t, m, a in self.per_horizon]
+        return {**asdict(self), "per_horizon": per_horizon}
+
+
+def evaluate_windows(model, inputs, targets):
+    """Native-scale MSE/MAE, overall and per horizon step, of one forecast of `inputs` vs `targets`."""
+    cfg = model.config
+    err = _error(model.predict_batch(inputs), targets, "evaluate_windows")
+    squared, absolute = err ** 2, np.abs(err)
+    # Each step reduces one contiguous (n, C) block: bit for bit mse(preds[:, :, t], targets[:, :, t]).
+    by_step = lambda a: np.ascontiguousarray(np.moveaxis(a, -1, 0)).mean(axis=(1, 2)).tolist()
+    return MetricsReport(
+        mse=float(np.mean(squared)),
+        mae=float(np.mean(absolute)),
+        per_horizon=tuple(zip(range(1, cfg.T + 1), by_step(squared), by_step(absolute))),
+        config_hash=config_hash(cfg),
+        seed=cfg.seed,
+    )
+
+
+def evaluate_on_split(model, dataset, which="test"):
+    """MetricsReport for one split: `evaluate_windows` on all of its windows."""
+    cfg = model.config
+    return evaluate_windows(model, *window_arrays(dataset, which, cfg.L, cfg.T))
 
 
 @dataclass
@@ -519,11 +556,14 @@ class TrainReport:
     epochs: list          # [{"epoch", "train_mse", "val_mse"}]
     best_epoch: int
     best_val_mse: float
-    test_mse: float | None
-    test_mae: float | None
+    test_metrics: MetricsReport | None   # of the retained state; None without a test window
+    test_mse = property(lambda self: getattr(self.test_metrics, "mse", None))
+    test_mae = property(lambda self: getattr(self.test_metrics, "mae", None))
 
     def to_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        del out["test_metrics"]
+        return {**out, "test_mse": self.test_mse, "test_mae": self.test_mae}
 
 
 def train(model, dataset):
@@ -573,22 +613,17 @@ def train(model, dataset):
             best_state = model.state_arrays()
     model.load_state_arrays(best_state)
 
-    test_mse = test_mae = None
     try:
-        test_x, test_y = window_arrays(dataset, "test", cfg.L, cfg.T)
-    except DataError:
-        pass
-    else:
-        preds = model.predict_batch(test_x)
-        test_mse, test_mae = mse(preds, test_y), mae(preds, test_y)
+        test_metrics = evaluate_on_split(model, dataset, "test")
+    except DataError:   # the test split holds no window
+        test_metrics = None
     return TrainReport(
         seed=cfg.seed,
         config_hash=config_hash(cfg),
         epochs=records,
         best_epoch=best_epoch,
         best_val_mse=best_val,
-        test_mse=test_mse,
-        test_mae=test_mae,
+        test_metrics=test_metrics,
     )
 
 

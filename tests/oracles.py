@@ -12,7 +12,9 @@ over that job; `eager_create` is the parameter initializer that opened an
 init stream for every parameter, drawing or not; `cellwise_load_csv` and
 `fieldwise_save_csv` are the CSV reader and writer that parsed and wrote
 one cell at a time, which the package's must match bit for bit and byte for
-byte; and `sum_all` records a scalar loss on the package's tape.
+byte; `loop_metrics` is the split evaluation's per-horizon loop, one
+MSE/MAE pair per step; and `sum_all` records a scalar loss on the package's
+tape.
 """
 
 import csv
@@ -470,3 +472,15 @@ def fieldwise_save_csv(path, dataset):
         writer.writerow(("date",) + tuple(names))
         stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
         writer.writerows([t, *map(repr, row)] for t, row in zip(stamps, dataset.values.T.tolist(), strict=True))
+
+
+def loop_metrics(preds, targets):
+    """(mse, mae, ((t, mse, mae), ...)) of (n, C, T) forecasts as the split
+    evaluation computed them before: overall, then one step t at a time."""
+    mse = lambda p, q: float(np.mean((p - q) ** 2))
+    mae = lambda p, q: float(np.mean(np.abs(p - q)))
+    per_horizon = tuple(
+        (t + 1, mse(preds[:, :, t], targets[:, :, t]), mae(preds[:, :, t], targets[:, :, t]))
+        for t in range(preds.shape[-1])
+    )
+    return mse(preds, targets), mae(preds, targets), per_horizon

@@ -99,6 +99,12 @@ def test_average_empty_rejected():
         average_attention([])
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)])
+def test_average_of_zero_size_planes_is_a_shape_error(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"N >= 1, got shape {shape}")):
+        average_attention([np.zeros(shape)])
+
+
 # ---------------------------------------------------------------------------
 # condition number / rank
 # ---------------------------------------------------------------------------

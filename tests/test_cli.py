@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectral_attn.cli import main
-from spectral_attn.data import load_csv, save_csv, split, synth_multisine, windows
+from spectral_attn.data import load_csv, save_csv, split, synth_multisine, window_arrays, windows
 
 
 CONFIG_TEXT = """\
@@ -56,6 +56,42 @@ def test_train_writes_artifacts(workdir, capsys):
     metrics = read_json(out / "metrics.json")
     assert metrics["mse"] >= 0 and metrics["mae"] >= 0
     assert len(metrics["per_horizon"]) == 8
+
+
+def test_train_without_a_test_window_notes_it_and_writes_no_metrics(workdir, capsys):
+    tmp, config, csv = workdir
+    out = tmp / "run"
+    assert main(["train", "--config", str(config), "--data", str(csv), "--splits", "0.7,0.3",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("note: no test metrics (the test split holds no window"), err
+    assert captured.out.startswith("trained fsatten/variate: best epoch")
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "train_report.json"]
+    report = read_json(out / "train_report.json")
+    assert report["test_mse"] is None and report["test_mae"] is None
+
+
+def test_train_forecasts_the_test_windows_once(workdir, monkeypatch):
+    from spectral_attn import models
+    from spectral_attn.cli import load_config
+
+    tmp, config, csv = workdir
+    batches = []
+    predict_batch = models.ForecastModel.predict_batch
+
+    def counted(model, x, capture=None):
+        batches.append(np.array(x))
+        return predict_batch(model, x, capture=capture)
+
+    monkeypatch.setattr(models.ForecastModel, "predict_batch", counted)
+    assert main(["train", "--config", str(config), "--data", str(csv), "--out", str(tmp / "run")]) == 0
+    cfg = load_config(config)
+    test_inputs, _ = window_arrays(split(load_csv(csv), (0.7, 0.1)), "test", cfg.L, cfg.T)
+    assert len(batches) == 1 and np.array_equal(batches[0], test_inputs)
+    metrics = read_json(tmp / "run" / "metrics.json")
+    report = read_json(tmp / "run" / "train_report.json")
+    assert (metrics["mse"], metrics["mae"]) == (report["test_mse"], report["test_mae"])
 
 
 def test_train_then_evaluate_replays_metrics(workdir):

@@ -10,6 +10,7 @@ same bytes as `oracles.fieldwise_save_csv`.
 
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spectral_attn.data import SeriesDataset, load_csv, save_csv  # noqa: E402
+from spectral_attn.errors import DataError  # noqa: E402
 
 from oracles import cellwise_load_csv, fieldwise_save_csv  # noqa: E402
 
@@ -104,8 +106,8 @@ def test_load_csv_matches_the_cellwise_parse_on_fixed_files(tmp_path, text):
 
 @st.composite
 def datasets(draw):
-    C = draw(st.integers(0, 4))
-    Tlen = draw(st.integers(0, 6))
+    C = draw(st.integers(1, 4))
+    Tlen = draw(st.integers(1, 6))
     values = np.array(draw(st.lists(st.floats(), min_size=C * Tlen, max_size=C * Tlen)),
                       dtype=np.float64).reshape(C, Tlen)
     stamps = draw(st.none() | st.lists(AWKWARD_TEXT, min_size=Tlen, max_size=Tlen).map(tuple))
@@ -124,6 +126,14 @@ def saved_bytes(saver, dataset):
 @given(dataset=datasets())
 def test_save_csv_matches_the_fieldwise_writer(dataset):
     assert saved_bytes(save_csv, dataset) == saved_bytes(fieldwise_save_csv, dataset)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)], ids=["no-variate", "no-step", "neither"])
+def test_empty_dataset_is_rejected_before_it_reaches_a_writer(shape):
+    """`save_csv` would write such a dataset as a file that `load_csv` refuses:
+    one without a variate column, or without a data row."""
+    with pytest.raises(DataError, match=re.escape(f"(C, Tlen), both >= 1, got shape {shape}")):
+        SeriesDataset(name="empty", values=np.zeros(shape))
 
 
 @pytest.mark.parametrize("stamps", [("0",), ("0", "1", "2")], ids=["short", "long"])

@@ -9,6 +9,7 @@ import pytest
 
 import spectral_attn.models as models_mod
 from spectral_attn import numerics as nm
+from spectral_attn.analysis import evaluate_on_split
 from spectral_attn.attention import dirac_kernel
 from spectral_attn.cli import gradcheck_configs
 from spectral_attn.data import split, synth_multisine, window_arrays
@@ -381,8 +382,6 @@ def test_linear_arm_is_dense_map_of_same_input():
 # ---------------------------------------------------------------------------
 
 def test_train_lr_zero_leaves_parameters_and_metrics():
-    from spectral_attn.analysis import evaluate_on_split
-
     ds = tiny_dataset()
     model = ForecastModel(micro_config(L=32, T=8, epochs=3, lr=0.0, dropout=0.1))
     before = {k: v.copy() for k, v in model.state_arrays().items()}
@@ -793,6 +792,26 @@ def test_lazy_init_matches_eager_per_parameter_streams_bitwise(monkeypatch, name
         want = eager.params[key].data
         assert param.data.strides == want.strides
         assert param.data.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+def test_train_keeps_the_test_report_that_evaluate_on_split_gives(name):
+    model = ForecastModel(micro_config(seed=5, dropout=0.1, **EQUIVALENCE_CONFIGS[name]))
+    dataset = tiny_dataset()
+    report = train(model, dataset)
+    assert report.test_metrics.to_dict() == evaluate_on_split(model, dataset, "test").to_dict()
+    assert (report.test_mse, report.test_mae) == (report.test_metrics.mse, report.test_metrics.mae)
+    summary = report.to_dict()
+    assert list(summary) == ["seed", "config_hash", "epochs", "best_epoch", "best_val_mse",
+                             "test_mse", "test_mae"]
+    assert (summary["test_mse"], summary["test_mae"]) == (report.test_mse, report.test_mae)
+
+
+def test_train_without_a_test_window_reports_none():
+    dataset = split(tiny_dataset(tlen=200), (0.7, 0.3))
+    report = train(ForecastModel(micro_config(epochs=1)), dataset)
+    assert report.test_metrics is None
+    assert (report.test_mse, report.test_mae) == (None, None)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
