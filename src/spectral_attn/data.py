@@ -132,13 +132,17 @@ def _stem(path):
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
+def _names(dataset):
+    return dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
+
+
 def save_csv(path, dataset):
     """Write a dataset back out in the same schema; values survive exactly.
 
     The csv module writes the header and quotes each timestamp. Each row's
     values are joined in one step: a float's repr never needs quoting.
     """
-    names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
+    names = _names(dataset)
     stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append))
@@ -159,7 +163,17 @@ def default_ratios(name):
 
 
 def split(dataset, ratios):
-    """Set contiguous chronological split bounds and train-only norm stats."""
+    """Set contiguous chronological split bounds and train-only norm stats.
+
+    Each variate's mean and std are taken on its train values divided by a
+    power of two, the exponent of their largest magnitude, and scaled back.
+    For normal numbers that is exact, so data scaled by any power of two
+    standardizes to the same bits, with no overflow or underflow in the
+    squares. DataError names the first variate that cannot be standardized
+    so: one holding non-finite or subnormal values (the latter have lost
+    significant bits), one whose mean or std does not survive the scaling
+    back, or one whose standardized values overflow.
+    """
     r_train, r_val = ratios
     if not (r_train > 0 and r_val >= 0 and r_train + r_val <= 1.0 + 1e-12):  # NaN fails each
         raise DataError(f"split: invalid ratios {ratios}")
@@ -168,10 +182,27 @@ def split(dataset, ratios):
     val_end = int(length * (r_train + r_val))
     if not 0 < train_end <= val_end <= length:
         raise DataError(f"split: bounds ({train_end}, {val_end}) invalid for length {length}")
-    train_part = dataset.values[:, :train_end]
-    means = train_part.mean(axis=1)
-    stds = train_part.std(axis=1)
-    return replace(dataset, split_bounds=(train_end, val_end), norm_stats=(means, stds))
+    values = dataset.values
+    magnitudes = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, exps = np.frexp(np.maximum.reduce(magnitudes[:, :train_end], axis=1))
+        scaled = np.ldexp(values[:, :train_end], -exps[:, None])
+        scaled_stats = (scaled.mean(axis=1), scaled.std(axis=1))
+        means, stds = (np.ldexp(stat, exps) for stat in scaled_stats)
+        result = replace(dataset, split_bounds=(train_end, val_end), norm_stats=(means, stds))
+        standardized = np.isfinite(normalized_values(result)).all(axis=1)
+    faults = (
+        (~np.isfinite(values).all(axis=1), "holds non-finite values"),
+        (((values != 0) & (magnitudes < np.finfo(np.float64).tiny)).any(axis=1),
+         "holds subnormal values, which have lost significant bits"),
+        (np.ldexp(means, -exps) != scaled_stats[0], "has a train mean that float64 cannot represent"),
+        (np.ldexp(stds, -exps) != scaled_stats[1], "has a train std that float64 cannot represent"),
+        (~standardized, "overflows float64 when standardized"),
+    )
+    for fault, what in faults:
+        if fault.any():
+            raise DataError(f"split: variate {_names(dataset)[np.argmax(fault)]!r} {what}")
+    return result
 
 
 _SPLITS = ("train", "val", "test")

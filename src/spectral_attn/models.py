@@ -198,7 +198,9 @@ def instance_normalize(x):
     """Per-variate standardization over the last axis of (..., C, L) windows.
 
     The denominator is max(std, 1e-5), so an already-standardized window
-    passes through unchanged and a constant one maps to zeros.
+    passes through unchanged and a constant one maps to zeros. A window
+    whose scale is not finite (values near the float64 limit, or not
+    finite themselves) raises FiniteInputError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] < 2:
@@ -208,6 +210,9 @@ def instance_normalize(x):
     xc = x - mean
     scale = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / length
     scale = np.maximum(np.sqrt(scale, out=scale), 1e-5, out=scale)
+    if not np.isfinite(scale).all():
+        raise FiniteInputError("instance_normalize: a window's standard deviation is not finite; "
+                               "its values are not finite or overflow float64 when squared")
     xc /= scale
     return xc, InstanceStats(mean=mean, scale=scale)
 

@@ -33,12 +33,15 @@ the plainer formulations in `tests/oracles.py`, bit for bit.
 Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
 
-A minibatch tape allocates and frees tens of MB (about 80 MB at its peak
-for a 32-window temporal batch). Under glibc's default policy that memory
-goes back to the kernel after every minibatch and is page-faulted in again
-on the next one, which makes about a third of `train()` time kernel page
-zeroing, a cost that swings with the load of the machine. Importing this
-module therefore tells glibc to keep freed heap memory
+A minibatch tape allocates and frees tens of MB. Under tracemalloc, a
+32-window training step of the perfbench workloads keeps a 33 MB tape and
+peaks at 39 MB in the backward pass for temporal soatten, 27 and 32 MB for
+variate-wide soatten, and 25 and 31 MB for variate-wide fsatten (`conv2d`
+keeps no im2col patch rows on the tape). Under glibc's default policy that
+memory goes back to the kernel after every minibatch and is page-faulted in
+again on the next one, which makes about a third of `train()` time kernel
+page zeroing, a cost that swings with the load of the machine. Importing
+this module therefore tells glibc to keep freed heap memory
 (`_retain_freed_memory`).
 """
 
@@ -346,7 +349,7 @@ def _softmax(s, op):
 
 def _softmax_vjp(y, g):
     """Adjoint of the scores, given the softmax output y and its adjoint g."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def softmax_rows(s):
@@ -418,13 +421,13 @@ def layer_norm(x, gamma, beta):
     out += beta.data
 
     def vjp(g):
-        dbeta = g.reshape(-1, d).sum(axis=0)
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        dbeta = np.add.reduce(g.reshape(-1, d), axis=0)
+        dgamma = np.add.reduce((g * xhat).reshape(-1, d), axis=0)
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         )
         return (dx, dgamma, dbeta)
 
@@ -442,12 +445,12 @@ def _im2col(x, size):
     return patches.reshape(*lead, c * size * size, n * m)
 
 
-def _correlate(cols, shape, kernel):
-    """Channel-mixing same-size cross-correlation of a (..., C_in, N, M) input
-    of `shape`, given as its patch rows `cols`, with (C_out, C_in, K, K): the
-    flattened kernel times the patch rows."""
-    rows = kernel.reshape(kernel.shape[0], -1) @ cols
-    return rows.reshape(shape[:-3] + kernel.shape[:1] + shape[-2:])
+# conv2d builds patch rows for about this many bytes of planes at a time, so
+# each group's rows stay cache-resident and no stack-sized patch matrix is
+# held. Timing forward plus backward on (32, 4, 32, 32) and (128, 4, 12, 12)
+# stacks for 128 KiB to 4 MiB, and for the whole stack at once, found
+# 512 KiB to 1 MiB fastest (2-core Xeon, 2 MiB L2 per core).
+_CONV_GROUP_BYTES = 1 << 20
 
 
 def conv2d(x, kernel):
@@ -456,9 +459,11 @@ def conv2d(x, kernel):
     x: (..., C_in, N, M) with any number of leading batch axes; kernel:
     (C_out, C_in, K, K) with K odd so symmetric padding of (K-1)/2 preserves
     the N x M plane. Forward and both adjoints are matrix products with
-    im2col patch rows; the input's patch rows are built once and kept for
-    the kernel adjoint, and the input adjoint is the same correlation of
-    the output adjoint with the flipped, channel-transposed kernel.
+    im2col patch rows, built for one group of planes at a time (about 1 MiB
+    of rows per group) and written into one preallocated result. The record
+    keeps only the input: the kernel adjoint rebuilds each group's patch
+    rows from it, and the input adjoint is the same correlation of the
+    output adjoint with the flipped, channel-transposed kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim < 3 or kernel.data.ndim != 4:
@@ -470,17 +475,27 @@ def conv2d(x, kernel):
         raise ConfigError(f"conv2d: kernel size must be odd to preserve size, got {kh}")
     if c_in != x.shape[-3]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
-    cols = _im2col(x.data, kh)
-    out = _correlate(cols, x.shape, kernel.data)
+    n, m = x.shape[-2:]
+    planes = x.data.reshape(-1, c_in, n, m)
+    step = max(1, _CONV_GROUP_BYTES // max(1, max(c_in, c_out) * kh * kw * n * m * 8))
+    groups = [slice(i, i + step) for i in range(0, len(planes), step)]
+    w_rows = kernel.data.reshape(c_out, -1)
+    out = np.empty((len(planes), c_out, n * m))
+    for s in groups:
+        np.matmul(w_rows, _im2col(planes[s], kh), out=out[s])
 
     def vjp(g):
-        flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dx = _correlate(_im2col(g, kh), g.shape, flipped)
-        g_rows = g.reshape(g.shape[:-2] + (-1,))
-        dk = g_rows @ cols.swapaxes(-1, -2)
-        return (dx, dk.reshape(-1, c_out, c_in * kh * kw).sum(axis=0).reshape(kernel.shape))
+        g = g.reshape(-1, c_out, n, m)
+        xp = x.data.reshape(-1, c_in, n, m)
+        flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, -1)
+        dx = np.empty((len(g), c_in, n * m))
+        dk = np.empty((len(g), c_out, c_in * kh * kw))
+        for s in groups:
+            np.matmul(flipped, _im2col(g[s], kh), out=dx[s])
+            np.matmul(g[s].reshape(-1, c_out, n * m), _im2col(xp[s], kh).swapaxes(-1, -2), out=dk[s])
+        return dx.reshape(x.shape), dk.sum(axis=0).reshape(kernel.shape)
 
-    return _emit(out, (x, kernel), vjp)
+    return _emit(out.reshape(x.shape[:-3] + (c_out, n, m)), (x, kernel), vjp)
 
 
 def transpose(a, axes=None):

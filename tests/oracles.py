@@ -6,7 +6,9 @@ the `unfused_*` chains rebuild each fused tape primitive from the
 elementary primitives it replaced in the model, so the two can be compared
 bitwise, forward and backward; the `method_*`, `loop_im2col` and
 `sliding_window_patchify` functions are plainer formulations of the same
-arithmetic as hot-path code, which must agree bitwise; `weight_matmul` is
+arithmetic as hot-path code, which must agree bitwise; `one_shot_conv2d` is
+the convolution that built its patch rows for the whole stack at once and
+kept them for the kernel adjoint; `weight_matmul` is
 the 2-D-weight product that `numerics.matmul` carried before `linear` took
 over that job; `eager_create` is the parameter initializer that opened an
 init stream for every parameter, drawing or not; `cellwise_load_csv` and
@@ -371,6 +373,29 @@ def loop_im2col(x, size):
     return cols.reshape(*lead, c * size * size, n * m)
 
 
+def one_shot_conv2d(x, kernel):
+    """numerics.conv2d as it was with patch rows for the whole stack at once:
+    the forward's rows kept for the kernel adjoint, one product per result."""
+    x, kernel = nm._as_tensor(x), nm._as_tensor(kernel)
+    c_out, c_in, kh, kw = kernel.shape
+
+    def correlate(cols, shape, k):
+        rows = k.reshape(k.shape[0], -1) @ cols
+        return rows.reshape(shape[:-3] + k.shape[:1] + shape[-2:])
+
+    cols = loop_im2col(x.data, kh)
+    out = correlate(cols, x.shape, kernel.data)
+
+    def vjp(g):
+        flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        dx = correlate(loop_im2col(g, kh), g.shape, flipped)
+        g_rows = g.reshape(g.shape[:-2] + (-1,))
+        dk = g_rows @ cols.swapaxes(-1, -2)
+        return (dx, dk.reshape(-1, c_out, c_in * kh * kw).sum(axis=0).reshape(kernel.shape))
+
+    return nm._emit(out, (x, kernel), vjp)
+
+
 def sliding_window_patchify(x, P, S):
     """models.patchify as every S-th window of a sliding_window_view."""
     length = x.shape[-1]
@@ -392,6 +417,26 @@ def method_layer_norm(x, gamma, beta):
     xc = x - x.sum(axis=-1, keepdims=True) / d
     var = np.square(xc).sum(axis=-1, keepdims=True) / d
     return xc * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta
+
+
+def method_layer_norm_vjp(x, gamma, g):
+    """numerics.layer_norm's (dx, dgamma, dbeta) with ndarray mean/sum methods."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) / d + 1e-5)
+    xhat = xc * inv
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+def method_softmax_vjp(y, g):
+    """numerics._softmax_vjp with the ndarray sum method."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def method_instance_normalize(x):

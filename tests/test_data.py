@@ -157,6 +157,36 @@ def test_norm_stats_from_train_only():
     np.testing.assert_array_equal(stds, train.std(axis=1))
 
 
+_B = 2.0 ** -1018  # within 2^4 of the smallest normal float64
+
+# fault -> (the second variate's four values, 3 of them train values; message)
+UNSTANDARDIZABLE = {
+    "non-finite": ([1.0, np.nan, 3.0, 4.0], "holds non-finite values"),
+    "subnormal": ([1.0, 1e-310, 3.0, 4.0], "holds subnormal values"),
+    "mean": ([0.9 * _B, -0.7 * _B, -0.19991 * _B, 1.0], "has a train mean that float64 cannot represent"),
+    "std": ([4 * _B, 4 * _B * (1 + 2**-40), 4 * _B * (1 + 3 * 2**-41), 1.0],
+            "has a train std that float64 cannot represent"),
+    "overflow": ([1.7e308, 1.7e308, -1.7e308, 1.0], "overflows float64 when standardized"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNSTANDARDIZABLE))
+def test_split_names_the_variate_it_cannot_standardize(fault, recwarn):
+    values, message = UNSTANDARDIZABLE[fault]
+    dataset = SeriesDataset("x", np.array([[1.0, 2.0, 3.0, 4.0], values]), variate_names=("a", "b"))
+    with pytest.raises(DataError, match=f"split: variate 'b' {message}"):
+        split(dataset, (0.75, 0.25))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("k", [-1000, -300, -1, 1, 300, 1000])
+def test_split_standardizes_power_of_two_scaled_data_to_the_same_bits(k):
+    dataset = make_dataset(200, seed=3)
+    want = normalized_values(split(dataset, (0.7, 0.1)))
+    scaled = SeriesDataset("x", np.ldexp(dataset.values, k))
+    assert normalized_values(split(scaled, (0.7, 0.1))).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The forecast path's thin primitives against plainer formulations.
+"""The hot path's thin primitives, forward and backward, against plainer formulations.
 
-`_im2col`, `patchify`, `layer_norm`, `_softmax` and `instance_normalize`
-spend as few Python and NumPy calls as they can; each must agree bit for
-bit with the plainer formulation of the same arithmetic kept in
-`tests/oracles.py`, at batch 1 and batched.
+`_im2col`, `patchify`, `layer_norm` and its vjp, `_softmax`, `_softmax_vjp`
+and `instance_normalize` spend as few Python and NumPy calls as they can;
+each must agree bit for bit with the plainer formulation of the same
+arithmetic kept in `tests/oracles.py`, at batch 1 and batched.
 """
 
 import numpy as np
@@ -16,7 +16,9 @@ from oracles import (
     loop_im2col,
     method_instance_normalize,
     method_layer_norm,
+    method_layer_norm_vjp,
     method_softmax,
+    method_softmax_vjp,
     sliding_window_patchify,
 )
 
@@ -48,10 +50,28 @@ def _layer_norm(rng, batch):
     assert_bitwise(nm.layer_norm(x, gamma, beta).data, method_layer_norm(x, gamma, beta))
 
 
+def _layer_norm_vjp(rng, batch):
+    x = rng.standard_normal((batch, 4, 24)) * 3.0 + 1.5  # 1/24, unlike 1/32, is inexact
+    x[0, 0] = 2.0
+    gamma, beta = rng.standard_normal(24), rng.standard_normal(24)
+    g = rng.standard_normal(x.shape)
+    with nm.GradientTape() as tape:
+        nm.layer_norm(nm.Tensor(x, requires_grad=True), gamma, beta)
+    (_, _, vjp), = tape._records
+    for got, want in zip(vjp(g), method_layer_norm_vjp(x, gamma, g)):
+        assert_bitwise(got, want)
+
+
 def _softmax(rng, batch):
     s = rng.standard_normal((batch, 4, 7, 7)) * 40.0
     s[0, 0, 0] = 1e300  # huge finite scores must not overflow
     assert_bitwise(nm._softmax(s, "test"), method_softmax(s))
+
+
+def _softmax_vjp(rng, batch):
+    y = nm._softmax(rng.standard_normal((batch, 4, 7, 7)) * 4.0, "test")
+    g = rng.standard_normal(y.shape)
+    assert_bitwise(nm._softmax_vjp(y, g), method_softmax_vjp(y, g))
 
 
 def _instance_normalize(rng, batch):
@@ -71,7 +91,9 @@ REWRITES = {
     "im2col-32x32-K3": _im2col(32, 3),
     "patchify": _patchify,
     "layer_norm": _layer_norm,
+    "layer_norm_vjp": _layer_norm_vjp,
     "softmax": _softmax,
+    "softmax_vjp": _softmax_vjp,
     "instance_normalize": _instance_normalize,
 }
 

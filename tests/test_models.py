@@ -127,6 +127,18 @@ def test_instance_normalize_is_bitwise_numpy_mean_and_var():
     assert xn.tobytes() == ((x - mean) / scale).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow/invalid notes
+@pytest.mark.parametrize("size", [1e160, 1e300, np.inf, np.nan])
+def test_instance_normalize_rejects_a_window_whose_scale_is_not_finite(size):
+    x = np.random.default_rng(4).standard_normal((2, 3, 32))
+    x[1, 2] *= size
+    with pytest.raises(FiniteInputError, match="instance_normalize: a window's standard deviation"):
+        instance_normalize(x)
+    model = ForecastModel(micro_config())
+    with pytest.raises(FiniteInputError, match="instance_normalize"):
+        model.predict(x[1, :, -model.config.L:])
+
+
 def test_instance_normalize_constant_series():
     x = np.full((2, 10), 4.2)
     xn, stats = instance_normalize(x)

@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, tape gradients vs finite differences, Adam, SVD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from oracles import (
     max_rel_error,
     naive_conv2d,
     naive_matmul,
+    one_shot_conv2d,
     sum_all,
     unfused_attention_weights,
     unfused_linear,
@@ -375,6 +378,63 @@ def test_conv2d_batch_axis_gradients():
     for i in range(2):
         np.testing.assert_allclose(out[i], naive_conv2d(x[i], k), atol=1e-12)
     check_gradients(lambda t, kt: nm.mean_all(nm.mul(nm.conv2d(t, kt), nm.conv2d(t, kt))), x, k)
+
+
+def _conv_group(c, size, plane):
+    """Planes per group of patch rows for (c, plane, plane) inputs and a size-K kernel."""
+    return max(1, nm._CONV_GROUP_BYTES // (c * size * size * plane * plane * 8))
+
+
+# case -> (leading axes, C_in, C_out, plane side, K); plane counts are set
+# relative to the group that conv2d builds patch rows for
+CONV_GROUP_CASES = {
+    "one-plane-K3": lambda: ((1,), 4, 4, 32, 3),
+    "one-group-K3": lambda: ((_conv_group(4, 3, 32),), 4, 4, 32, 3),
+    "group-plus-one-K3": lambda: ((_conv_group(4, 3, 32) + 1,), 4, 4, 32, 3),
+    "groups-and-remainder-K3": lambda: ((2 * _conv_group(4, 3, 32) + 2,), 4, 4, 32, 3),
+    "groups-and-remainder-K1": lambda: ((2 * _conv_group(4, 1, 32) + 5,), 4, 4, 32, 1),
+    "groups-and-remainder-K5": lambda: ((2 * _conv_group(4, 5, 32) + 1,), 4, 4, 32, 5),
+    "two-leading-axes": lambda: ((2, _conv_group(4, 3, 32) + 1), 4, 4, 32, 3),
+    "no-leading-axis": lambda: ((), 4, 4, 32, 3),
+    "channels-widen": lambda: ((2 * _conv_group(6, 3, 32) + 1,), 2, 6, 32, 3),
+    "small-planes": lambda: ((7, 3), 4, 4, 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONV_GROUP_CASES))
+def test_conv2d_matches_one_shot_oracle_bitwise(name):
+    lead, c_in, c_out, plane, size = CONV_GROUP_CASES[name]()
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((*lead, c_in, plane, plane))
+    kernel = rng.standard_normal((c_out, c_in, size, size))
+    probe = rng.standard_normal((*lead, c_out, plane, plane))
+    results = []
+    for conv in (nm.conv2d, one_shot_conv2d):
+        tensors = [nm.Tensor(x, requires_grad=True), nm.Tensor(kernel, requires_grad=True)]
+        with nm.GradientTape() as tape:
+            out = conv(*tensors)
+            loss = nm.mean_all(nm.mul(out, probe))
+        nm.backward(tape, loss)
+        results.append([out.data] + [t.grad for t in tensors])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_conv2d_record_keeps_no_patch_rows():
+    """The tape keeps the input and output of a conv2d, not its 9x patch rows."""
+    rng = np.random.default_rng(44)
+    x = nm.Tensor(rng.standard_normal((32, 4, 32, 32)), requires_grad=True)
+    kernel = nm.Tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with nm.GradientTape() as tape:
+            out = nm.conv2d(x, kernel)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert kept <= out.data.nbytes
 
 
 @pytest.mark.parametrize("op, left, right", [
