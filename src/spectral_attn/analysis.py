@@ -5,7 +5,8 @@ matrices and P2 PGM (256 levels, min-max scaled) for heatmaps; reports go
 out as canonical JSON through `artifacts.write_json`. All of them are
 byte-deterministic for a fixed (config, seed, data). The metrics and the
 split evaluation live in `models`, beside `train`, which keeps its test
-split's MetricsReport; their names stay importable from here.
+split's MetricsReport. Of them only `mse` is importable from here too,
+because `perfbench` calls `analysis.mse`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
 from .errors import ConfigError, DataError, ShapeError
-from .models import ForecastModel, MetricsReport, evaluate_on_split, evaluate_windows, mae, mse  # noqa: F401
+from .models import ForecastModel, mse  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -184,13 +184,13 @@ class SpectrumAttention(_SharedAttention):
         self.bin_count = bin_count
         if mss_enabled:
             # All-ones start: untrained scores are raw source correlation.
-            self.mss_q = self.q_map = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
-            self.mss_k = self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
+            self.q_map = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
+            self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
             self.qk_product = nm.mul
         else:
             dense = ("normal", (heads, bin_count, bin_count), 1.0 / math.sqrt(bin_count))
-            self.lin_q = self.q_map = make_param("lin_q", dense)
-            self.lin_k = self.k_map = make_param("lin_k", dense)
+            self.q_map = make_param("lin_q", dense)
+            self.k_map = make_param("lin_k", dense)
             self.qk_product = nm.matmul
         super().__init__(width, heads, make_param)
         if kernel_size is not None:

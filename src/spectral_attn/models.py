@@ -103,8 +103,8 @@ class ModelConfig:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.lr < math.inf:
-            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -206,9 +206,10 @@ def instance_normalize(x):
     if x.ndim < 2 or x.shape[-1] < 2:
         raise ShapeError(f"instance_normalize: expected (..., C, L >= 2), got shape {x.shape}")
     length = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1, keepdims=True) / length  # bitwise equal to x.mean
-    xc = x - mean
-    scale = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / length
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite scale raises below
+        mean = np.add.reduce(x, axis=-1, keepdims=True) / length  # bitwise equal to x.mean
+        xc = x - mean
+        scale = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / length
     scale = np.maximum(np.sqrt(scale, out=scale), 1e-5, out=scale)
     if not np.isfinite(scale).all():
         raise FiniteInputError("instance_normalize: a window's standard deviation is not finite; "
@@ -408,21 +409,6 @@ class ForecastModel:
             raise ShapeError(f"window_loss: expected target shape ({self.config.C}, {self.config.T}), got {y.shape}")
         return self.batch_loss(self._one(x, "window_loss"), y[None], training=training)
 
-    def state_arrays(self):
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_state_arrays(self, state):
-        if state.keys() != self.params.keys():
-            missing, extra = sorted(self.params.keys() - state.keys()), sorted(state.keys() - self.params.keys())
-            raise FormatError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        for name, arr in state.items():
-            param = self.params[name]
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != param.data.shape:
-                raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {param.data.shape}")
-            param.data[...] = arr  # in place: an optimizer's flat buffer keeps its views
-            param.grad[...] = 0.0
-
 
 def forecast(x, model, capture=None):
     """Predict T future values for a (C, L) window; output shape (C, T)."""
@@ -584,12 +570,12 @@ def train(model, dataset):
     train_x, train_y = window_arrays(dataset, "train", cfg.L, cfg.T)
     val_x, val_y = window_arrays(dataset, "val", cfg.L, cfg.T)
     shuffle_rng = nm.substream(cfg.seed, "shuffle")
-    optimizer = nm.Adam(model.parameters(), cfg.lr) if cfg.lr > 0 else None
+    optimizer = nm.Adam(model.parameters(), cfg.lr)
 
     records = []
     best_val = math.inf
     best_epoch = 0
-    best_state = model.state_arrays()
+    best = optimizer.data.copy()   # every parameter's values: views of this one buffer
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(train_x))
         total = 0.0
@@ -600,14 +586,11 @@ def train(model, dataset):
             value = float(loss.data)
             if not math.isfinite(value):
                 raise FiniteInputError(f"train: loss is {value} at epoch {epoch}, batch {number}")
-            if optimizer is not None:
-                nm.backward(tape, loss)
-                if not np.isfinite(optimizer.grad).all():
-                    raise FiniteInputError(
-                        f"train: non-finite gradient at epoch {epoch}, batch {number}"
-                    )
-                optimizer.step()
-                optimizer.zero_grad()
+            nm.backward(tape, loss)
+            if not np.isfinite(optimizer.grad).all():
+                raise FiniteInputError(f"train: non-finite gradient at epoch {epoch}, batch {number}")
+            optimizer.step()
+            optimizer.zero_grad()
             total += value * len(batch)
         train_mse = total / len(train_x)
         val_mse = float(model.batch_loss(val_x, val_y).data)
@@ -615,8 +598,8 @@ def train(model, dataset):
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_state = model.state_arrays()
-    model.load_state_arrays(best_state)
+            best = optimizer.data.copy()
+    optimizer.data[...] = best
 
     try:
         test_metrics = evaluate_on_split(model, dataset, "test")

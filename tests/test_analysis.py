@@ -11,18 +11,15 @@ from spectral_attn.analysis import (
     attention_report,
     average_attention,
     condition_number,
-    evaluate_on_split,
     grad_check,
     matrix_to_csv_text,
     matrix_to_pgm_text,
-    mae,
-    mse,
     numerical_rank,
 )
 from spectral_attn.attention import AttentionTensor
 from spectral_attn.errors import ConfigError, DataError, FiniteInputError, ShapeError
 from spectral_attn.data import split, synth_multisine, windows
-from spectral_attn.models import ForecastModel, ModelConfig
+from spectral_attn.models import ForecastModel, ModelConfig, evaluate_on_split, mae, mse
 
 from oracles import jacobi_eigenvalues
 

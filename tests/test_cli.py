@@ -436,6 +436,7 @@ CHECKPOINT_DEFECTS = {
     "param-deleted": lambda p: p["params"].pop("head.bias"),
     "param-added": lambda p: p["params"].update({"head.extra": p["params"]["head.bias"]}),
     "param-reshaped": lambda p: _edit_first_param(p, shape=[2, 4]),
+    "config-lr-zero": lambda p: _edit_config(p, lr=0.0),
 }
 
 
@@ -464,6 +465,18 @@ def test_failed_allocation_is_one_error_line(workdir, capsys):
     config.write_text(text.replace("D = 8", "D = 1099511627776"), encoding="utf-8")
     assert main(_train_args(tmp, config, csv)) == 1
     assert "allocate" in single_error_line(capsys)
+    assert not (tmp / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+def test_train_with_a_zero_lr_is_one_error_line(workdir, capsys, value):
+    """Adam takes no step of size zero, so training refuses it before any output."""
+    tmp, config, csv = workdir
+    text = CONFIG_TEXT.replace("lr = 0.002", f"lr = {value}")
+    assert text != CONFIG_TEXT
+    config.write_text(text, encoding="utf-8")
+    assert main(_train_args(tmp, config, csv)) == 1
+    assert "learning rate must be finite and > 0" in single_error_line(capsys)
     assert not (tmp / "run").exists()
 
 

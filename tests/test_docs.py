@@ -1,0 +1,22 @@
+"""The README's library example runs as written against the public API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_block(heading):
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_use_block_runs():
+    namespace = {}
+    exec(compile(_python_block("Library use"), "README.md: Library use", "exec"), namespace)
+    n = len(namespace["inputs"])
+    assert n > 0
+    assert namespace["predictions"].shape == (n, 2, 24)
+    assert namespace["prediction"].shape == (2, 24)
+    assert len(namespace["report"].test_metrics.per_horizon) == 24
+    assert [m.shape for m in namespace["maps"]] == [(1, 4, 2, 2)] * 2

@@ -2,6 +2,7 @@
 
 import json
 import platform
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 import spectral_attn.models as models_mod
 from spectral_attn import numerics as nm
-from spectral_attn.analysis import evaluate_on_split
 from spectral_attn.attention import dirac_kernel
 from spectral_attn.cli import gradcheck_configs
 from spectral_attn.data import split, synth_multisine, window_arrays
@@ -17,6 +17,7 @@ from spectral_attn.errors import ConfigError, FiniteInputError, FormatError, Sha
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
+    evaluate_on_split,
     instance_denormalize,
     instance_normalize,
     load_checkpoint,
@@ -127,16 +128,18 @@ def test_instance_normalize_is_bitwise_numpy_mean_and_var():
     assert xn.tobytes() == ((x - mean) / scale).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow/invalid notes
 @pytest.mark.parametrize("size", [1e160, 1e300, np.inf, np.nan])
 def test_instance_normalize_rejects_a_window_whose_scale_is_not_finite(size):
+    """The error is the only report: NumPy prints no overflow or invalid warning first."""
     x = np.random.default_rng(4).standard_normal((2, 3, 32))
     x[1, 2] *= size
-    with pytest.raises(FiniteInputError, match="instance_normalize: a window's standard deviation"):
-        instance_normalize(x)
     model = ForecastModel(micro_config())
-    with pytest.raises(FiniteInputError, match="instance_normalize"):
-        model.predict(x[1, :, -model.config.L:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteInputError, match="instance_normalize: a window's standard deviation"):
+            instance_normalize(x)
+        with pytest.raises(FiniteInputError, match="instance_normalize"):
+            model.predict(x[1, :, -model.config.L:])
 
 
 def test_instance_normalize_constant_series():
@@ -171,6 +174,13 @@ def test_config_rejects_even_kernel_and_bad_dropout():
 def test_config_rejects_nonfinite_lr(lr):
     """A NaN lr would build no optimizer and train nothing; infinity is no step size."""
     with pytest.raises(ConfigError, match="learning rate must be finite"):
+        micro_config(lr=lr).validate()
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.0])
+def test_config_rejects_a_zero_lr(lr):
+    """Adam refuses a step size of zero, so the config does too."""
+    with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
         micro_config(lr=lr).validate()
 
 
@@ -383,8 +393,9 @@ def test_linear_arm_is_dense_map_of_same_input():
     cfg = micro_config(mechanism="fsatten", mss_enabled=False)
     model = ForecastModel(cfg)
     attn = model.layers[0].attn
-    assert attn.lin_q.data.shape == (2, 9, 9)
-    assert not hasattr(attn, "mss_q")
+    assert attn.q_map.data.shape == (2, 9, 9)
+    assert attn.q_map is model.params["layers.0.attn.lin_q"]
+    assert "layers.0.attn.mss_q" not in model.params
     x = np.random.default_rng(12).standard_normal((3, 16))
     assert model.predict(x).shape == (3, 4)
 
@@ -392,19 +403,6 @@ def test_linear_arm_is_dense_map_of_same_input():
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-def test_train_lr_zero_leaves_parameters_and_metrics():
-    ds = tiny_dataset()
-    model = ForecastModel(micro_config(L=32, T=8, epochs=3, lr=0.0, dropout=0.1))
-    before = {k: v.copy() for k, v in model.state_arrays().items()}
-    initial = evaluate_on_split(model, ds, "test")
-    report = train(model, ds)
-    for name, arr in model.state_arrays().items():
-        np.testing.assert_array_equal(arr, before[name])
-    final = evaluate_on_split(model, ds, "test")
-    assert final.mse == initial.mse and final.mae == initial.mae
-    assert len(report.epochs) == 3
-
 
 def test_train_loss_decreases_on_learnable_task():
     ds = tiny_dataset(c=2, tlen=400)
@@ -435,6 +433,36 @@ def test_train_best_validation_state_is_restored():
     )
     count = len(__import__("spectral_attn.data", fromlist=["windows"]).windows(ds, "val", 32, 8))
     assert abs(val / count - best) < 1e-12
+
+
+# architecture, mechanism, F, lr, seed: each run's best validation epoch is 2 of 3
+RESTORE_CASES = {
+    "variate-fsatten": ("variate", "fsatten", 0, 3e-2, 4),
+    "variate-soatten": ("variate", "soatten", 6, 2e-2, 5),
+    "variate-conventional": ("variate", "conventional", 0, 5e-2, 3),
+    "temporal-soatten": ("temporal", "soatten", 6, 3e-2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTORE_CASES))
+def test_restored_best_state_equals_a_run_that_stops_at_the_best_epoch(case):
+    """Writing the best epoch's copy of Adam's buffer back leaves exactly the
+    parameters and the test metrics of a fresh run of that many epochs: the
+    shorter run draws the same shuffles and dropout masks up to its end."""
+    architecture, mechanism, f, lr, seed = RESTORE_CASES[case]
+    ds = tiny_dataset()
+    cfg = micro_config(architecture=architecture, mechanism=mechanism, F=f, layers=2,
+                       dropout=0.1, lr=lr, seed=seed, epochs=3)
+    longer = ForecastModel(cfg)
+    report = train(longer, ds)
+    assert 1 <= report.best_epoch < cfg.epochs
+    shorter = ForecastModel(replace(cfg, epochs=report.best_epoch))
+    short_report = train(shorter, ds)
+    for name, param in shorter.params.items():
+        assert longer.params[name].data.tobytes() == param.data.tobytes(), name
+    # Only the config hash differs: it covers `epochs`.
+    assert report.test_metrics == replace(short_report.test_metrics,
+                                          config_hash=report.test_metrics.config_hash)
 
 
 def _one_epoch(model, dataset, replay, optimizer):
@@ -480,33 +508,21 @@ def test_training_steps_match_per_parameter_oracle_bitwise(architecture, mechani
         assert trained.params[name].data.tobytes() == param.data.tobytes(), name
 
 
-def test_load_state_keeps_an_existing_optimizer_stepping_the_loaded_values():
-    model = ForecastModel(micro_config())
-    optimizer = nm.Adam(model.parameters(), 1e-2)
-    state = {name: np.full(arr.shape, 0.5) for name, arr in model.state_arrays().items()}
-    model.load_state_arrays(state)
-    np.testing.assert_array_equal(optimizer.data, 0.5)
-    model.head_b.grad[...] = 1.0
-    optimizer.step()
-    assert (model.head_b.data < 0.5).all()
-    np.testing.assert_array_equal(model.head_w.data, 0.5)
-
-
 def test_train_stops_on_non_finite_loss_before_any_step():
     ds = tiny_dataset()
     model = ForecastModel(micro_config(epochs=2))
     model.head_b.data[1] = np.inf
-    before = model.state_arrays()
+    before = {name: p.data.copy() for name, p in model.params.items()}
     with pytest.raises(FiniteInputError, match="epoch 1, batch 1"):
         train(model, ds)
-    for name, arr in model.state_arrays().items():
-        assert arr.tobytes() == before[name].tobytes(), name
+    for name, p in model.params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
 
 
 def test_train_stops_on_non_finite_gradient_before_the_step(monkeypatch):
     ds = tiny_dataset()
     model = ForecastModel(micro_config(epochs=2))
-    before = model.state_arrays()
+    before = {name: p.data.copy() for name, p in model.params.items()}
     replay = nm.backward
 
     def poisoned(tape, loss):
@@ -516,8 +532,8 @@ def test_train_stops_on_non_finite_gradient_before_the_step(monkeypatch):
     monkeypatch.setattr(nm, "backward", poisoned)
     with pytest.raises(FiniteInputError, match="gradient at epoch 1, batch 1"):
         train(model, ds)
-    for name, arr in model.state_arrays().items():
-        assert arr.tobytes() == before[name].tobytes(), name
+    for name, p in model.params.items():
+        assert p.data.tobytes() == before[name].tobytes(), name
 
 
 def test_naive_repeat_forecast():
@@ -562,16 +578,6 @@ def test_checkpoint_with_many_more_layers_fails_at_the_first_missing_one(tmp_pat
     with pytest.raises(FormatError, match=r"layers\.1\.") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-
-
-def test_loaded_parameters_take_new_values_in_place(tmp_path):
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, ForecastModel(micro_config(mechanism="soatten", F=6)))
-    loaded = load_checkpoint(path)
-    other = ForecastModel(micro_config(mechanism="soatten", F=6, seed=4))
-    loaded.load_state_arrays(other.state_arrays())
-    for name, param in loaded.params.items():
-        assert param.data.tobytes() == other.params[name].data.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
