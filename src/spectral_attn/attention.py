@@ -110,17 +110,21 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
         raise ShapeError(f"scaled_dot_attention: expected (..., H, N, d) stacks, got {qs}/{ks}/{vs}")
     if qs != ks or qs[:-1] != vs[:-1]:
         raise ShapeError(f"scaled_dot_attention: inconsistent head shapes {qs}/{ks}/{vs}")
-    weights = nm.attention_weights(q, k, 1.0 / float(scale))
+    return _weigh_values(nm.attention_weights(q, k, 1.0 / float(scale)), v, hcc_kernel)
+
+
+def _weigh_values(weights, v, hcc_kernel):
+    """(weights, effective weights, effective @ v), with HCC applied if a kernel is given."""
     effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
-    output = nm.matmul(effective, v)
-    return weights, effective, output
+    return weights, effective, nm.matmul(effective, v)
 
 
 class _SharedAttention:
     """The value path, attention step and output projection every mechanism shares.
 
     A subclass creates its Q/K parameters before calling `__init__` (which adds
-    wv, bv, wo, bo), and its `forward` returns `_attend` on its Q/K head stacks.
+    wv, bv, wo, bo), and its `forward` returns `_output` of the
+    `scaled_dot_attention` (or `_weigh_values`) result on `_values(hidden)`.
     """
 
     kernel = None   # head-coupling kernel (H, H, K, K), or None for plain softmax
@@ -135,10 +139,13 @@ class _SharedAttention:
         self.wo = make_param("wo", ("normal", (width, width), std))
         self.bo = make_param("bo", ("zeros", (width,)))
 
-    def _attend(self, q, k, hidden, scale, capture):
-        """Output of the layer; appends its read-only weight stacks to `capture` if given."""
-        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
-        weights, effective, out = scaled_dot_attention(q, k, v, scale, hcc_kernel=self.kernel)
+    def _values(self, hidden):
+        return nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
+
+    def _output(self, attended, capture):
+        """Output of the layer from (weights, effective, out); appends its
+        read-only weight stacks to `capture` if given."""
+        weights, effective, out = attended
         if capture is not None:
             for t in (weights, effective):
                 t.data.setflags(write=False)
@@ -163,7 +170,8 @@ class ConventionalAttention(_SharedAttention):
     def forward(self, hidden, qk_source, capture=None):
         q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
         k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
-        return self._attend(q, k, hidden, math.sqrt(self.head_dim), capture)
+        attended = scaled_dot_attention(q, k, self._values(hidden), math.sqrt(self.head_dim))
+        return self._output(attended, capture)
 
 
 class SpectrumAttention(_SharedAttention):
@@ -172,8 +180,9 @@ class SpectrumAttention(_SharedAttention):
     Covers both the frequency-spectrum mechanism (source = amplitude matrix)
     and the scaled-orthogonal mechanism (source = orthogonally-initialized
     embedding, optionally with head-coupling convolution on the weights).
-    The source gains a head axis of size 1, and Q and K are it times
-    (H, tokens, F) MSS scales (`nm.mul`), or, with `mss_enabled` off, times
+    Q and K are the source times (H, tokens, F) MSS scales, fused with the
+    softmax into one `nm.mss_attention_weights` record, or, with
+    `mss_enabled` off, the source (given a head axis of size 1) times
     (H, F, F) dense maps (`nm.matmul`, the linear ablation arm); scores are
     scaled by sqrt(F).
     """
@@ -186,12 +195,11 @@ class SpectrumAttention(_SharedAttention):
             # All-ones start: untrained scores are raw source correlation.
             self.q_map = make_param("mss_q", ("ones", (heads, tokens, bin_count)))
             self.k_map = make_param("mss_k", ("ones", (heads, tokens, bin_count)))
-            self.qk_product = nm.mul
         else:
             dense = ("normal", (heads, bin_count, bin_count), 1.0 / math.sqrt(bin_count))
             self.q_map = make_param("lin_q", dense)
             self.k_map = make_param("lin_k", dense)
-            self.qk_product = nm.matmul
+        self.mss_enabled = mss_enabled
         super().__init__(width, heads, make_param)
         if kernel_size is not None:
             # identity coupling (`dirac_kernel`) plus noise of std 0.01
@@ -206,6 +214,12 @@ class SpectrumAttention(_SharedAttention):
                 f"SpectrumAttention: source shape {shape} does not match "
                 f"(..., {self.tokens}, {self.bin_count})"
             )
-        shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
-        q, k = self.qk_product(shared, self.q_map), self.qk_product(shared, self.k_map)
-        return self._attend(q, k, hidden, math.sqrt(self.bin_count), capture)
+        scale = math.sqrt(self.bin_count)
+        if self.mss_enabled:
+            weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map, 1.0 / scale)
+            attended = _weigh_values(weights, self._values(hidden), self.kernel)
+        else:
+            shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
+            q, k = nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map)
+            attended = scaled_dot_attention(q, k, self._values(hidden), scale, hcc_kernel=self.kernel)
+        return self._output(attended, capture)

@@ -80,8 +80,16 @@ def _env_seed(default):
 
 
 def load_config(path):
+    """The config at `path` with the seed override applied; a value that
+    `ModelConfig.validate` rejects is a ConfigError naming `path`, as a
+    mistyped one is."""
     cfg = config_from_kv(parse_kv_text(read_text(path), path), path)
-    return replace(cfg, seed=_env_seed(cfg.seed))
+    cfg = replace(cfg, seed=_env_seed(cfg.seed))
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 def _load_split_dataset(args, cfg, source):

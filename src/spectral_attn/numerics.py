@@ -4,11 +4,13 @@ The tape records coarse primitives (matmul, softmax, conv2d, elementwise
 ops, ...) in execution order. `backward` replays the records in exact
 reverse order and accumulates adjoints additively into every tensor that
 requires gradients, so a value used twice receives the sum of both
-contributions. Adjoints are moved, not copied: an intermediate takes its
-first adjoint as a C-contiguous array (a view is copied, so every later
-matrix product sees the same operand layout) and later ones out of place,
-and its adjoint is freed as soon as its own record has been replayed. Only
-leaves keep `.grad` after `backward`; a Parameter adds into its own buffer.
+contributions. Each record is popped off the tape as it is replayed, so a
+forward array is freed once the last vjp that reads it has run. Adjoints
+are moved, not copied: an intermediate takes its first adjoint as a
+C-contiguous array (a view is copied, so every later matrix product sees
+the same operand layout) and later ones out of place, and its adjoint is
+freed as soon as its own record has been replayed. Only leaves keep
+`.grad` after `backward`; a Parameter adds into its own buffer.
 
 Ops broadcast over leading axes, so one tape covers a whole minibatch:
 `matmul`, `add` and `mul` follow NumPy broadcasting and sum their adjoints
@@ -20,8 +22,12 @@ Python around far less arithmetic, so the engine is bound by per-op
 latency, not compute. The encoder's fixed chains are therefore fused
 primitives, one record and one hand-written vjp each, with the same
 arithmetic as the chain: `linear` (matmul + optional bias add), `split_heads`
-(reshape + axis swap), `merge_heads` (axis swap + reshape) and
-`attention_weights` (transpose + matmul + scale + softmax).
+(reshape + axis swap), `merge_heads` (axis swap + reshape),
+`attention_weights` (transpose + matmul + scale + softmax) and
+`mss_attention_weights` (head axis + the two MSS scalings +
+`attention_weights`). A record keeps only what its vjp reads, so the MSS
+record keeps the shared source and the scales and rebuilds Q and K, one
+multiply each, in its vjp.
 
 What is left of a batch-1 forecast is Python per primitive against the
 floor of one NumPy call each. So `_emit` loops over its inputs, `Tensor`
@@ -34,9 +40,9 @@ Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
 
 A minibatch tape allocates and frees tens of MB. Under tracemalloc, a
-32-window training step of the perfbench workloads keeps a 33 MB tape and
-peaks at 39 MB in the backward pass for temporal soatten, 27 and 32 MB for
-variate-wide soatten, and 25 and 31 MB for variate-wide fsatten (`conv2d`
+32-window training step of the perfbench workloads keeps a 27 MB tape and
+peaks at 28 MB in the backward pass for temporal soatten, 23 and 24 MB for
+variate-wide soatten, and 19 and 20 MB for variate-wide fsatten (`conv2d`
 keeps no im2col patch rows on the tape). Under glibc's default policy that
 memory goes back to the kernel after every minibatch and is page-faulted in
 again on the next one, which makes about a third of `train()` time kernel
@@ -120,7 +126,7 @@ class GradientTape:
     """Ordered record of primitive ops; replaying it backwards yields adjoints.
 
     Use as a context manager around the forward pass, then call
-    `backward(tape, loss)`. A tape is single-use.
+    `backward(tape, loss)`, which empties it. A tape is single-use.
     """
 
     def __init__(self):
@@ -162,10 +168,12 @@ def _emit(out_data, inputs, vjp):
 def backward(tape, loss):
     """Replay `tape` in reverse, writing d(loss)/d(leaf) into each leaf's .grad.
 
-    Gradients accumulate additively across uses of a tensor. Each recorded
-    output's adjoint is dropped once its vjp has run, so afterwards only
-    leaves hold a `.grad`. Raises EmptyTapeError if nothing was recorded
-    (backward without forward).
+    Gradients accumulate additively across uses of a tensor. Each record is
+    popped off the tape as it is replayed, and its output's adjoint dropped
+    once its vjp has run, so a forward array is freed as soon as the last
+    vjp that reads it is done; afterwards only leaves hold a `.grad` and the
+    tape is empty. Raises EmptyTapeError if nothing was recorded (backward
+    without forward, or a second backward on the same tape).
     """
     if len(tape) == 0:
         raise EmptyTapeError("backward called on an empty tape; run a forward pass first")
@@ -178,20 +186,22 @@ def backward(tape, loss):
     for out, _, _ in tape._records:
         out.grad = None
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, vjp in reversed(tape._records):
-        g = out.grad
+    records = tape._records
+    while records:
+        out, inputs, vjp = records.pop()
+        g, out.grad = out.grad, None
         if g is None:
             continue
-        out.grad = None
         for t, gt in zip(inputs, vjp(g)):
             if gt is None or not t.requires_grad:
                 continue
             if isinstance(t, Parameter):
                 t.grad += gt
             elif t.grad is None:
-                t.grad = np.ascontiguousarray(gt)
+                t.grad = gt if gt.flags.c_contiguous else gt.copy()
             else:
                 t.grad = t.grad + gt
+        del t, gt  # the last adjoint handed over is not held through the next vjp
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +337,15 @@ def gelu(a):
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf), with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+        d = np.multiply(x, -0.5)
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return _emit(x * cdf, (a,), vjp)
 
@@ -396,6 +413,49 @@ def attention_weights(q, k, factor):
         )
 
     return _emit(y, (q, k), vjp)
+
+
+def mss_attention_weights(source, scale_q, scale_k, factor):
+    """softmax((A⊙S_q)(A⊙S_k)ᵀ · factor) over the last axis, per head.
+
+    source A: (..., N, F), shared by every head; scale_q, scale_k: (H, N, F)
+    multi-head spectrum scales; returns (..., H, N, N) row-stochastic
+    weights. One record for the chain `attention_weights(A' * S_q, A' * S_k)`
+    with A' = A reshaped to (..., 1, N, F), and the same arithmetic. The
+    record keeps A and the scales, not Q and K: its vjp rebuilds them with
+    one multiply each. The source adjoint is K's part plus Q's part, the
+    order in which the chain's replay adds them. Non-finite scores raise
+    FiniteInputError.
+    """
+    source, scale_q, scale_k = _as_tensor(source), _as_tensor(scale_q), _as_tensor(scale_k)
+    src_shape, hs = source.data.shape, scale_q.data.shape
+    if len(src_shape) < 2 or len(hs) != 3 or hs[1:] != src_shape[-2:] or scale_k.data.shape != hs:
+        raise ShapeError(
+            f"mss_attention_weights: incompatible shapes {src_shape} with scales {hs} / {scale_k.data.shape}"
+        )
+    factor = float(factor)
+    shared = source.data.reshape(src_shape[:-2] + (1,) + src_shape[-2:])
+    sq, sk = scale_q.data, scale_k.data
+    scores = (shared * sq) @ (shared * sk).swapaxes(-1, -2)
+    scores *= factor
+    y = _softmax(scores, "mss_attention_weights")
+
+    def vjp(g):
+        gs = _softmax_vjp(y, g) * factor
+        q = shared * sq
+        dq = gs @ (shared * sk)
+        # C-contiguous, as `backward` stores K's first adjoint in the unfused chain
+        dk = np.ascontiguousarray((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        del q, gs
+        dsq = _unbroadcast(dq * shared, hs) if scale_q.requires_grad else None
+        dsk = _unbroadcast(dk * shared, hs) if scale_k.requires_grad else None
+        if not source.requires_grad:
+            return (None, dsq, dsk)
+        da = _unbroadcast(dk * sk, shared.shape)
+        da = da + _unbroadcast(dq * sq, shared.shape)
+        return (da.reshape(src_shape), dsq, dsk)
+
+    return _emit(y, (source, scale_q, scale_k), vjp)
 
 
 def layer_norm(x, gamma, beta):

@@ -350,6 +350,13 @@ def unfused_attention_weights(q, k, factor):
     return nm.softmax_rows(nm.scale(nm.matmul(q, k_t), factor))
 
 
+def unfused_mss_attention_weights(source, scale_q, scale_k, factor):
+    """head axis, Q and K scaling, attention weights: the chain numerics.mss_attention_weights fuses."""
+    shape = source.shape
+    shared = nm.reshape(source, shape[:-2] + (1,) + shape[-2:])
+    return nm.attention_weights(nm.mul(shared, scale_q), nm.mul(shared, scale_k), factor)
+
+
 def sum_all(a):
     """Sum of every element as a taped scalar (a loss for the tape tests)."""
     a = a if isinstance(a, nm.Tensor) else nm.Tensor(a)

@@ -480,6 +480,22 @@ def test_train_with_a_zero_lr_is_one_error_line(workdir, capsys, value):
     assert not (tmp / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_value_that_validate_rejects_names_the_config(workdir, capsys, command):
+    """A value that parses but fails the config's own checks is one error line
+    naming the config file, as a mistyped value is, and nothing is written."""
+    tmp, config, csv = workdir
+    text = (CONFIG_TEXT.replace("mechanism = fsatten", "mechanism = soatten\nF = 6")
+            .replace("H = 2", "H = 4").replace("D = 8", "D = 15"))
+    config.write_text(text, encoding="utf-8")
+    out = tmp / "out"
+    argv = [command, "--config", str(config), "--data", str(csv), "--out", str(out)]
+    argv += ["--param", "K", "--values", "1,3"] if command == "sweep" else []
+    assert main(argv) == 1
+    assert single_error_line(capsys) == f"error: {config}: hidden width D=15 must be divisible by heads H=4"
+    assert not out.exists()
+
+
 def _micro_fsatten():
     from spectral_attn.models import ForecastModel, ModelConfig
 

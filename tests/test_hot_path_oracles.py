@@ -3,7 +3,9 @@
 `_im2col`, `patchify`, `layer_norm` and its vjp, `_softmax`, `_softmax_vjp`
 and `instance_normalize` spend as few Python and NumPy calls as they can;
 each must agree bit for bit with the plainer formulation of the same
-arithmetic kept in `tests/oracles.py`, at batch 1 and batched.
+arithmetic kept in `tests/oracles.py`, at batch 1 and batched. So must
+`mss_attention_weights`, which keeps less on the tape than the chain it
+fuses and rebuilds Q and K in its vjp.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from oracles import (
     method_softmax,
     method_softmax_vjp,
     sliding_window_patchify,
+    unfused_mss_attention_weights,
 )
 
 
@@ -127,3 +130,68 @@ def test_every_tape_record_goes_through_gradient_tape_record(monkeypatch, archit
                                 training=True)
     assert len(calls) == len(tape) > 0
     assert calls[-1] is loss
+
+
+# case -> (source shape, heads): a variate (B, C, F) source, temporal
+# (B*C, N, F) ones, and the 32-window temporal minibatch of the benchmark
+MSS_SOURCES = {
+    "variate": ((6, 5, 8), 3),
+    "temporal": ((24, 12, 8), 4),
+    "temporal-minibatch": ((128, 12, 32), 4),
+}
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("source_needs_grad", [True, False], ids=["soatten", "fsatten"])
+@pytest.mark.parametrize("case", sorted(MSS_SOURCES))
+def test_mss_attention_weights_matches_the_chain_it_fuses_bitwise(case, source_needs_grad, layers):
+    """Output, both scale adjoints and the source adjoint (summed over `layers`
+    records that share the source, as the encoder's layers do) equal those of
+    reshape -> mul -> mul -> attention_weights bit for bit."""
+    shape, heads = MSS_SOURCES[case]
+    rng = np.random.default_rng(len(case) * 10 + layers)
+    source = rng.standard_normal(shape)
+    scales = [1.0 + 0.3 * rng.standard_normal((heads,) + shape[1:]) for _ in range(2 * layers)]
+    probes = [rng.standard_normal(shape[:1] + (heads,) + shape[1:2] * 2) for _ in range(layers)]
+    factor = 1.0 / np.sqrt(shape[-1])
+    results = []
+    for build in (nm.mss_attention_weights, unfused_mss_attention_weights):
+        src = nm.Tensor(source, requires_grad=source_needs_grad)
+        params = [nm.Parameter(s, f"s{i}") for i, s in enumerate(scales)]
+        with nm.GradientTape() as tape:
+            outs = [build(src, params[2 * i], params[2 * i + 1], factor) for i in range(layers)]
+            losses = [nm.mean_all(nm.mul(out, probe)) for out, probe in zip(outs, probes)]
+            loss = losses[0] if layers == 1 else nm.add(losses[0], losses[1])
+        nm.backward(tape, loss)
+        results.append([out.data for out in outs] + [p.grad for p in params] + [src.grad])
+    fused, chain = results
+    if not source_needs_grad:
+        assert fused.pop() is None and chain.pop() is None
+    for got, want in zip(fused, chain):
+        assert_bitwise(got, want)
+
+
+def test_mss_attention_weights_is_one_record_holding_no_q_or_k():
+    source = nm.Tensor(np.ones((4, 5, 6)), requires_grad=True)
+    scales = [nm.Parameter(np.ones((3, 5, 6)), name) for name in ("q", "k")]
+    with nm.GradientTape() as tape:
+        out = nm.mss_attention_weights(source, *scales, 0.5)
+    (rec_out, inputs, vjp), = tape._records
+    assert rec_out is out and out.shape == (4, 3, 5, 5)
+    assert inputs == (source, *scales)
+    held = [cell.cell_contents for cell in vjp.__closure__]
+    assert all(getattr(a, "shape", None) != (4, 3, 5, 6) for a in held)
+
+
+@pytest.mark.parametrize("source, scale_q, scale_k", [
+    ((5,), (3, 1, 5), (3, 1, 5)),          # source without a token axis
+    ((4, 5, 6), (5, 6), (5, 6)),           # scales without a head axis
+    ((4, 5, 6), (3, 5, 7), (3, 5, 7)),     # F differs
+    ((4, 5, 6), (3, 4, 6), (3, 4, 6)),     # token count differs
+    ((4, 5, 6), (3, 5, 6), (2, 5, 6)),     # Q and K scales differ
+])
+def test_mss_attention_weights_rejects_mismatched_shapes(source, scale_q, scale_k):
+    from spectral_attn.errors import ShapeError
+
+    with pytest.raises(ShapeError, match="mss_attention_weights: incompatible shapes"):
+        nm.mss_attention_weights(np.ones(source), np.ones(scale_q), np.ones(scale_k), 1.0)

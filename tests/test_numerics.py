@@ -182,11 +182,35 @@ def test_backward_frees_intermediate_adjoints_and_keeps_leaf_grads():
     w = nm.Parameter(np.arange(6.0).reshape(2, 3), "w")
     x = nm.Tensor(np.ones((3, 2)), requires_grad=True)
     with nm.GradientTape() as tape:
-        h = nm.relu(nm.matmul(w, x))
-        loss = nm.mean_all(nm.mul(h, h))
+        product = nm.matmul(w, x)
+        h = nm.relu(product)
+        square = nm.mul(h, h)
+        loss = nm.mean_all(square)
     nm.backward(tape, loss)
-    assert all(out.grad is None for out, _, _ in tape._records)
+    assert len(tape) == 0
+    assert product.grad is None and h.grad is None and square.grad is None and loss.grad is None
     assert w.grad.any() and x.grad is not None and x.grad.any()
+
+
+def test_second_backward_on_the_same_tape_raises_empty_tape_error():
+    w = nm.Parameter(np.arange(6.0).reshape(2, 3), "w")
+    with nm.GradientTape() as tape:
+        loss = nm.mean_all(nm.mul(w, w))
+    nm.backward(tape, loss)
+    first = w.grad.copy()
+    with pytest.raises(EmptyTapeError, match="empty tape"):
+        nm.backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, first)
+
+
+def test_backward_through_a_scalar_intermediate_keeps_its_shape():
+    """A 0-d intermediate adjoint stays 0-d (`np.ascontiguousarray` would make
+    it 1-d, which `mean_all`'s vjp cannot take)."""
+    x = nm.Tensor(np.arange(3.0), requires_grad=True)
+    with nm.GradientTape() as tape:
+        loss = nm.mean_all(nm.add(nm.mean_all(x), nm.mean_all(nm.mul(x, x))))
+    nm.backward(tape, loss)
+    np.testing.assert_allclose(x.grad, (1.0 + 2.0 * np.arange(3.0)) / 3.0, rtol=1e-15)
 
 
 def test_backward_stores_a_transposed_view_adjoint_c_contiguous():
@@ -240,6 +264,7 @@ def test_composite_gradients_match_finite_differences(seed):
     "add", "add_bias", "sub", "mul", "scale", "relu", "gelu", "softmax",
     "layer_norm", "transpose", "reshape", "tile", "concat", "mean",
     "linear", "linear_3d", "attention_weights", "split_heads", "merge_heads",
+    "mss_attention_weights",
 ])
 @pytest.mark.parametrize("seed", range(20))
 def test_per_op_gradients(op_name, seed):
@@ -289,6 +314,16 @@ def test_per_op_gradients(op_name, seed):
         probe = rng.standard_normal((3, 5))
         check_gradients(
             lambda q, k: nm.mean_all(nm.mul(nm.attention_weights(q, k, 0.7), probe)), x, keys
+        )
+        return
+    if op_name == "mss_attention_weights":
+        # a (B, N, F) = (2, 3, 4) source and two (H, N, F) = (2, 3, 4) scales
+        source = rng.standard_normal((2, 3, 4))
+        scale_q, scale_k = rng.standard_normal((2, 2, 3, 4))
+        probe = rng.standard_normal((2, 2, 3, 3))
+        check_gradients(
+            lambda a, sq, sk: nm.mean_all(nm.mul(nm.mss_attention_weights(a, sq, sk, 0.6), probe)),
+            source, scale_q, scale_k,
         )
         return
     if op_name in ("split_heads", "merge_heads"):
