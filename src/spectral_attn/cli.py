@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +66,6 @@ def _parse_value(kind, key, text, source):
     return value
 
 
-def config_from_kv(kv, source="<config>"):
-    """ModelConfig from key=value text fields; ConfigError names source, key and value."""
-    typed = {key: _parse_value(models.CONFIG_TYPES.get(key, str), key, text, source)
-             for key, text in kv.items()}
-    return models.config_from_dict(typed, source)
-
-
 def _env_seed(default):
     """The SPECTRAL_ATTN_SEED override if it is set, else `default`."""
     env = os.environ.get(ENV_SEED)
@@ -80,16 +73,12 @@ def _env_seed(default):
 
 
 def load_config(path):
-    """The config at `path` with the seed override applied; a value that
-    `ModelConfig.validate` rejects is a ConfigError naming `path`, as a
-    mistyped one is."""
-    cfg = config_from_kv(parse_kv_text(read_text(path), path), path)
-    cfg = replace(cfg, seed=_env_seed(cfg.seed))
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return cfg
+    """The config at `path` with the seed override applied; ConfigError names
+    `path` for a mistyped value and for one the config refuses."""
+    typed = {key: _parse_value(models.CONFIG_TYPES.get(key, str), key, text, path)
+             for key, text in parse_kv_text(read_text(path), path).items()}
+    typed["seed"] = _env_seed(typed.get("seed", ModelConfig.seed))
+    return models.config_from_dict(typed, path)
 
 
 def _load_split_dataset(args, cfg, source):
@@ -241,6 +230,8 @@ def cmd_synth(args):
     noise_sigma = field(float, "noise_sigma", "0")
     seed = _env_seed(field(int, "seed", "0"))
     name = kv.pop("name", "synth_multisine")
+    if 8 * c * length > np.iinfo(np.intp).max:   # before the per-variate loop below
+        raise MemoryError(f"{source}: a {c}x{length} series is too large for memory")
     tone_spec = [_parse_tones(f"tones_{i}", kv.pop(f"tones_{i}", ""), source) for i in range(c)]
     if kv:
         raise ConfigError(f"{source}: unknown keys {sorted(kv)}")
@@ -263,7 +254,8 @@ def cmd_sweep(args):
         raise ConfigError(f"{args.config}: mechanism {arm} never reads {args.param}; nothing to sweep")
     swept = {}   # resolved value -> (--values entry, model); all built before any training
     for value in values:
-        model = ForecastModel(replace(cfg, **{SWEEP_FIELDS[args.param]: value}))
+        varied = {**asdict(cfg), SWEEP_FIELDS[args.param]: value}
+        model = ForecastModel(models.config_from_dict(varied, f"--values: {args.param}={value}"))
         resolved = model.config.resolved_f if args.param == "F" else value
         if resolved in swept:
             raise ConfigError(f"--values: {args.param}={swept[resolved][0]} and {args.param}={value} "

@@ -46,7 +46,7 @@ CHECKPOINT_FORMAT = "spectral-attn-checkpoint/1"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architectural and training hyperparameter of one model."""
+    """Every architectural and training hyperparameter of one model, checked when made."""
 
     architecture: str = "variate"
     mechanism: str = "conventional"
@@ -67,6 +67,9 @@ class ModelConfig:
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 10
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.architecture not in ARCHITECTURES:
@@ -136,7 +139,7 @@ CONFIG_TYPES = typing.get_type_hints(ModelConfig)  # field name -> str, int, flo
 
 
 def config_from_dict(d, source="config"):
-    """ModelConfig from decoded JSON; ConfigError for an unknown key or a mistyped value.
+    """ModelConfig from decoded JSON; ConfigError naming `source` for a bad key or value.
 
     A bool is not accepted where an int is expected; an int is accepted
     (and converted) where a float is; floats must be finite.
@@ -151,7 +154,10 @@ def config_from_dict(d, source="config"):
         if type(value) is not kind or (kind is float and not math.isfinite(value)):
             raise ConfigError(f"{source}: {key} must be {kind.__name__}, got {value!r}")
         kwargs[key] = value
-    return ModelConfig(**kwargs)
+    try:
+        return ModelConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def config_hash(config):
@@ -275,7 +281,6 @@ class ForecastModel:
     """
 
     def __init__(self, config, *, _state=None):
-        config.validate()
         if config.C < 1:
             raise ConfigError("model construction requires a concrete variate count C >= 1")
         self.config = config
@@ -311,6 +316,8 @@ class ForecastModel:
                 raise FormatError(f"parameter {name!r} is missing")
             if data.shape != shape:
                 raise ShapeError(f"parameter {name!r}: shape {data.shape}, expected {shape}")
+        elif 8 * math.prod(shape) > np.iinfo(np.intp).max:   # more bytes than NumPy can index
+            raise MemoryError(f"parameter {name!r} of shape {shape} is too large for memory")
         elif kind == "normal":
             data = draw()
         elif kind == "zeros":

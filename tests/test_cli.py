@@ -218,8 +218,9 @@ def test_sweep_writes_results_table(workdir):
 BAD_SWEEP_VALUES = {
     "F-default-and-32": ("F", "0,32", ("F=0 and F=32", "both train F=32")),
     "K-twice": ("K", "3,3", ("K=3 and K=3", "both train K=3")),
-    "F-valid-then-negative": ("F", "8,-1", ("F must be >= 0, got -1",)),
-    "K-valid-then-even": ("K", "3,4", ("kernel_K must be odd",)),
+    "F-valid-then-negative": ("F", "8,-1", ("--values: F=-1", "F must be >= 0, got -1")),
+    "K-valid-then-even": ("K", "3,4", ("--values: K=4", "kernel_K must be odd")),
+    "F-valid-then-too-large": ("F", f"8,{10**29}", ("'qk_embed.weight'", "too large for memory")),
 }
 
 
@@ -458,14 +459,52 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
     assert str(path) in single_error_line(capsys)
 
 
-def test_failed_allocation_is_one_error_line(workdir, capsys):
+# case -> (config text replaced, its oversize replacement, word the error line must hold)
+OVERSIZE_CONFIGS = {
     # 2**40 columns exceed the 47-bit address space: the request fails at once
+    "D-2**40": ("D = 8", "D = 1099511627776", "allocate"),
+    # the rest have more bytes than NumPy can index: refused before anything is allocated
+    "D-2**62": ("D = 8", f"D = {2**62}", "'embed.weight'"),
+    "D": ("D = 8", f"D = {10**29}", "'embed.weight'"),
+    "L": ("L = 32", f"L = {10**29}", "'embed.weight'"),
+    "T": ("T = 8", f"T = {10**29}", "'head.weight'"),
+    "soatten-F": ("mechanism = fsatten", f"mechanism = soatten\nF = {10**29}", "'qk_embed.weight'"),
+    "soatten-kernel_K": ("mechanism = fsatten", f"mechanism = soatten\nF = 6\nkernel_K = {10**29 + 1}",
+                         "'layers.0.attn.hcc_kernel'"),
+}
+
+
+def test_failed_allocation_is_one_error_line(workdir, capsys):
     tmp, config, csv = workdir
-    text = config.read_text(encoding="utf-8")
-    config.write_text(text.replace("D = 8", "D = 1099511627776"), encoding="utf-8")
-    assert main(_train_args(tmp, config, csv)) == 1
-    assert "allocate" in single_error_line(capsys)
-    assert not (tmp / "run").exists()
+    for case, (old, oversize, word) in OVERSIZE_CONFIGS.items():
+        config.write_text(CONFIG_TEXT.replace(old, oversize), encoding="utf-8")
+        assert main(_train_args(tmp, config, csv)) == 1, case
+        assert word in single_error_line(capsys), case
+        assert not (tmp / "run").exists(), case
+
+
+@pytest.mark.parametrize("key", ["C", "length"])
+def test_synth_spec_too_large_for_numpy_is_one_error_line(tmp_path, capsys, key):
+    """Refused before the per-variate tone loop, which would run 10**29 times for C."""
+    argv, spec = _synth_args(tmp_path, **{key: str(10**29)})
+    assert main(argv) == 1
+    message = single_error_line(capsys)
+    assert spec in message and "too large for memory" in message
+    assert not (tmp_path / "synth.csv").exists()
+
+
+def test_checkpoint_config_the_config_refuses_names_the_checkpoint(workdir, capsys):
+    from spectral_attn.models import save_checkpoint
+
+    tmp, _, csv = workdir
+    path = tmp / "checkpoint.json"
+    save_checkpoint(path, _micro_fsatten())
+    payload = read_json(path)
+    _edit_config(payload, D=15)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 1
+    assert single_error_line(capsys) == (f"error: checkpoint {path}: "
+                                         "hidden width D=15 must be divisible by heads H=2")
 
 
 @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
@@ -577,6 +616,8 @@ BAD_CLI_VALUES = {
                        ("SPECTRAL_ATTN_SEED", "'abc'")),
     "env-seed-gradcheck": ("1.5", lambda t, c, d: (["gradcheck", "--mechanism", "fsatten"], "environment"),
                            ("SPECTRAL_ATTN_SEED", "'1.5'")),
+    "env-seed-refused-by-config": ("-3", lambda t, c, d: (_train_args(t, c, d), f"{c}: seed"),
+                                   ("must be >= 0, got -3",)),
     "splits": (None, lambda t, c, d: (_train_args(t, c, d, "--splits", "0.6,abc"), "--splits"),
                ("ratio", "'abc'")),
     "sweep-values": (None, lambda t, c, d: (["sweep", "--param", "K", "--values", "1,x3",

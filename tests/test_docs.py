@@ -1,4 +1,5 @@
-"""The README's library example runs as written against the public API."""
+"""The README's library example runs as written against the public API, and its
+configuration table names every config field."""
 
 import re
 from pathlib import Path
@@ -20,3 +21,12 @@ def test_readme_library_use_block_runs():
     assert namespace["prediction"].shape == (2, 24)
     assert len(namespace["report"].test_metrics.per_horizon) == 24
     assert [m.shape for m in namespace["maps"]] == [(1, 4, 2, 2)] * 2
+
+
+def test_readme_config_table_names_every_config_field():
+    from spectral_attn.models import CONFIG_TYPES
+
+    section = README.read_text(encoding="utf-8").split("\n## Configuration files\n", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    named = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(CONFIG_TYPES)

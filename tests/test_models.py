@@ -17,6 +17,7 @@ from spectral_attn.errors import ConfigError, FiniteInputError, FormatError, Sha
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
+    config_from_dict,
     evaluate_on_split,
     instance_denormalize,
     instance_normalize,
@@ -182,6 +183,27 @@ def test_config_rejects_a_zero_lr(lr):
     """Adam refuses a step size of zero, so the config does too."""
     with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
         micro_config(lr=lr).validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(D=15, H=4),
+    lambda: ModelConfig(lr=0.0),
+    lambda: replace(micro_config(), kernel_K=4),
+], ids=["indivisible-width", "zero-lr", "replace-even-kernel"])
+def test_config_is_checked_when_it_is_made(make):
+    """No invalid ModelConfig exists, so no consumer has to remember to check one."""
+    with pytest.raises(ConfigError):
+        make()
+
+
+@pytest.mark.parametrize("value, words", [
+    ("15", "D must be int, got '15'"),
+    (15, "hidden width D=15 must be divisible by heads H=4"),
+], ids=["mistyped", "refused"])
+def test_config_from_dict_names_its_source(value, words):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"H": 4, "D": value}, source="run.json")
+    assert str(exc.value) == f"run.json: {words}"
 
 
 def test_fsatten_f_resolution():
