@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -205,6 +206,9 @@ def cmd_gradcheck(args):
     return 0 if all_ok else 1
 
 
+_TONES_KEY = re.compile(r"tones_(0|[1-9][0-9]*)")
+
+
 def _parse_tones(key, text, source):
     tones = []
     for chunk in text.split(","):
@@ -230,9 +234,11 @@ def cmd_synth(args):
     noise_sigma = field(float, "noise_sigma", "0")
     seed = _env_seed(field(int, "seed", "0"))
     name = kv.pop("name", "synth_multisine")
-    if 8 * c * length > np.iinfo(np.intp).max:   # before the per-variate loop below
+    if 8 * c * length > np.iinfo(np.intp).max:
         raise MemoryError(f"{source}: a {c}x{length} series is too large for memory")
-    tone_spec = [_parse_tones(f"tones_{i}", kv.pop(f"tones_{i}", ""), source) for i in range(c)]
+    # only the tones_<i> keys the spec holds, in variate order: C may be far larger
+    held = sorted(int(m[1]) for m in map(_TONES_KEY.fullmatch, kv) if m and int(m[1]) < c)
+    tone_spec = {i: _parse_tones(f"tones_{i}", kv.pop(f"tones_{i}"), source) for i in held}
     if kv:
         raise ConfigError(f"{source}: unknown keys {sorted(kv)}")
     dataset = data.synth_multisine(c, length, tone_spec, noise_sigma, seed,

@@ -264,19 +264,25 @@ def synth_multisine(C, Tlen, tone_spec, noise_sigma, seed, period=96, name="synt
     tone_spec[c] lists (frequency, amplitude, phase) triples for variate c,
     with frequency counted in cycles per `period` samples so a length-
     `period` window sees each tone in a single bin. Frequencies at or above
-    the Nyquist bin (period/2) are rejected.
+    the Nyquist bin (period/2) are rejected. tone_spec is a sequence of C
+    lists, or a dict from variate index to list, where an omitted variate
+    has no tones.
     """
     if C < 1 or Tlen < 2:
         raise ConfigError(f"synth_multisine: need C >= 1 and Tlen >= 2, got {C}, {Tlen}")
-    if len(tone_spec) != C:
-        raise ConfigError(f"synth_multisine: tone_spec has {len(tone_spec)} entries for C={C}")
+    if not isinstance(tone_spec, dict):
+        if len(tone_spec) != C:
+            raise ConfigError(f"synth_multisine: tone_spec has {len(tone_spec)} entries for C={C}")
+        tone_spec = dict(enumerate(tone_spec))
+    elif not all(type(c) is int and 0 <= c < C for c in tone_spec):
+        raise ConfigError(f"synth_multisine: tone_spec has variates {list(tone_spec)} outside 0..{C - 1}")
     if not 0 <= noise_sigma < math.inf:
         raise ConfigError(f"synth_multisine: noise_sigma must be finite and >= 0, got {noise_sigma}")
     if period < 2:
         raise ConfigError(f"synth_multisine: period must be >= 2, got {period}")
     t = np.arange(Tlen)
     values = np.zeros((C, Tlen))
-    for c, tones in enumerate(tone_spec):
+    for c, tones in tone_spec.items():
         for freq, amp, phase in tones:
             if not all(map(math.isfinite, (freq, amp, phase))):
                 raise ConfigError(f"synth_multisine: variate {c} has a non-finite tone {(freq, amp, phase)}")

@@ -294,7 +294,11 @@ class ForecastModel:
         self.qk_embed = None
         if config.mechanism == "soatten":
             self.qk_embed = self._create("qk_embed.weight", ("orthogonal", (in_dim, config.resolved_f)))
-        self.layers = [EncoderLayer(config, i, self._create) for i in range(config.layers)]
+        self.layers = [EncoderLayer(config, 0, self._create)]
+        layer_size = sum(p.data.size for name, p in self.params.items() if name.startswith("layers.0."))
+        if self._state is None and 8 * layer_size * config.layers > np.iinfo(np.intp).max:   # as in _create
+            raise MemoryError(f"{config.layers} layers of {layer_size} parameters each are too large for memory")
+        self.layers += [EncoderLayer(config, i, self._create) for i in range(1, config.layers)]
         head_in = width if config.architecture == "variate" else config.patch_count * width
         self.head_w = self._create("head.weight", ("normal", (head_in, config.T), 1.0 / math.sqrt(head_in)))
         self.head_b = self._create("head.bias", ("zeros", (config.T,)))

@@ -1,16 +1,21 @@
 """Dense float64 tensors, a reverse-mode tape, Adam, and singular values.
 
 The tape records coarse primitives (matmul, softmax, conv2d, elementwise
-ops, ...) in execution order. `backward` replays the records in exact
-reverse order and accumulates adjoints additively into every tensor that
-requires gradients, so a value used twice receives the sum of both
-contributions. Each record is popped off the tape as it is replayed, so a
-forward array is freed once the last vjp that reads it has run. Adjoints
-are moved, not copied: an intermediate takes its first adjoint as a
-C-contiguous array (a view is copied, so every later matrix product sees
-the same operand layout) and later ones out of place, and its adjoint is
-freed as soon as its own record has been replayed. Only leaves keep
-`.grad` after `backward`; a Parameter adds into its own buffer.
+ops, ...) in execution order. A record is (output node, input nodes, vjp):
+a taped output's node is an adjoint slot that holds no forward array, a
+leaf or Parameter is its own node, and an input that needs no gradient is
+recorded as None. Each vjp captures only the arrays it reads (`add` its
+shapes, `concat_rows` its offsets, `dropout` its boolean keep-mask), so a
+forward array that no vjp reads is freed as soon as the forward code drops
+it. `backward` replays the records in exact reverse order and accumulates
+adjoints additively into every node, so a value used twice receives the
+sum of both contributions. Each record is popped off the tape as it is
+replayed, so a forward array is freed once the last vjp that reads it has
+run. Adjoints are moved, not copied: an intermediate takes its first
+adjoint as a C-contiguous array (a view is copied, so every later matrix
+product sees the same operand layout) and later ones out of place, and its
+adjoint is freed as soon as its own record has been replayed. Only leaves
+keep `.grad` after `backward`; a Parameter adds into its own buffer.
 
 Ops broadcast over leading axes, so one tape covers a whole minibatch:
 `matmul`, `add` and `mul` follow NumPy broadcasting and sum their adjoints
@@ -25,9 +30,8 @@ arithmetic as the chain: `linear` (matmul + optional bias add), `split_heads`
 (reshape + axis swap), `merge_heads` (axis swap + reshape),
 `attention_weights` (transpose + matmul + scale + softmax) and
 `mss_attention_weights` (head axis + the two MSS scalings +
-`attention_weights`). A record keeps only what its vjp reads, so the MSS
-record keeps the shared source and the scales and rebuilds Q and K, one
-multiply each, in its vjp.
+`attention_weights`). The MSS record keeps the shared source and the
+scales and rebuilds Q and K, one multiply each, in its vjp.
 
 What is left of a batch-1 forecast is Python per primitive against the
 floor of one NumPy call each. So `_emit` loops over its inputs, `Tensor`
@@ -40,15 +44,15 @@ Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
 
 A minibatch tape allocates and frees tens of MB. Under tracemalloc, a
-32-window training step of the perfbench workloads keeps a 27 MB tape and
-peaks at 28 MB in the backward pass for temporal soatten, 23 and 24 MB for
-variate-wide soatten, and 19 and 20 MB for variate-wide fsatten (`conv2d`
-keeps no im2col patch rows on the tape). Under glibc's default policy that
-memory goes back to the kernel after every minibatch and is page-faulted in
-again on the next one, which makes about a third of `train()` time kernel
-page zeroing, a cost that swings with the load of the machine. Importing
-this module therefore tells glibc to keep freed heap memory
-(`_retain_freed_memory`).
+32-window training step of the perfbench workloads peaks at 20.0 MB in
+the forward pass and 19.7 MB in the backward pass for temporal soatten,
+16.5 and 16.4 MB for variate-wide soatten, and 14.3 and 16.9 MB for
+variate-wide fsatten (`conv2d` keeps no im2col patch rows on the tape).
+Under glibc's default policy that memory goes back to the kernel after
+every minibatch and is page-faulted in again on the next one, which makes
+about a third of `train()` time kernel page zeroing, a cost that swings
+with the load of the machine. Importing this module therefore tells glibc
+to keep freed heap memory (`_retain_freed_memory`).
 """
 
 from __future__ import annotations
@@ -89,9 +93,13 @@ _retain_freed_memory()
 
 
 class Tensor:
-    """A dense float64 array plus an adjoint buffer filled in by backward()."""
+    """A dense float64 array plus an adjoint buffer filled in by backward().
 
-    __slots__ = ("data", "grad", "requires_grad")
+    A tensor that a taped op produced has a `node`, its adjoint slot on the
+    tape; a leaf has none, and is recorded as its own node.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         if type(data) is not np.ndarray or data.dtype is not _F64:
@@ -99,6 +107,7 @@ class Tensor:
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None
 
     @property
     def shape(self):
@@ -122,6 +131,15 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class _Node:
+    """The adjoint slot of a taped op's output; it holds no forward array."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class GradientTape:
     """Ordered record of primitive ops; replaying it backwards yields adjoints.
 
@@ -130,7 +148,9 @@ class GradientTape:
     """
 
     def __init__(self):
-        self._records = []  # (out, inputs, vjp) in forward execution order
+        # (output node, input nodes, vjp) in forward execution order; an input
+        # node is the input's `node`, the leaf itself, or None if it needs no adjoint
+        self._records = []
 
     def __enter__(self):
         _TAPES.append(self)
@@ -160,7 +180,9 @@ def _emit(out_data, inputs, vjp):
         if t.requires_grad:
             out = Tensor(out_data, True)
             if _TAPES:
-                _TAPES[-1].record(out, inputs, vjp)
+                out.node = _Node()
+                _TAPES[-1].record(out.node, tuple([(t.node or t) if t.requires_grad else None
+                                                   for t in inputs]), vjp)
             return out
     return Tensor(out_data)
 
@@ -169,7 +191,7 @@ def backward(tape, loss):
     """Replay `tape` in reverse, writing d(loss)/d(leaf) into each leaf's .grad.
 
     Gradients accumulate additively across uses of a tensor. Each record is
-    popped off the tape as it is replayed, and its output's adjoint dropped
+    popped off the tape as it is replayed, and its node's adjoint dropped
     once its vjp has run, so a forward array is freed as soon as the last
     vjp that reads it is done; afterwards only leaves hold a `.grad` and the
     tape is empty. Raises EmptyTapeError if nothing was recorded (backward
@@ -179,21 +201,20 @@ def backward(tape, loss):
         raise EmptyTapeError("backward called on an empty tape; run a forward pass first")
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {getattr(loss, 'shape', None)}")
-    recorded_outputs = {id(rec[0]) for rec in tape._records}
-    if id(loss) not in recorded_outputs:
+    records = tape._records
+    if loss.node is None or not any(rec[0] is loss.node for rec in reversed(records)):
         raise EmptyTapeError("loss was not produced under this tape")
     # Clear stale intermediate adjoints (leaves keep theirs and accumulate).
-    for out, _, _ in tape._records:
-        out.grad = None
-    loss.grad = np.ones_like(loss.data)
-    records = tape._records
+    for node, _, _ in records:
+        node.grad = None
+    loss.node.grad = np.ones_like(loss.data)
     while records:
-        out, inputs, vjp = records.pop()
-        g, out.grad = out.grad, None
+        node, inputs, vjp = records.pop()
+        g, node.grad = node.grad, None
         if g is None:
             continue
         for t, gt in zip(inputs, vjp(g)):
-            if gt is None or not t.requires_grad:
+            if gt is None or t is None:
                 continue
             if isinstance(t, Parameter):
                 t.grad += gt
@@ -233,11 +254,14 @@ def matmul(a, b):
         out = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
         return (
-            _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None,
-            _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None,
+            _unbroadcast(g @ bd.swapaxes(-1, -2), a_shape) if bd is not None else None,
+            _unbroadcast(ad.swapaxes(-1, -2) @ g, b_shape) if ad is not None else None,
         )
 
     return _emit(out, (a, b), vjp)
@@ -259,12 +283,16 @@ def linear(x, w, b=None):
     out = (rows @ w.data).reshape(xs[:-1] + ws[1:])
     if b is not None:
         out += inputs[2].data
+    wd = w.data if x.requires_grad else None
+    if not w.requires_grad:
+        rows = None
+    has_bias = b is not None
 
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
-        dx = (g2 @ w.data.T).reshape(xs) if x.requires_grad else None
-        dw = rows.T @ g2 if w.requires_grad else None
-        return (dx, dw) if b is None else (dx, dw, _unbroadcast(g, bs))
+        dx = (g2 @ wd.T).reshape(xs) if wd is not None else None
+        dw = rows.T @ g2 if rows is not None else None
+        return (dx, dw, _unbroadcast(g, bs)) if has_bias else (dx, dw)
 
     return _emit(out, inputs, vjp)
 
@@ -276,9 +304,10 @@ def add(a, b):
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return _emit(out, (a, b), vjp)
 
@@ -301,10 +330,13 @@ def mul(a, b):
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}") from None
+    a_shape, b_shape = a.data.shape, b.data.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g * bd, a_shape) if bd is not None else None,
+                _unbroadcast(g * ad, b_shape) if ad is not None else None)
 
     return _emit(out, (a, b), vjp)
 
@@ -397,9 +429,10 @@ def attention_weights(q, k, factor):
     if q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}")
     factor = float(factor)
-    k_t = k.data.swapaxes(-1, -2)
+    qd, kd = q.data, k.data
+    k_t = kd.swapaxes(-1, -2)
     try:
-        scores = q.data @ k_t
+        scores = qd @ k_t
     except ValueError:
         raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}") from None
     scores *= factor
@@ -408,8 +441,8 @@ def attention_weights(q, k, factor):
     def vjp(g):
         gs = _softmax_vjp(y, g) * factor
         return (
-            _unbroadcast(gs @ k.data, q.shape),
-            _unbroadcast(q.data.swapaxes(-1, -2) @ gs, k_t.shape).swapaxes(-1, -2),
+            _unbroadcast(gs @ kd, qd.shape),
+            _unbroadcast(qd.swapaxes(-1, -2) @ gs, k_t.shape).swapaxes(-1, -2),
         )
 
     return _emit(y, (q, k), vjp)
@@ -436,6 +469,7 @@ def mss_attention_weights(source, scale_q, scale_k, factor):
     factor = float(factor)
     shared = source.data.reshape(src_shape[:-2] + (1,) + src_shape[-2:])
     sq, sk = scale_q.data, scale_k.data
+    needs = source.requires_grad, scale_q.requires_grad, scale_k.requires_grad
     scores = (shared * sq) @ (shared * sk).swapaxes(-1, -2)
     scores *= factor
     y = _softmax(scores, "mss_attention_weights")
@@ -447,9 +481,9 @@ def mss_attention_weights(source, scale_q, scale_k, factor):
         # C-contiguous, as `backward` stores K's first adjoint in the unfused chain
         dk = np.ascontiguousarray((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
         del q, gs
-        dsq = _unbroadcast(dq * shared, hs) if scale_q.requires_grad else None
-        dsk = _unbroadcast(dk * shared, hs) if scale_k.requires_grad else None
-        if not source.requires_grad:
+        dsq = _unbroadcast(dq * shared, hs) if needs[1] else None
+        dsk = _unbroadcast(dk * shared, hs) if needs[2] else None
+        if not needs[0]:
             return (None, dsq, dsk)
         da = _unbroadcast(dk * sk, shared.shape)
         da = da + _unbroadcast(dq * sq, shared.shape)
@@ -477,13 +511,14 @@ def layer_norm(x, gamma, beta):
     inv += 1e-5
     np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
     xhat = xc * inv
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
 
     def vjp(g):
         dbeta = np.add.reduce(g.reshape(-1, d), axis=0)
         dgamma = np.add.reduce((g * xhat).reshape(-1, d), axis=0)
-        dxhat = g * gamma.data
+        dxhat = g * gd
         dx = inv * (
             dxhat
             - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
@@ -536,26 +571,26 @@ def conv2d(x, kernel):
     if c_in != x.shape[-3]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} vs kernel {kernel.shape}")
     n, m = x.shape[-2:]
+    x_shape, kd = x.data.shape, kernel.data
     planes = x.data.reshape(-1, c_in, n, m)
     step = max(1, _CONV_GROUP_BYTES // max(1, max(c_in, c_out) * kh * kw * n * m * 8))
     groups = [slice(i, i + step) for i in range(0, len(planes), step)]
-    w_rows = kernel.data.reshape(c_out, -1)
+    w_rows = kd.reshape(c_out, -1)
     out = np.empty((len(planes), c_out, n * m))
     for s in groups:
         np.matmul(w_rows, _im2col(planes[s], kh), out=out[s])
 
     def vjp(g):
         g = g.reshape(-1, c_out, n, m)
-        xp = x.data.reshape(-1, c_in, n, m)
-        flipped = kernel.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, -1)
+        flipped = kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c_in, -1)
         dx = np.empty((len(g), c_in, n * m))
         dk = np.empty((len(g), c_out, c_in * kh * kw))
         for s in groups:
             np.matmul(flipped, _im2col(g[s], kh), out=dx[s])
-            np.matmul(g[s].reshape(-1, c_out, n * m), _im2col(xp[s], kh).swapaxes(-1, -2), out=dk[s])
-        return dx.reshape(x.shape), dk.sum(axis=0).reshape(kernel.shape)
+            np.matmul(g[s].reshape(-1, c_out, n * m), _im2col(planes[s], kh).swapaxes(-1, -2), out=dk[s])
+        return dx.reshape(x_shape), dk.sum(axis=0).reshape(kd.shape)
 
-    return _emit(out.reshape(x.shape[:-3] + (c_out, n, m)), (x, kernel), vjp)
+    return _emit(out.reshape(x_shape[:-3] + (c_out, n, m)), (x, kernel), vjp)
 
 
 def transpose(a, axes=None):
@@ -641,34 +676,40 @@ def concat_rows(parts):
     offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1))
 
     return _emit(out, tuple(parts), vjp)
 
 
 def mean_all(a):
     a = _as_tensor(a)
-    n = a.data.size
+    shape, n = a.data.shape, a.data.size
 
     def vjp(g):
-        return (np.full_like(a.data, float(g) / n),)
+        return (np.full(shape, float(g) / n),)
 
     return _emit(np.asarray(a.data.mean()), (a,), vjp)
 
 
 def dropout(a, p, rng, training):
-    """Inverted dropout; identity when not training or p == 0."""
+    """Inverted dropout; identity when not training or p == 0.
+
+    The record keeps the boolean keep-mask, an eighth of a float mask, and its
+    vjp forms `keep / (1 - p)` again, the forward's own division.
+    """
     a = _as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout: probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    keep = rng.random(a.data.shape) >= p
 
     def vjp(g):
-        return (g * mask,)
+        d = keep / (1.0 - p)
+        d *= g
+        return (d,)
 
-    return _emit(a.data * mask, (a,), vjp)
+    return _emit(a.data * (keep / (1.0 - p)), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -255,19 +255,19 @@ def max_rel_error(analytic, numeric, floor=1e-5, abs_tol=1e-9):
 
 def accumulating_backward(tape, loss):
     """Tape replay that gives every adjoint a fresh zero buffer, adds each
-    contribution in place and keeps every intermediate adjoint."""
-    for out, _, _ in tape._records:
-        out.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for out, inputs, vjp in reversed(tape._records):
-        g = out.grad
+    contribution in place and keeps every intermediate adjoint on its node."""
+    for node, _, _ in tape._records:
+        node.grad = None
+    loss.node.grad = np.ones_like(loss.data)
+    for node, inputs, vjp in reversed(tape._records):
+        g = node.grad
         if g is None:
             continue
         for t, gt in zip(inputs, vjp(g)):
-            if gt is None or not t.requires_grad:
+            if gt is None or t is None:
                 continue
             if t.grad is None:
-                t.grad = np.zeros_like(t.data)
+                t.grad = np.zeros(gt.shape)
             t.grad += gt
 
 

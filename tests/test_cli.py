@@ -485,12 +485,70 @@ def test_failed_allocation_is_one_error_line(workdir, capsys):
 
 @pytest.mark.parametrize("key", ["C", "length"])
 def test_synth_spec_too_large_for_numpy_is_one_error_line(tmp_path, capsys, key):
-    """Refused before the per-variate tone loop, which would run 10**29 times for C."""
+    """Refused before anything is allocated."""
     argv, spec = _synth_args(tmp_path, **{key: str(10**29)})
     assert main(argv) == 1
     message = single_error_line(capsys)
     assert spec in message and "too large for memory" in message
     assert not (tmp_path / "synth.csv").exists()
+
+
+def _run_cli_under_address_limit(argv, limit=2 << 30, timeout=60):
+    """Run the CLI in a child process whose address space is capped at `limit`
+    bytes (RLIMIT_AS limits that process only), so a request that tries to
+    take the machine's memory fails there. Returns (exit code, stderr lines,
+    seconds)."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    import time
+
+    import spectral_attn
+
+    env = dict(os.environ, PYTHONPATH=str(Path(spectral_attn.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "spectral_attn", *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return done.returncode, done.stderr.strip().splitlines(), time.perf_counter() - start
+
+
+def test_synth_spec_with_2_to_the_40_variates_fails_at_its_allocation(tmp_path):
+    """C = 2**40 with length 2 is 16 TiB, under the index limit: the series is
+    allocated before any per-variate work, so it fails at once instead of
+    parsing 2**40 tone lists first."""
+    argv, _ = _synth_args(tmp_path, C=str(2**40), length="2")
+    code, err, seconds = _run_cli_under_address_limit(argv)
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith("error: Unable to allocate") and "(1099511627776, 2)" in err[0]
+    assert seconds < 30
+    assert not (tmp_path / "synth.csv").exists()
+
+
+def test_synth_reads_only_the_tone_keys_the_spec_holds(tmp_path, capsys):
+    argv, _ = _synth_args(tmp_path, C="3", tones_1="", tones_2="5:0.5:0.1")
+    assert main(argv) == 0
+    got = load_csv(tmp_path / "synth.csv")
+    want = synth_multisine(3, 200, [[(4.0, 1.0, 0.0)], [], [(5.0, 0.5, 0.1)]], 0.05, 4, period=32)
+    assert got.values.tobytes() == want.values.tobytes()
+    capsys.readouterr()
+    for key in ("tones_3", "tones_01", "tones_x"):
+        argv, _ = _synth_args(tmp_path, C="3", **{key: "4:1.0:0.0"})
+        assert main(argv) == 1
+        assert single_error_line(capsys).endswith(f"unknown keys [{key!r}]")
+
+
+def test_a_model_too_deep_for_memory_is_one_error_line(workdir):
+    """Each layer is small, so no parameter trips the size gate; the whole
+    model's bytes do, before layer 1 is built."""
+    tmp, config, csv = workdir
+    config.write_text(CONFIG_TEXT.replace("layers = 1", f"layers = {10**29}"), encoding="utf-8")
+    code, err, _ = _run_cli_under_address_limit(_train_args(tmp, config, csv))
+    assert code == 1 and len(err) == 1, err
+    assert err[0] == f"error: {10**29} layers of 864 parameters each are too large for memory"
+    assert not (tmp / "run").exists()
 
 
 def test_checkpoint_config_the_config_refuses_names_the_checkpoint(workdir, capsys):

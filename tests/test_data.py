@@ -287,6 +287,19 @@ def test_synth_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_synth_takes_a_dict_of_the_variates_that_have_tones():
+    spec = [[(3, 1.0, 0.0)], [], [(9, 0.5, 0.7)]]
+    want = synth_multisine(3, 128, spec, noise_sigma=0.1, seed=9)
+    got = synth_multisine(3, 128, {2: spec[2], 0: spec[0]}, noise_sigma=0.1, seed=9)
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("spec", [[[(3, 1.0, 0.0)]], {3: [(3, 1.0, 0.0)]}, {-1: []}, {0: [], "1": []}])
+def test_synth_rejects_a_tone_spec_for_other_variates(spec):
+    with pytest.raises(ConfigError, match="tone_spec"):
+        synth_multisine(3, 128, spec, noise_sigma=0.0, seed=0)
+
+
 def test_synth_rejects_nyquist_tone():
     with pytest.raises(ConfigError):
         synth_multisine(1, 100, [[(48, 1.0, 0.0)]], noise_sigma=0.0, seed=0, period=96)

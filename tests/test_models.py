@@ -785,11 +785,17 @@ def test_backward_peak_memory_stays_near_the_forward_tape():
 
 
 def _tape_arrays(tape):
-    """Every array a tape holds: record outputs, inputs and the arrays (or
-    tensors) its vjp closures capture, plus the bases those arrays view."""
+    """Every array a tape holds: its leaf inputs and the arrays (or tensors)
+    its vjp closures capture, plus the bases those arrays view. The output
+    and intermediate input nodes hold none."""
     found = []
-    for out, inputs, vjp in tape._records:
-        held = [out.data] + [t.data for t in inputs]
+    for node, inputs, vjp in tape._records:
+        held = []
+        for t in (node, *inputs):
+            if isinstance(t, nm.Tensor):
+                held.append(t.data)
+            else:
+                assert t is None or (isinstance(t, nm._Node) and t.grad is None)
         for cell in vjp.__closure__ or ():
             value = cell.cell_contents
             if isinstance(value, nm.Tensor):
@@ -832,6 +838,42 @@ def test_backward_releases_the_tape_as_it_replays_it():
         tracemalloc.stop()
     assert len(tape) == 0
     assert backward <= 1.1 * forward
+
+
+def test_forward_arrays_that_no_vjp_reads_are_freed_during_the_forward_pass(monkeypatch):
+    """A record keeps its output's adjoint slot, not the output. So with the
+    tape still alive after a temporal soatten training forward, the outputs
+    of add, training dropout, conv2d and the `wo` and `ffn.w2` linears are
+    gone, while those that a vjp reads (gelu reads the `ffn.w1` linear's,
+    `ffn.w2` reads gelu's, and the MSS record keeps its softmax) are held."""
+    import weakref
+
+    outputs = []
+    for name in ("add", "dropout", "conv2d", "linear", "gelu", "mss_attention_weights"):
+        def traced(*args, _name=name, _op=getattr(nm, name)):
+            out = _op(*args)
+            weight = args[1] if _name == "linear" else None   # holding an input would keep it alive
+            outputs.append((_name, weight, weakref.ref(out.data)))
+            return out
+        monkeypatch.setattr(nm, name, traced)
+    cfg = ModelConfig(architecture="temporal", mechanism="soatten", L=32, T=8, C=3, P=8, S=4,
+                      H=2, D=8, F=6, layers=2, dropout=0.2, seed=0)
+    model = ForecastModel(cfg)
+    rng = np.random.default_rng(0)
+    with nm.GradientTape() as tape:
+        loss = model.batch_loss(rng.standard_normal((4, cfg.C, cfg.L)),
+                                rng.standard_normal((4, cfg.C, cfg.T)), training=True)
+    assert len(tape) > 0 and loss.node is tape._records[-1][0]
+    freed_weights = [w for layer in model.layers for w in (layer.attn.wo, layer.ffn_w2)]
+    held_weights = [layer.ffn_w1 for layer in model.layers]
+    alive = {"freed": [], "held": []}
+    for name, weight, ref in outputs:
+        if name in ("add", "dropout", "conv2d") or any(weight is w for w in freed_weights):
+            alive["freed"].append(ref() is not None)
+        elif name in ("gelu", "mss_attention_weights") or any(weight is w for w in held_weights):
+            alive["held"].append(ref() is not None)
+    # two layers: 2 adds, 2 dropouts, 2 freed linears and 1 conv2d each; 1 gelu, 1 MSS record, 1 w1
+    assert alive == {"freed": [False] * 14, "held": [True] * 6}
 
 
 @pytest.mark.parametrize("architecture, mechanism, records", [

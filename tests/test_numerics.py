@@ -189,7 +189,87 @@ def test_backward_frees_intermediate_adjoints_and_keeps_leaf_grads():
     nm.backward(tape, loss)
     assert len(tape) == 0
     assert product.grad is None and h.grad is None and square.grad is None and loss.grad is None
+    assert all(t.node.grad is None for t in (product, h, square, loss))
     assert w.grad.any() and x.grad is not None and x.grad.any()
+
+
+def _reads_across(needs):
+    """matmul, mul and linear: x's adjoint reads W's data, and W's reads x's."""
+    return {1 - i for i in (0, 1) if needs[i]}
+
+
+# primitive -> (call on its input tensors, input shapes, the inputs whose data
+# its vjp reads, given which inputs need an adjoint)
+CLOSURE_CASES = {
+    "matmul": (nm.matmul, [(2, 3, 4), (4, 5)], _reads_across),
+    "linear": (nm.linear, [(2, 3, 4), (4, 5), (5,)], _reads_across),
+    "add": (nm.add, [(3, 4), (4,)], lambda needs: set()),
+    "sub": (nm.sub, [(3, 4), (3, 4)], lambda needs: set()),
+    "mul": (nm.mul, [(3, 4), (4,)], _reads_across),
+    "scale": (lambda a: nm.scale(a, 2.0), [(3, 4)], lambda needs: set()),
+    "relu": (nm.relu, [(3, 4)], lambda needs: set()),
+    "gelu": (nm.gelu, [(3, 4)], lambda needs: {0}),
+    "softmax_rows": (nm.softmax_rows, [(3, 4)], lambda needs: set()),
+    "attention_weights": (lambda q, k: nm.attention_weights(q, k, 0.5), [(2, 3, 4), (2, 5, 4)],
+                          lambda needs: {0, 1}),
+    "mss_attention_weights": (lambda a, sq, sk: nm.mss_attention_weights(a, sq, sk, 0.5),
+                              [(2, 3, 4), (2, 3, 4), (2, 3, 4)], lambda needs: {0, 1, 2}),
+    "layer_norm": (nm.layer_norm, [(3, 4), (4,), (4,)], lambda needs: {1}),
+    "conv2d": (nm.conv2d, [(2, 2, 4, 4), (2, 2, 3, 3)], lambda needs: {0, 1}),
+    "transpose": (nm.transpose, [(3, 4)], lambda needs: set()),
+    "split_heads": (lambda x: nm.split_heads(x, 2), [(3, 4)], lambda needs: set()),
+    "merge_heads": (nm.merge_heads, [(2, 3, 4)], lambda needs: set()),
+    "reshape": (lambda a: nm.reshape(a, (12,)), [(3, 4)], lambda needs: set()),
+    "tile_planes": (lambda a: nm.tile_planes(a, 2), [(3, 4)], lambda needs: set()),
+    "concat_rows": (lambda a, b: nm.concat_rows([a, b]), [(3, 4), (2, 4)], lambda needs: set()),
+    "mean_all": (nm.mean_all, [(3, 4)], lambda needs: set()),
+    "dropout": (lambda a: nm.dropout(a, 0.5, np.random.default_rng(0), True), [(3, 4)],
+                lambda needs: set()),
+}
+
+
+def test_closure_cases_cover_every_taped_primitive():
+    emitting = {name for name, f in vars(nm).items()
+                if callable(f) and "_emit" in getattr(getattr(f, "__code__", None), "co_names", ())}
+    assert emitting == set(CLOSURE_CASES)
+
+
+def _closure_values(vjp):
+    """Everything a vjp closure holds, looking inside lists and tuples."""
+    pending = [cell.cell_contents for cell in vjp.__closure__ or ()]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (list, tuple)):
+            pending.extend(value)
+        else:
+            yield value
+
+
+@pytest.mark.parametrize("name, constant", [
+    pytest.param(name, constant, id=f"{name}-{'all-need-grad' if constant is None else f'{constant}-constant'}")
+    for name, (_, shapes, _) in sorted(CLOSURE_CASES.items())
+    for constant in [None] + (list(range(len(shapes))) if len(shapes) > 1 else [])
+])
+def test_vjp_closure_holds_no_tensor_and_only_the_input_data_it_reads(name, constant):
+    """A record is (output node, input nodes, vjp). The output node holds no
+    array, an input that needs no adjoint is recorded as None and a leaf as
+    itself, and the vjp captures arrays, not tensors: of the inputs' data it
+    holds only what it reads. So a forward array that no vjp reads is freed
+    as soon as the forward code drops it."""
+    op, shapes, reads = CLOSURE_CASES[name]
+    rng = np.random.default_rng(3)
+    needs = [i != constant for i in range(len(shapes))]
+    inputs = [nm.Tensor(rng.standard_normal(s), requires_grad=n) for s, n in zip(shapes, needs)]
+    with nm.GradientTape() as tape:
+        out = op(*inputs)
+    (node, recorded, vjp), = tape._records
+    assert node is out.node and isinstance(node, nm._Node) and node.grad is None
+    assert recorded == tuple(t if n else None for t, n in zip(inputs, needs))
+    held = list(_closure_values(vjp))
+    assert not any(isinstance(v, (nm.Tensor, nm._Node)) for v in held)
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    kept = {i for i, t in enumerate(inputs) if any(np.shares_memory(t.data, a) for a in arrays)}
+    assert kept == reads(needs)
 
 
 def test_second_backward_on_the_same_tape_raises_empty_tape_error():
