@@ -8,8 +8,9 @@ rejected, never imputed, and the error names the first bad cell in row
 order.
 
 `window_arrays` is the one place a split becomes model-ready batches:
-inputs (n, C, L) and targets (n, C, T). `windows` lists the same windows
-as WindowPair views.
+inputs (n, C, L) and targets (n, C, T), both views of the standardized
+split, so a split's windows take the memory of the split, not n times the
+window length. `windows` lists the same windows as WindowPair views.
 """
 
 from __future__ import annotations
@@ -221,13 +222,13 @@ def _split_range(dataset, which):
     raise DataError(f"unknown split {which!r}; expected one of {_SPLITS}")
 
 
-def normalized_values(dataset):
-    """Values standardized per variate by the train-split statistics."""
+def normalized_values(dataset, columns=slice(None)):
+    """Values (of the given time steps) standardized per variate by the train-split statistics."""
     if dataset.norm_stats is None:
         raise DataError("dataset has no normalization statistics; call split() first")
     means, stds = dataset.norm_stats
     safe = np.where(stds > 0, stds, 1.0)
-    return (dataset.values - means[:, None]) / safe[:, None]
+    return (dataset.values[:, columns] - means[:, None]) / safe[:, None]
 
 
 def window_arrays(dataset, which, L, T):
@@ -235,7 +236,8 @@ def window_arrays(dataset, which, L, T):
 
     Window i starts i points into the split, so n = split_len - (L + T) + 1.
     Values are standardized with the train-split statistics. Both arrays are
-    C-contiguous copies cut from one sliding-window view of the split.
+    read-only views of one standardized copy of the split, so no window is
+    copied: index them to gather a batch.
     """
     if L < 1 or T < 1:
         raise DataError(f"windows: L and T must be positive, got {L}, {T}")
@@ -246,9 +248,9 @@ def window_arrays(dataset, which, L, T):
             f"windows: split {which!r} holds {end - start} points, "
             f"fewer than one window of length {span}"
         )
-    values = normalized_values(dataset)[:, start:end]
+    values = normalized_values(dataset, slice(start, end))
     spans = sliding_window_view(values, span, axis=1).transpose(1, 0, 2)   # (n, C, L + T)
-    return np.ascontiguousarray(spans[..., :L]), np.ascontiguousarray(spans[..., L:])
+    return spans[..., :L], spans[..., L:]
 
 
 def windows(dataset, which, L, T):

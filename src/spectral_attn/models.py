@@ -26,6 +26,8 @@ import base64
 import hashlib
 import json
 import math
+import os
+import resource
 import typing
 from dataclasses import asdict, dataclass
 
@@ -296,7 +298,10 @@ class ForecastModel:
             self.qk_embed = self._create("qk_embed.weight", ("orthogonal", (in_dim, config.resolved_f)))
         self.layers = [EncoderLayer(config, 0, self._create)]
         layer_size = sum(p.data.size for name, p in self.params.items() if name.startswith("layers.0."))
-        if self._state is None and 8 * layer_size * config.layers > np.iinfo(np.intp).max:   # as in _create
+        nbytes = 8 * layer_size * config.layers
+        # Adam's flat buffer must be indexable (as in _create), and the values,
+        # gradients and Adam's two moments, four copies, must fit in memory.
+        if self._state is None and (nbytes > np.iinfo(np.intp).max or 4 * nbytes > _memory_limit()):
             raise MemoryError(f"{config.layers} layers of {layer_size} parameters each are too large for memory")
         self.layers += [EncoderLayer(config, i, self._create) for i in range(1, config.layers)]
         head_in = width if config.architecture == "variate" else config.patch_count * width
@@ -421,6 +426,13 @@ class ForecastModel:
         return self.batch_loss(self._one(x, "window_loss"), y[None], training=training)
 
 
+def _memory_limit():
+    """Bytes this process may use: physical memory, or its address-space limit if lower."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
+
+
 def forecast(x, model, capture=None):
     """Predict T future values for a (C, L) window; output shape (C, T)."""
     return model.predict(x, capture=capture)
@@ -529,10 +541,54 @@ class MetricsReport:
         return {**asdict(self), "per_horizon": per_horizon}
 
 
+# A forecast of many windows runs in chunks of about this many bytes of its
+# largest forward arrays, so a split of any length takes one chunk's memory.
+# A chunk is never smaller than a minibatch, whose training step holds more.
+_FORECAST_CHUNK_BYTES = 16 << 20
+
+
+def _chunk_windows(cfg):
+    """Windows per forecast chunk; it depends on the config alone.
+
+    A window's widest forward arrays are its FFN hidden state (tokens x 4D)
+    and its attention weights (tokens x H x row): tokens = row = C for the
+    variate architecture, tokens = C*N and row = N for the temporal one.
+    """
+    row = cfg.C if cfg.architecture == "variate" else cfg.patch_count
+    tokens = cfg.C if cfg.architecture == "variate" else cfg.C * row
+    return max(cfg.batch_size, _FORECAST_CHUNK_BYTES // (8 * tokens * max(4 * cfg.D, cfg.H * row)))
+
+
+def _chunked(model, error, inputs, targets):
+    """`error(model, x, y)` over consecutive chunks of the windows, concatenated:
+    the (n, C, T) array that one call on all windows returns, bit for bit."""
+    step = _chunk_windows(model.config)
+    return np.concatenate([error(model, inputs[i:i + step], targets[i:i + step])
+                           for i in range(0, len(inputs), step)])
+
+
+def _normalized_error(model, x, y):
+    """Forecast minus target on the instance-normalized scale, as `batch_loss` forms it."""
+    pred, stats = model.forward_batch(x)
+    return pred.data - (y - stats.mean) / stats.scale
+
+
+def _native_error(model, x, y):
+    return _error(model.predict_batch(x), y, "evaluate_windows")
+
+
 def evaluate_windows(model, inputs, targets):
-    """Native-scale MSE/MAE, overall and per horizon step, of one forecast of `inputs` vs `targets`."""
+    """Native-scale MSE/MAE, overall and per horizon step, of one forecast of `inputs` vs `targets`.
+
+    The windows are forecast in chunks (`_chunk_windows`); the metrics reduce
+    the concatenated errors once. DataError if there are no windows.
+    """
     cfg = model.config
-    err = _error(model.predict_batch(inputs), targets, "evaluate_windows")
+    if len(inputs) != len(targets):
+        raise ShapeError(f"evaluate_windows: {len(inputs)} input windows but {len(targets)} targets")
+    if len(inputs) == 0:
+        raise DataError("evaluate_windows: no windows to forecast")
+    err = _chunked(model, _native_error, inputs, targets)
     squared, absolute = err ** 2, np.abs(err)
     # Each step reduces one contiguous (n, C) block: bit for bit mse(preds[:, :, t], targets[:, :, t]).
     by_step = lambda a: np.ascontiguousarray(np.moveaxis(a, -1, 0)).mean(axis=(1, 2)).tolist()
@@ -604,7 +660,8 @@ def train(model, dataset):
             optimizer.zero_grad()
             total += value * len(batch)
         train_mse = total / len(train_x)
-        val_mse = float(model.batch_loss(val_x, val_y).data)
+        val_err = _chunked(model, _normalized_error, val_x, val_y)
+        val_mse = float(np.mean(val_err * val_err))   # as batch_loss reduces one batch
         records.append({"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse})
         if val_mse < best_val:
             best_val = val_mse

@@ -5,13 +5,13 @@ ops, ...) in execution order. A record is (output node, input nodes, vjp):
 a taped output's node is an adjoint slot that holds no forward array, a
 leaf or Parameter is its own node, and an input that needs no gradient is
 recorded as None. Each vjp captures only the arrays it reads (`add` its
-shapes, `concat_rows` its offsets, `dropout` its boolean keep-mask), so a
-forward array that no vjp reads is freed as soon as the forward code drops
-it. `backward` replays the records in exact reverse order and accumulates
-adjoints additively into every node, so a value used twice receives the
-sum of both contributions. Each record is popped off the tape as it is
-replayed, so a forward array is freed once the last vjp that reads it has
-run. Adjoints are moved, not copied: an intermediate takes its first
+shapes, `concat_rows` its offsets, `dropout` its boolean keep-mask, `gelu`
+the derivative factor its forward formed), so a forward array that no vjp
+reads is freed as soon as the forward code drops it. `backward` replays
+the records in exact reverse order and accumulates adjoints additively
+into every node, so a value used twice receives the sum of both
+contributions. Each record is popped off the tape as it is replayed, so a
+forward array is freed once the last vjp that reads it has run. Adjoints are moved, not copied: an intermediate takes its first
 adjoint as a C-contiguous array (a view is copied, so every later matrix
 product sees the same operand layout) and later ones out of place, and its
 adjoint is freed as soon as its own record has been replayed. Only leaves
@@ -42,17 +42,17 @@ the plainer formulations in `tests/oracles.py`, bit for bit.
 
 Values are never mutated between a forward pass and its backward replay;
 the recorded adjoint closures capture the forward arrays by reference.
+Only an array that a record alone holds is written in place by its vjp
+(`gelu`'s derivative factor).
 
-A minibatch tape allocates and frees tens of MB. Under tracemalloc, a
-32-window training step of the perfbench workloads peaks at 20.0 MB in
-the forward pass and 19.7 MB in the backward pass for temporal soatten,
-16.5 and 16.4 MB for variate-wide soatten, and 14.3 and 16.9 MB for
-variate-wide fsatten (`conv2d` keeps no im2col patch rows on the tape).
-Under glibc's default policy that memory goes back to the kernel after
-every minibatch and is page-faulted in again on the next one, which makes
-about a third of `train()` time kernel page zeroing, a cost that swings
-with the load of the machine. Importing this module therefore tells glibc
-to keep freed heap memory (`_retain_freed_memory`).
+A 32-window training step of the wide and temporal benchmark workloads
+allocates and frees over ten MiB (CHANGES.md records the tracemalloc peaks
+of each change to them). Under glibc's default policy that memory goes
+back to the kernel after every minibatch and is page-faulted in again on
+the next one, which makes about a third of `train()` time kernel page
+zeroing, a cost that swings with the load of the machine. Importing this
+module therefore tells glibc to keep freed heap memory
+(`_retain_freed_memory`).
 """
 
 from __future__ import annotations
@@ -363,23 +363,33 @@ def relu(a):
 
 
 def gelu(a):
-    """Gaussian error linear unit, exact erf form: x * Phi(x)."""
+    """Gaussian error linear unit, exact erf form: x * Phi(x).
+
+    Phi(x) is built in one buffer, which then becomes the output. Under a
+    tape the forward also forms the derivative factor cdf + x * pdf(x), the
+    record's one array, and the record holds neither x nor Phi(x).
+    """
     a = _as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-    def vjp(g):
-        # g * (cdf + x * pdf), with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+    out = np.divide(x, math.sqrt(2.0))
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5   # Phi(x)
+    d = None
+    if a.requires_grad and _TAPES:
+        # cdf + x * pdf, with pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
         d = np.multiply(x, -0.5)
         d *= x
         np.exp(d, out=d)
         d *= _INV_SQRT_2PI
         d *= x
-        d += cdf
-        d *= g
-        return (d,)
+        d += out
+    out *= x
 
-    return _emit(x * cdf, (a,), vjp)
+    def vjp(g):
+        return (np.multiply(d, g, out=d),)
+
+    return _emit(out, (a,), vjp)
 
 
 def _softmax(s, op):
@@ -476,11 +486,11 @@ def mss_attention_weights(source, scale_q, scale_k, factor):
 
     def vjp(g):
         gs = _softmax_vjp(y, g) * factor
-        q = shared * sq
         dq = gs @ (shared * sk)
+        dk = (shared * sq).swapaxes(-1, -2) @ gs
+        del gs   # Q and the score adjoint go before dK's copy
         # C-contiguous, as `backward` stores K's first adjoint in the unfused chain
-        dk = np.ascontiguousarray((q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        del q, gs
+        dk = np.ascontiguousarray(dk.swapaxes(-1, -2))
         dsq = _unbroadcast(dq * shared, hs) if needs[1] else None
         dsk = _unbroadcast(dk * shared, hs) if needs[2] else None
         if not needs[0]:

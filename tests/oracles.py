@@ -15,8 +15,9 @@ init stream for every parameter, drawing or not; `cellwise_load_csv` and
 `fieldwise_save_csv` are the CSV reader and writer that parsed and wrote
 one cell at a time, which the package's must match bit for bit and byte for
 byte; `loop_metrics` is the split evaluation's per-horizon loop, one
-MSE/MAE pair per step; and `sum_all` records a scalar loss on the package's
-tape.
+MSE/MAE pair per step; `two_array_gelu` is the GELU whose record kept its
+input and Phi(x) and formed the derivative in its vjp; and `sum_all` records
+a scalar loss on the package's tape.
 """
 
 import csv
@@ -25,6 +26,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf
 
 from spectral_attn import numerics as nm
 from spectral_attn.artifacts import atomic_open, read_text
@@ -401,6 +403,26 @@ def one_shot_conv2d(x, kernel):
         return (dx, dk.reshape(-1, c_out, c_in * kh * kw).sum(axis=0).reshape(kernel.shape))
 
     return nm._emit(out, (x, kernel), vjp)
+
+
+def two_array_gelu(a):
+    """numerics.gelu as it was when its record kept x and Phi(x), two arrays,
+    and its vjp formed the derivative factor cdf + x * pdf(x)."""
+    a = nm._as_tensor(a)
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+    def vjp(g):
+        d = np.multiply(x, -0.5)
+        d *= x
+        np.exp(d, out=d)
+        d *= 1.0 / math.sqrt(2.0 * math.pi)
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
+
+    return nm._emit(x * cdf, (a,), vjp)
 
 
 def sliding_window_patchify(x, P, S):

@@ -551,6 +551,20 @@ def test_a_model_too_deep_for_memory_is_one_error_line(workdir):
     assert not (tmp / "run").exists()
 
 
+@pytest.mark.parametrize("layers", [10**12, 10**5])
+def test_a_model_too_large_for_this_process_is_refused_before_layer_1(workdir, layers):
+    """Within NumPy's index limit, but its values, gradients and Adam moments
+    exceed the memory the process may use: 10**12 layers exceed any machine,
+    10**5 layers (2.8 GB) the 1 GiB address-space limit."""
+    tmp, config, csv = workdir
+    config.write_text(CONFIG_TEXT.replace("layers = 1", f"layers = {layers}"), encoding="utf-8")
+    code, err, seconds = _run_cli_under_address_limit(_train_args(tmp, config, csv), limit=1 << 30)
+    assert code == 1 and len(err) == 1, err
+    assert err[0] == f"error: {layers} layers of 864 parameters each are too large for memory"
+    assert seconds < 30
+    assert not (tmp / "run").exists()
+
+
 def test_checkpoint_config_the_config_refuses_names_the_checkpoint(workdir, capsys):
     from spectral_attn.models import save_checkpoint
 
@@ -733,6 +747,39 @@ def _analyze_args(checkpoint, csv, out, split, start, count):
     return ["analyze-attention", "--checkpoint", str(checkpoint), "--data", str(csv),
             "--out", str(out), "--split", split, "--window-index", str(start),
             "--num-windows", str(count)]
+
+
+def test_analyze_attention_forecasts_only_the_requested_windows(tmp_path, monkeypatch):
+    """2 windows of a 40-window split: `predict_batch` receives those 2, as a
+    view of the split's windows, which are never copied."""
+    from spectral_attn import cli, models
+    from spectral_attn.models import save_checkpoint
+
+    dataset = synth_multisine(2, 395, [[(4, 1.0, 0.0)], [(9, 0.8, 0.7)]], noise_sigma=0.05,
+                              seed=5, period=32)   # 7:1:2 leaves 79 test points: 40 windows
+    csv = tmp_path / "series.csv"
+    save_csv(csv, dataset)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(checkpoint, _micro_fsatten())
+    splits, batches = [], []
+    window_arrays_ = cli.data.window_arrays
+    predict_batch = models.ForecastModel.predict_batch
+
+    def recorded(*args):
+        splits.append(window_arrays_(*args))
+        return splits[-1]
+
+    def counted(model, x, capture=None):
+        batches.append(x)
+        return predict_batch(model, x, capture=capture)
+
+    monkeypatch.setattr(cli.data, "window_arrays", recorded)
+    monkeypatch.setattr(models.ForecastModel, "predict_batch", counted)
+    assert main(_analyze_args(checkpoint, csv, tmp_path / "maps", "test", 5, 2)) == 0
+    (inputs, _), = splits
+    x, = batches
+    assert len(inputs) == 40 and not inputs.flags.owndata
+    assert x.shape == (2, 2, 32) and np.shares_memory(x, inputs) and np.array_equal(x, inputs[5:7])
 
 
 @pytest.mark.parametrize("architecture, mechanism", [("variate", "fsatten"), ("temporal", "soatten")])

@@ -244,7 +244,9 @@ def test_window_target_continues_input():
         inputs, targets = window_arrays(ds, which, 6, 3)
         origins = range(start, start + len(inputs))
         assert [pair.origin_index for pair in pairs] == list(origins)
-        assert inputs.flags.c_contiguous and targets.flags.c_contiguous
+        # views of one standardized copy of the split: no window is copied
+        assert not inputs.flags.owndata and not targets.flags.owndata
+        assert np.shares_memory(inputs, targets) and not inputs.flags.writeable
         assert np.array_equal(inputs, np.stack([values[:, o:o + 6] for o in origins]))
         assert np.array_equal(targets, np.stack([values[:, o + 6:o + 9] for o in origins]))
         assert np.array_equal(inputs, np.stack([pair.input for pair in pairs]))

@@ -5,7 +5,8 @@ and `instance_normalize` spend as few Python and NumPy calls as they can;
 each must agree bit for bit with the plainer formulation of the same
 arithmetic kept in `tests/oracles.py`, at batch 1 and batched. So must
 `mss_attention_weights`, which keeps less on the tape than the chain it
-fuses and rebuilds Q and K in its vjp.
+fuses and rebuilds Q and K in its vjp, and `gelu`, whose record keeps its
+derivative factor instead of its input and Phi(x).
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from oracles import (
     method_softmax,
     method_softmax_vjp,
     sliding_window_patchify,
+    two_array_gelu,
     unfused_mss_attention_weights,
 )
 
@@ -105,6 +107,29 @@ REWRITES = {
 @pytest.mark.parametrize("name", sorted(REWRITES))
 def test_rewritten_primitive_matches_earlier_formulation_bitwise(name, batch):
     REWRITES[name](np.random.default_rng(batch * 1000 + len(name)), batch)
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+@pytest.mark.parametrize("batch", [1, 32])
+def test_gelu_matches_the_two_array_formulation_bitwise(batch, taped):
+    """Forward output and input adjoint, with the record holding one array
+    (the derivative factor) in place of the two the oracle keeps."""
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 4, 128)) * 3.0
+    x[0, 0, :4] = (0.0, -40.0, 40.0, 1e-300)   # Phi saturates at 0 and 1 in the tails
+    g = rng.standard_normal(x.shape)
+    results = []
+    for op in (nm.gelu, two_array_gelu):
+        inp = nm.Tensor(x, requires_grad=True)
+        if not taped:
+            results.append([op(inp).data, op(nm.Tensor(x)).data])
+            continue
+        with nm.GradientTape() as tape:
+            out = op(inp)
+        (_, _, vjp), = tape._records
+        results.append([out.data, vjp(g.copy())[0]])
+    for got, want in zip(*results):
+        assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("architecture, mechanism", [

@@ -22,13 +22,16 @@ PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=
 
 
 def forecasting(preds, seed=0):
-    """A model stand-in whose one batch forecast is `preds`, so any (n, C, T) can be drawn."""
+    """A model stand-in that forecasts an input window holding i as preds[i], so
+    any (n, C, T) can be drawn and each forecast chunk gets its own rows."""
     n, C, T = preds.shape
-    return SimpleNamespace(config=ModelConfig(C=C, T=T, seed=seed), predict_batch=lambda x: preds)
+    return SimpleNamespace(config=ModelConfig(C=C, T=T, seed=seed),
+                           predict_batch=lambda x: preds[x[:, 0, 0].astype(np.intp)])
 
 
 def assert_matches_the_loop(preds, targets):
-    report = evaluate_windows(forecasting(preds), np.zeros(preds.shape[:2] + (2,)), targets)
+    ids = np.broadcast_to(np.arange(len(preds), dtype=np.float64)[:, None, None], preds.shape[:2] + (2,))
+    report = evaluate_windows(forecasting(preds), ids, targets)
     want_mse, want_mae, want_steps = loop_metrics(preds, targets)
     assert (report.mse, report.mae) == (want_mse, want_mae)
     assert report.per_horizon == want_steps

@@ -13,12 +13,13 @@ from spectral_attn import numerics as nm
 from spectral_attn.attention import dirac_kernel
 from spectral_attn.cli import gradcheck_configs
 from spectral_attn.data import split, synth_multisine, window_arrays
-from spectral_attn.errors import ConfigError, FiniteInputError, FormatError, ShapeError
+from spectral_attn.errors import ConfigError, DataError, FiniteInputError, FormatError, ShapeError
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
     config_from_dict,
     evaluate_on_split,
+    evaluate_windows,
     instance_denormalize,
     instance_normalize,
     load_checkpoint,
@@ -843,9 +844,10 @@ def test_backward_releases_the_tape_as_it_replays_it():
 def test_forward_arrays_that_no_vjp_reads_are_freed_during_the_forward_pass(monkeypatch):
     """A record keeps its output's adjoint slot, not the output. So with the
     tape still alive after a temporal soatten training forward, the outputs
-    of add, training dropout, conv2d and the `wo` and `ffn.w2` linears are
-    gone, while those that a vjp reads (gelu reads the `ffn.w1` linear's,
-    `ffn.w2` reads gelu's, and the MSS record keeps its softmax) are held."""
+    of add, training dropout, conv2d and the `wo`, `ffn.w1` and `ffn.w2`
+    linears are gone (gelu keeps its derivative factor, not its input),
+    while those that a vjp reads (`ffn.w2` reads gelu's, and the MSS record
+    keeps its softmax) are held."""
     import weakref
 
     outputs = []
@@ -864,16 +866,15 @@ def test_forward_arrays_that_no_vjp_reads_are_freed_during_the_forward_pass(monk
         loss = model.batch_loss(rng.standard_normal((4, cfg.C, cfg.L)),
                                 rng.standard_normal((4, cfg.C, cfg.T)), training=True)
     assert len(tape) > 0 and loss.node is tape._records[-1][0]
-    freed_weights = [w for layer in model.layers for w in (layer.attn.wo, layer.ffn_w2)]
-    held_weights = [layer.ffn_w1 for layer in model.layers]
+    freed_weights = [w for layer in model.layers for w in (layer.attn.wo, layer.ffn_w1, layer.ffn_w2)]
     alive = {"freed": [], "held": []}
     for name, weight, ref in outputs:
         if name in ("add", "dropout", "conv2d") or any(weight is w for w in freed_weights):
             alive["freed"].append(ref() is not None)
-        elif name in ("gelu", "mss_attention_weights") or any(weight is w for w in held_weights):
+        elif name in ("gelu", "mss_attention_weights"):
             alive["held"].append(ref() is not None)
-    # two layers: 2 adds, 2 dropouts, 2 freed linears and 1 conv2d each; 1 gelu, 1 MSS record, 1 w1
-    assert alive == {"freed": [False] * 14, "held": [True] * 6}
+    # two layers: 2 adds, 2 dropouts, 3 freed linears and 1 conv2d each; 1 gelu, 1 MSS record
+    assert alive == {"freed": [False] * 16, "held": [True] * 4}
 
 
 @pytest.mark.parametrize("architecture, mechanism, records", [
@@ -938,6 +939,99 @@ def test_train_keeps_the_test_report_that_evaluate_on_split_gives(name):
     assert list(summary) == ["seed", "config_hash", "epochs", "best_epoch", "best_val_mse",
                              "test_mse", "test_mae"]
     assert (summary["test_mse"], summary["test_mae"]) == (report.test_mse, report.test_mae)
+
+
+FIVE_ARMS = ["variate-fsatten", "variate-soatten", "variate-conventional",
+             "temporal-soatten", "temporal-conventional"]
+
+
+@pytest.mark.parametrize("name", FIVE_ARMS)
+def test_chunked_forecasts_match_one_batch_bitwise(monkeypatch, name):
+    """With chunks of one minibatch, the per-epoch validation losses, the
+    forecasts and the MetricsReport equal those of one batch per split."""
+    cfg = micro_config(seed=5, dropout=0.1, **EQUIVALENCE_CONFIGS[name])
+    dataset = tiny_dataset()
+    sizes = []
+    forward_batch = ForecastModel.forward_batch
+
+    def counted(model, x, training=False, capture=None):
+        sizes.append(len(x))
+        return forward_batch(model, x, training, capture)
+
+    monkeypatch.setattr(ForecastModel, "forward_batch", counted)
+    runs = []
+    for chunk_bytes in (models_mod._FORECAST_CHUNK_BYTES, 1):
+        monkeypatch.setattr(models_mod, "_FORECAST_CHUNK_BYTES", chunk_bytes)
+        model = ForecastModel(cfg)
+        report = train(model, dataset)
+        x, y = window_arrays(dataset, "test", cfg.L, cfg.T)
+        sizes.clear()
+        forecasts = models_mod._chunked(model, lambda m, xs, _: m.predict_batch(xs), x, y)
+        runs.append((list(sizes), report.to_dict(), forecasts.tobytes(), evaluate_windows(model, x, y)))
+    (one_sizes, *one), (chunk_sizes, *chunked) = runs
+    assert one_sizes == [len(x)] and len(x) > 2 * cfg.batch_size
+    assert max(chunk_sizes) == cfg.batch_size and sum(chunk_sizes) == len(x)
+    assert chunked == one
+
+
+@pytest.mark.parametrize("name", FIVE_ARMS)
+def test_evaluating_zero_windows_is_one_data_error(name):
+    model = ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
+    cfg = model.config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="evaluate_windows: no windows"):
+            evaluate_windows(model, np.zeros((0, cfg.C, cfg.L)), np.zeros((0, cfg.C, cfg.T)))
+
+
+def test_chunk_depends_on_the_config_only():
+    """A chunk of about 16 MiB of the widest forward arrays, never below a
+    minibatch: each benchmark split (up to 91 windows) is one chunk."""
+    chunk = models_mod._chunk_windows
+    assert chunk(ModelConfig(C=4)) == 4096
+    assert chunk(ModelConfig(architecture="temporal", mechanism="soatten", C=4)) == 341
+    assert chunk(ModelConfig(mechanism="fsatten", C=32)) == 512
+    assert chunk(ModelConfig(mechanism="fsatten", C=321)) == 32
+    assert chunk(ModelConfig(mechanism="fsatten", C=321, batch_size=7)) == 7
+
+
+# Temporal soatten with a short horizon: a chunk's forward arrays dwarf the
+# (n, C, T) forecasts, and chunks of one minibatch make short splits hold several.
+MEMORY_CONFIG = dict(architecture="temporal", mechanism="soatten", L=32, T=2, C=8, P=8, S=4,
+                     H=2, D=32, F=8, layers=1, dropout=0.1, batch_size=8, epochs=1)
+
+
+def _peak_beyond_the_series(run, dataset, splits):
+    """tracemalloc peak of `run()`, less what grows with the series: its
+    standardized copy, the shuffle order, and four (n, C, T) forecast or
+    error arrays for the longest of `splits`."""
+    import tracemalloc
+
+    cfg = ModelConfig(**MEMORY_CONFIG)
+    counts = [len(window_arrays(dataset, which, cfg.L, cfg.T)[0]) for which in ("train", *splits)]
+    series = 8 * (cfg.C * dataset.length + counts[0] + 4 * max(counts[1:]) * cfg.C * cfg.T)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base - series
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run, splits", [
+    (lambda model, dataset: evaluate_on_split(model, dataset, "test"), ["test"]),
+    (train, ["val", "test"]),   # one epoch
+], ids=["evaluate_on_split", "train_epoch"])
+def test_peak_memory_does_not_grow_with_the_split(monkeypatch, run, splits):
+    monkeypatch.setattr(models_mod, "_FORECAST_CHUNK_BYTES", 1, raising=False)
+    cfg = ModelConfig(**MEMORY_CONFIG)
+    peaks = []
+    for tlen in (400, 1600):   # 4x longer splits
+        dataset = tiny_dataset(c=cfg.C, tlen=tlen)
+        model = ForecastModel(cfg)
+        peaks.append(_peak_beyond_the_series(lambda: run(model, dataset), dataset, splits))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_train_without_a_test_window_reports_none():

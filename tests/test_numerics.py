@@ -208,7 +208,7 @@ CLOSURE_CASES = {
     "mul": (nm.mul, [(3, 4), (4,)], _reads_across),
     "scale": (lambda a: nm.scale(a, 2.0), [(3, 4)], lambda needs: set()),
     "relu": (nm.relu, [(3, 4)], lambda needs: set()),
-    "gelu": (nm.gelu, [(3, 4)], lambda needs: {0}),
+    "gelu": (nm.gelu, [(3, 4)], lambda needs: set()),
     "softmax_rows": (nm.softmax_rows, [(3, 4)], lambda needs: set()),
     "attention_weights": (lambda q, k: nm.attention_weights(q, k, 0.5), [(2, 3, 4), (2, 5, 4)],
                           lambda needs: {0, 1}),
