@@ -173,16 +173,16 @@ def grad_check(config, step=1e-5, threshold=1e-4):
     for name, param in model.params.items():
         spread = 0.2 if ("mss_" in name or "lin_" in name) else 0.4
         param.data = rng.standard_normal(param.data.shape) * spread
-    x = rng.standard_normal((config.C, config.L))
-    y = rng.standard_normal((config.C, config.T))
+    x = rng.standard_normal((config.C, config.L))[None]   # one window, as a batch
+    y = rng.standard_normal((config.C, config.T))[None]
 
     with nm.GradientTape() as tape:
-        loss = model.window_loss(x, y, training=False)
+        loss = model.batch_loss(x, y)
     nm.backward(tape, loss)
     analytic = {name: p.grad.copy() for name, p in model.params.items()}
 
     def loss_value():
-        return float(model.window_loss(x, y, training=False).data)
+        return float(model.batch_loss(x, y).data)
 
     entries = []
     for name, param in model.params.items():

@@ -77,8 +77,7 @@ def load_csv(path):
 
     All cells are converted in one NumPy call, which parses each `str` as
     Python's `float` does. If that fails, or a row has the wrong width, or a
-    value is not finite, the cell-by-cell parse runs instead and names the
-    first bad cell in row order.
+    value is not finite, `_parse_cells` names the first bad cell in row order.
     """
     rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows:
@@ -95,26 +94,22 @@ def load_csv(path):
     except ValueError:
         cells = None
     if cells is None or cells.shape != (len(body), len(header) - 1) or not np.isfinite(cells).all():
-        timestamps, values = _parse_cells(path, header, body)
-    else:
-        timestamps, values = tuple(row[0] for row in body), cells.T
+        _parse_cells(path, header, body)
     return SeriesDataset(
         name=_stem(path),
-        values=values,
-        timestamps=timestamps,
+        values=cells.T,
+        timestamps=tuple(row[0] for row in body),
         variate_names=tuple(header[1:]),
     )
 
 
 def _parse_cells(path, header, body):
-    """Timestamps and (C, Tlen) values, one cell at a time; raises at the first bad cell."""
+    """Raise the error of the first bad row or cell, in row order, parsing one
+    cell at a time. Called only when the one-call conversion has found one."""
     width = len(header)
-    timestamps = []
-    columns = [[] for _ in range(width - 1)]
     for r, row in enumerate(body, start=2):
         if len(row) != width:
             raise FormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
-        timestamps.append(row[0])
         for c, cell in enumerate(row[1:], start=1):
             try:
                 value = float(cell)
@@ -124,8 +119,6 @@ def _parse_cells(path, header, body):
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
-            columns[c - 1].append(value)
-    return tuple(timestamps), np.array(columns, dtype=np.float64)
 
 
 def _stem(path):

@@ -356,7 +356,7 @@ class ForecastModel:
         scale, InstanceStats of shape (B, C, 1) for inverting it).
         """
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
+        x = _real(x, "forward_batch")
         if x.ndim != 3 or x.shape[1:] != (cfg.C, cfg.L):
             raise ShapeError(f"forward_batch: expected shape (B, {cfg.C}, {cfg.L}), got {x.shape}")
         batch = x.shape[0]
@@ -370,7 +370,7 @@ class ForecastModel:
         qk_source = None
         if cfg.mechanism == "fsatten":
             amps = amplitude_matrix(xn.reshape(batch * cfg.C, cfg.L))
-            qk_source = nm.Tensor(amps.reshape(batch, cfg.C, -1))
+            qk_source = nm.Tensor(amps.reshape(batch, cfg.C, cfg.L // 2 + 1))
         elif cfg.mechanism == "soatten":
             qk_source = nm.linear(tokens, self.qk_embed)
         for layer in self.layers:
@@ -381,7 +381,7 @@ class ForecastModel:
         return pred, stats
 
     def _one(self, x, caller):
-        x = np.asarray(x, dtype=np.float64)
+        x = _real(x, caller)
         if x.shape != (self.config.C, self.config.L):
             raise ShapeError(
                 f"{caller}: expected shape ({self.config.C}, {self.config.L}), got {x.shape}"
@@ -400,7 +400,7 @@ class ForecastModel:
 
     def predict_batch(self, x, capture=None):
         """Forecasts of a (B, C, L) batch on each window's native scale; shape (B, C, T)."""
-        pred, stats = self.forward_batch(x, training=False, capture=capture)
+        pred, stats = self.forward_batch(_real(x, "predict_batch"), training=False, capture=capture)
         return instance_denormalize(pred.data, stats)
 
     def predict(self, x, capture=None):
@@ -408,11 +408,16 @@ class ForecastModel:
         return self.predict_batch(self._one(x, "predict"), capture=capture)[0]
 
     def batch_loss(self, x, y, training=False):
-        """Mean squared error over a (B, C, L) -> (B, C, T) batch, normalized scale."""
-        y = np.asarray(y, dtype=np.float64)
-        expected = (len(x), self.config.C, self.config.T)
+        """Mean squared error over a (B, C, L) -> (B, C, T) batch, normalized scale.
+
+        DataError if the batch holds no window: its mean is undefined.
+        """
+        x, y = _real(x, "batch_loss"), _real(y, "batch_loss")
+        expected = x.shape[:1] + (self.config.C, self.config.T)
         if y.shape != expected:
             raise ShapeError(f"batch_loss: expected target shape {expected}, got {y.shape}")
+        if not len(y):
+            raise DataError("batch_loss: no windows")
         pred, stats = self.forward_batch(x, training=training)
         target = nm.Tensor((y - stats.mean) / stats.scale)
         diff = nm.sub(pred, target)
@@ -420,10 +425,19 @@ class ForecastModel:
 
     def window_loss(self, x, y, training=False):
         """Mean squared error on the instance-normalized scale."""
-        y = np.asarray(y, dtype=np.float64)
+        y = _real(y, "window_loss")
         if y.shape != (self.config.C, self.config.T):
             raise ShapeError(f"window_loss: expected target shape ({self.config.C}, {self.config.T}), got {y.shape}")
         return self.batch_loss(self._one(x, "window_loss"), y[None], training=training)
+
+
+def _real(a, caller):
+    """`a` as a float64 array. ShapeError naming `caller` if it is complex,
+    whose conversion would keep the real part and drop the rest."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ShapeError(f"{caller}: expected real values, got {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
 
 
 def _memory_limit():
@@ -510,9 +524,8 @@ def _decode_param(source, name, entry):
 # ---------------------------------------------------------------------------
 
 def _error(pred, target, caller):
-    """pred - target as float64; ShapeError naming `caller` unless the shapes agree."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    """pred - target as float64; ShapeError naming `caller` unless both are real and the shapes agree."""
+    pred, target = _real(pred, caller), _real(target, caller)
     if pred.shape != target.shape:
         raise ShapeError(f"{caller}: shape mismatch {pred.shape} vs {target.shape}")
     return pred - target
@@ -584,6 +597,7 @@ def evaluate_windows(model, inputs, targets):
     the concatenated errors once. DataError if there are no windows.
     """
     cfg = model.config
+    inputs, targets = _real(inputs, "evaluate_windows"), _real(targets, "evaluate_windows")
     if len(inputs) != len(targets):
         raise ShapeError(f"evaluate_windows: {len(inputs)} input windows but {len(targets)} targets")
     if len(inputs) == 0:

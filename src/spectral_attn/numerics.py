@@ -45,14 +45,13 @@ the recorded adjoint closures capture the forward arrays by reference.
 Only an array that a record alone holds is written in place by its vjp
 (`gelu`'s derivative factor).
 
-A 32-window training step of the wide and temporal benchmark workloads
-allocates and frees over ten MiB (CHANGES.md records the tracemalloc peaks
-of each change to them). Under glibc's default policy that memory goes
-back to the kernel after every minibatch and is page-faulted in again on
-the next one, which makes about a third of `train()` time kernel page
-zeroing, a cost that swings with the load of the machine. Importing this
-module therefore tells glibc to keep freed heap memory
-(`_retain_freed_memory`).
+A training step allocates its minibatch's tape and frees it again. Under
+glibc's default policy that memory goes back to the kernel after every
+minibatch and is page-faulted in again on the next one, so each step would
+pay for kernel page zeroing, a cost that swings with the load of the
+machine. Importing this module therefore tells glibc to keep freed heap
+memory (`_retain_freed_memory`). CHANGES.md records the measured peaks and
+times of each change to this design.
 """
 
 from __future__ import annotations

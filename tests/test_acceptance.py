@@ -24,11 +24,10 @@ from spectral_attn.attention import (
     scaled_dot_attention,
 )
 from spectral_attn.cli import gradcheck_configs, main
-from spectral_attn.data import save_csv, split, synth_multisine, windows
+from spectral_attn.data import save_csv, split, synth_multisine, window_arrays
 from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
-    naive_repeat_forecast,
     patchify,
     train,
 )
@@ -73,13 +72,18 @@ def synthetic_dataset(seed):
 
 
 def averaged_attention_map(model, dataset, num_windows=8):
-    pairs = windows(dataset, "test", model.config.L, model.config.T)
-    maps = []
-    for pair in pairs[:num_windows]:
-        capture = []
-        model.predict(pair.input, capture=capture)
-        maps.extend(entry.final.weights for entry in capture)
-    return average_attention(maps)
+    """The mean final attention map of the first test windows' forecast, one batch.
+
+    Averaging window-major, then layer, then head (as `analyze-attention`
+    does) sums in the order of one forecast per window, bit for bit."""
+    inputs, _ = window_arrays(dataset, "test", model.config.L, model.config.T)
+    batch = inputs[:num_windows]
+    capture = []
+    model.predict_batch(batch, capture=capture)
+    n = capture[0].final.weights.shape[-1]
+    return average_attention(
+        [np.stack([entry.final.weights.reshape(len(batch), -1, n, n) for entry in capture], axis=1)]
+    )
 
 
 def pair_ordering_holds(avg):
@@ -108,9 +112,8 @@ def trained_runs():
                     averaged_attention_map(model, dataset)
                 )
                 fsatten_elapsed += time.perf_counter() - start
-            pairs = windows(dataset, "test", 96, 24)
-            preds = np.stack([naive_repeat_forecast(p.input, 24) for p in pairs])
-            targets = np.stack([p.target for p in pairs])
+            inputs, targets = window_arrays(dataset, "test", 96, 24)
+            preds = np.repeat(inputs[:, :, -1:], 24, axis=2)   # last-value-repeat baseline
             entry["naive_mse"] = float(np.mean((preds - targets) ** 2))
             runs[mechanism].append(entry)
     runs["fsatten_elapsed"] = fsatten_elapsed

@@ -30,3 +30,21 @@ def test_readme_config_table_names_every_config_field():
     rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("| `")]
     named = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(named) == sorted(CONFIG_TYPES)
+
+
+def test_package_root_exports_the_library_use_names_and_the_errors():
+    """The root holds the names that "Library use" imports, the error
+    classes and the submodules, and nothing else."""
+    import inspect
+
+    import spectral_attn
+    from spectral_attn import errors
+
+    block = _python_block("Library use")
+    imported = re.search(r"from spectral_attn import \((.*?)\)", block, re.S).group(1)
+    documented = {name.strip() for name in imported.split(",") if name.strip()}
+    error_classes = {name for name, value in vars(errors).items()
+                     if inspect.isclass(value) and issubclass(value, errors.SpectralAttnError)}
+    exported = {name for name, value in vars(spectral_attn).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == documented | error_classes

@@ -976,12 +976,50 @@ def test_chunked_forecasts_match_one_batch_bitwise(monkeypatch, name):
 
 @pytest.mark.parametrize("name", FIVE_ARMS)
 def test_evaluating_zero_windows_is_one_data_error(name):
+    """No window has no mean error: `evaluate_windows` and `batch_loss` raise
+    DataError, and `predict_batch` forecasts a (0, C, T) array, in every arm
+    and with no warning on the way."""
     model = ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
     cfg = model.config
+    x, y = np.zeros((0, cfg.C, cfg.L)), np.zeros((0, cfg.C, cfg.T))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="evaluate_windows: no windows"):
-            evaluate_windows(model, np.zeros((0, cfg.C, cfg.L)), np.zeros((0, cfg.C, cfg.T)))
+            evaluate_windows(model, x, y)
+        with pytest.raises(DataError, match="batch_loss: no windows"):
+            model.batch_loss(x, y)
+        assert model.predict_batch(x).shape == (0, cfg.C, cfg.T)
+
+
+@pytest.mark.parametrize("name", FIVE_ARMS)
+def test_complex_windows_and_targets_are_refused_by_name(name):
+    """A complex window or target is a ShapeError naming the method called,
+    not a forecast from its real part."""
+    model = ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
+    cfg = model.config
+    x, y = np.ones((cfg.C, cfg.L)), np.ones((cfg.C, cfg.T))
+    calls = {
+        "forward_batch": lambda x, y: model.forward_batch(x[None]),
+        "predict_batch": lambda x, y: model.predict_batch(x[None]),
+        "forward_window": lambda x, y: model.forward_window(x),
+        "predict": lambda x, y: model.predict(x),
+        "batch_loss": lambda x, y: model.batch_loss(x[None], y[None]),
+        "window_loss": lambda x, y: model.window_loss(x, y),
+        "evaluate_windows": lambda x, y: evaluate_windows(model, x[None], y[None]),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for caller, call in calls.items():
+            call(x, y)
+            refused = [(x + 1j, y)]
+            if caller in ("batch_loss", "window_loss", "evaluate_windows"):
+                refused.append((x, y + 0j))
+            for args in refused:
+                with pytest.raises(ShapeError, match=f"^{caller}: expected real values, got complex128"):
+                    call(*args)
+        for metric in (models_mod.mse, models_mod.mae):
+            with pytest.raises(ShapeError, match=f"^{metric.__name__}: expected real values"):
+                metric(y, y + 0j)
 
 
 def test_chunk_depends_on_the_config_only():
