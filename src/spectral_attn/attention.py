@@ -1,8 +1,10 @@
 """Attention mechanisms: conventional multi-head, frequency-spectrum (fsatten),
 scaled-orthogonal (soatten), head-coupling convolution, orthogonal init.
 
-The mechanisms differ only in how they build Q and K; the value projection,
-the softmax step, the capture and the output projection are shared.
+The mechanisms differ only in how they build the softmax weights from Q and
+K; `_SharedAttention._attend` runs every step after them: head-coupling
+convolution, the value projection and product, the capture and the output
+projection.
 
 Heads are carried as stacked (..., H, N, d) tensors: any leading axes (the
 windows of a minibatch, or windows times variates) ride along in every op.
@@ -92,39 +94,12 @@ def dirac_kernel(heads, size):
     return k
 
 
-def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
-    """Per-head softmax(Q Kᵀ / scale) followed by the weighted value sum.
-
-    q, k: (..., H, N, d); v: (..., H, N, d_v); returns (pre_hcc_weights,
-    effective_weights, output) where effective_weights multiplied v. When
-    `hcc_kernel` is given, the head-coupling convolution is applied to the
-    softmax output before the value product.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scaled_dot_attention: scale must be positive, got {scale}")
-    q = q if isinstance(q, nm.Tensor) else nm.Tensor(q)
-    k = k if isinstance(k, nm.Tensor) else nm.Tensor(k)
-    v = v if isinstance(v, nm.Tensor) else nm.Tensor(v)
-    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
-    if len(qs) < 3 or len(ks) < 3 or len(vs) < 3:
-        raise ShapeError(f"scaled_dot_attention: expected (..., H, N, d) stacks, got {qs}/{ks}/{vs}")
-    if qs != ks or qs[:-1] != vs[:-1]:
-        raise ShapeError(f"scaled_dot_attention: inconsistent head shapes {qs}/{ks}/{vs}")
-    return _weigh_values(nm.attention_weights(q, k, 1.0 / float(scale)), v, hcc_kernel)
-
-
-def _weigh_values(weights, v, hcc_kernel):
-    """(weights, effective weights, effective @ v), with HCC applied if a kernel is given."""
-    effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
-    return weights, effective, nm.matmul(effective, v)
-
-
 class _SharedAttention:
-    """The value path, attention step and output projection every mechanism shares.
+    """The attention step every mechanism shares, from the weights on.
 
     A subclass creates its Q/K parameters before calling `__init__` (which adds
-    wv, bv, wo, bo), and its `forward` returns `_output` of the
-    `scaled_dot_attention` (or `_weigh_values`) result on `_values(hidden)`.
+    wv, bv, wo, bo), and its `forward` builds the (..., H, N, N) softmax
+    weights and returns `self._attend(weights, hidden, capture)`.
     """
 
     kernel = None   # head-coupling kernel (H, H, K, K), or None for plain softmax
@@ -139,13 +114,13 @@ class _SharedAttention:
         self.wo = make_param("wo", ("normal", (width, width), std))
         self.bo = make_param("bo", ("zeros", (width,)))
 
-    def _values(self, hidden):
-        return nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
-
-    def _output(self, attended, capture):
-        """Output of the layer from (weights, effective, out); appends its
+    def _attend(self, weights, hidden, capture):
+        """Output of the layer: the weights, coupled by `hcc` if the layer has
+        a kernel, times the values, then the output projection. Appends the
         read-only weight stacks to `capture` if given."""
-        weights, effective, out = attended
+        effective = hcc(weights, self.kernel) if self.kernel is not None else weights
+        v = nm.split_heads(nm.linear(hidden, self.wv, self.bv), self.heads)
+        out = nm.matmul(effective, v)
         if capture is not None:
             for t in (weights, effective):
                 t.data.setflags(write=False)
@@ -170,8 +145,7 @@ class ConventionalAttention(_SharedAttention):
     def forward(self, hidden, qk_source, capture=None):
         q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
         k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
-        attended = scaled_dot_attention(q, k, self._values(hidden), math.sqrt(self.head_dim))
-        return self._output(attended, capture)
+        return self._attend(nm.attention_weights(q, k, 1.0 / math.sqrt(self.head_dim)), hidden, capture)
 
 
 class SpectrumAttention(_SharedAttention):
@@ -214,12 +188,10 @@ class SpectrumAttention(_SharedAttention):
                 f"SpectrumAttention: source shape {shape} does not match "
                 f"(..., {self.tokens}, {self.bin_count})"
             )
-        scale = math.sqrt(self.bin_count)
+        factor = 1.0 / math.sqrt(self.bin_count)
         if self.mss_enabled:
-            weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map, 1.0 / scale)
-            attended = _weigh_values(weights, self._values(hidden), self.kernel)
+            weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map, factor)
         else:
             shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
-            q, k = nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map)
-            attended = scaled_dot_attention(q, k, self._values(hidden), scale, hcc_kernel=self.kernel)
-        return self._output(attended, capture)
+            weights = nm.attention_weights(nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map), factor)
+        return self._attend(weights, hidden, capture)

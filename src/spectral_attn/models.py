@@ -356,9 +356,7 @@ class ForecastModel:
         scale, InstanceStats of shape (B, C, 1) for inverting it).
         """
         cfg = self.config
-        x = _real(x, "forward_batch")
-        if x.ndim != 3 or x.shape[1:] != (cfg.C, cfg.L):
-            raise ShapeError(f"forward_batch: expected shape (B, {cfg.C}, {cfg.L}), got {x.shape}")
+        x = self._batch(x, "forward_batch")
         batch = x.shape[0]
         xn, stats = instance_normalize(x)
         if cfg.architecture == "variate":
@@ -380,6 +378,12 @@ class ForecastModel:
         pred = nm.linear(hidden, self.head_w, self.head_b)
         return pred, stats
 
+    def _batch(self, x, caller):
+        x = _real(x, caller)
+        if x.ndim != 3 or x.shape[1:] != (self.config.C, self.config.L):
+            raise ShapeError(f"{caller}: expected shape (B, {self.config.C}, {self.config.L}), got {x.shape}")
+        return x
+
     def _one(self, x, caller):
         x = _real(x, caller)
         if x.shape != (self.config.C, self.config.L):
@@ -400,7 +404,7 @@ class ForecastModel:
 
     def predict_batch(self, x, capture=None):
         """Forecasts of a (B, C, L) batch on each window's native scale; shape (B, C, T)."""
-        pred, stats = self.forward_batch(_real(x, "predict_batch"), training=False, capture=capture)
+        pred, stats = self.forward_batch(self._batch(x, "predict_batch"), training=False, capture=capture)
         return instance_denormalize(pred.data, stats)
 
     def predict(self, x, capture=None):
@@ -412,7 +416,7 @@ class ForecastModel:
 
         DataError if the batch holds no window: its mean is undefined.
         """
-        x, y = _real(x, "batch_loss"), _real(y, "batch_loss")
+        x, y = self._batch(x, "batch_loss"), _real(y, "batch_loss")
         expected = x.shape[:1] + (self.config.C, self.config.T)
         if y.shape != expected:
             raise ShapeError(f"batch_loss: expected target shape {expected}, got {y.shape}")
@@ -432,10 +436,15 @@ class ForecastModel:
 
 
 def _real(a, caller):
-    """`a` as a float64 array. ShapeError naming `caller` if it is complex,
-    whose conversion would keep the real part and drop the rest."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
+    """`a` as a float64 array. ShapeError naming `caller` unless it is an array
+    of bool, integer or real floating values: a complex one would lose its
+    imaginary part, an object one would turn `None` into NaN, and a string or
+    ragged one would end in NumPy's own error."""
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise ShapeError(f"{caller}: expected an array of real values, got a ragged sequence") from None
+    if a.dtype.kind not in "biuf":
         raise ShapeError(f"{caller}: expected real values, got {a.dtype}")
     return np.asarray(a, dtype=np.float64)
 
@@ -598,8 +607,11 @@ def evaluate_windows(model, inputs, targets):
     """
     cfg = model.config
     inputs, targets = _real(inputs, "evaluate_windows"), _real(targets, "evaluate_windows")
-    if len(inputs) != len(targets):
-        raise ShapeError(f"evaluate_windows: {len(inputs)} input windows but {len(targets)} targets")
+    if inputs.ndim != 3:
+        raise ShapeError(f"evaluate_windows: expected a (B, C, L) stack of windows, got shape {inputs.shape}")
+    expected = inputs.shape[:1] + (cfg.C, cfg.T)
+    if targets.shape != expected:
+        raise ShapeError(f"evaluate_windows: expected target shape {expected}, got {targets.shape}")
     if len(inputs) == 0:
         raise DataError("evaluate_windows: no windows to forecast")
     err = _chunked(model, _native_error, inputs, targets)

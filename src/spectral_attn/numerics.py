@@ -11,11 +11,12 @@ reads is freed as soon as the forward code drops it. `backward` replays
 the records in exact reverse order and accumulates adjoints additively
 into every node, so a value used twice receives the sum of both
 contributions. Each record is popped off the tape as it is replayed, so a
-forward array is freed once the last vjp that reads it has run. Adjoints are moved, not copied: an intermediate takes its first
-adjoint as a C-contiguous array (a view is copied, so every later matrix
-product sees the same operand layout) and later ones out of place, and its
-adjoint is freed as soon as its own record has been replayed. Only leaves
-keep `.grad` after `backward`; a Parameter adds into its own buffer.
+forward array is freed once the last vjp that reads it has run. Adjoints
+are moved, not copied: an intermediate takes its first adjoint as a
+C-contiguous array (a view is copied, so every later matrix product sees
+the same operand layout) and later ones out of place, and its adjoint is
+freed as soon as its own record has been replayed. Only leaves keep
+`.grad` after `backward`; a Parameter adds into its own buffer.
 
 Ops broadcast over leading axes, so one tape covers a whole minibatch:
 `matmul`, `add` and `mul` follow NumPy broadcasting and sum their adjoints

@@ -16,8 +16,10 @@ init stream for every parameter, drawing or not; `cellwise_load_csv` and
 one cell at a time, which the package's must match bit for bit and byte for
 byte; `loop_metrics` is the split evaluation's per-horizon loop, one
 MSE/MAE pair per step; `two_array_gelu` is the GELU whose record kept its
-input and Phi(x) and formed the derivative in its vjp; and `sum_all` records
-a scalar loss on the package's tape.
+input and Phi(x) and formed the derivative in its vjp; `scaled_dot_attention`,
+`weigh_values`, `conventional_forward` and `spectrum_forward` are the
+attention layer's path before `_SharedAttention._attend` took every step
+after the weights; and `sum_all` records a scalar loss on the package's tape.
 """
 
 import csv
@@ -30,7 +32,7 @@ from scipy.special import erf
 
 from spectral_attn import numerics as nm
 from spectral_attn.artifacts import atomic_open, read_text
-from spectral_attn.attention import dirac_kernel, orthogonal_init
+from spectral_attn.attention import AttentionTensor, LayerAttention, dirac_kernel, hcc, orthogonal_init
 from spectral_attn.data import SeriesDataset
 from spectral_attn.errors import ConfigError, FormatError, ParseError, ShapeError
 
@@ -357,6 +359,64 @@ def unfused_mss_attention_weights(source, scale_q, scale_k, factor):
     shape = source.shape
     shared = nm.reshape(source, shape[:-2] + (1,) + shape[-2:])
     return nm.attention_weights(nm.mul(shared, scale_q), nm.mul(shared, scale_k), factor)
+
+
+def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
+    """(pre-HCC weights, effective weights, effective @ v) of softmax(Q Kᵀ / scale)."""
+    if scale <= 0:
+        raise ConfigError(f"scaled_dot_attention: scale must be positive, got {scale}")
+    q = q if isinstance(q, nm.Tensor) else nm.Tensor(q)
+    k = k if isinstance(k, nm.Tensor) else nm.Tensor(k)
+    v = v if isinstance(v, nm.Tensor) else nm.Tensor(v)
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if len(qs) < 3 or len(ks) < 3 or len(vs) < 3:
+        raise ShapeError(f"scaled_dot_attention: expected (..., H, N, d) stacks, got {qs}/{ks}/{vs}")
+    if qs != ks or qs[:-1] != vs[:-1]:
+        raise ShapeError(f"scaled_dot_attention: inconsistent head shapes {qs}/{ks}/{vs}")
+    return weigh_values(nm.attention_weights(q, k, 1.0 / float(scale)), v, hcc_kernel)
+
+
+def weigh_values(weights, v, hcc_kernel):
+    """(weights, effective weights, effective @ v), with HCC applied if a kernel is given."""
+    effective = hcc(weights, hcc_kernel) if hcc_kernel is not None else weights
+    return weights, effective, nm.matmul(effective, v)
+
+
+def _layer_values(layer, hidden):
+    return nm.split_heads(nm.linear(hidden, layer.wv, layer.bv), layer.heads)
+
+
+def _layer_output(layer, attended, capture):
+    weights, effective, out = attended
+    if capture is not None:
+        for t in (weights, effective):
+            t.data.setflags(write=False)
+        pre = AttentionTensor(weights.data)
+        final = pre if effective is weights else AttentionTensor(effective.data)
+        capture.append(LayerAttention(pre_hcc=pre, final=final))
+    return nm.linear(nm.merge_heads(out), layer.wo, layer.bo)
+
+
+def conventional_forward(layer, hidden, qk_source, capture=None):
+    """ConventionalAttention.forward through `scaled_dot_attention`."""
+    q = nm.split_heads(nm.linear(hidden, layer.wq, layer.bq), layer.heads)
+    k = nm.split_heads(nm.linear(hidden, layer.wk, layer.bk), layer.heads)
+    attended = scaled_dot_attention(q, k, _layer_values(layer, hidden), math.sqrt(layer.head_dim))
+    return _layer_output(layer, attended, capture)
+
+
+def spectrum_forward(layer, hidden, qk_source, capture=None):
+    """SpectrumAttention.forward through `weigh_values` (MSS) or `scaled_dot_attention` (dense maps)."""
+    shape = qk_source.shape
+    scale = math.sqrt(layer.bin_count)
+    if layer.mss_enabled:
+        weights = nm.mss_attention_weights(qk_source, layer.q_map, layer.k_map, 1.0 / scale)
+        attended = weigh_values(weights, _layer_values(layer, hidden), layer.kernel)
+    else:
+        shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
+        q, k = nm.matmul(shared, layer.q_map), nm.matmul(shared, layer.k_map)
+        attended = scaled_dot_attention(q, k, _layer_values(layer, hidden), scale, hcc_kernel=layer.kernel)
+    return _layer_output(layer, attended, capture)
 
 
 def sum_all(a):

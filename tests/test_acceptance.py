@@ -21,7 +21,6 @@ from spectral_attn.attention import (
     dirac_kernel,
     hcc,
     orthogonal_init,
-    scaled_dot_attention,
 )
 from spectral_attn.cli import gradcheck_configs, main
 from spectral_attn.data import save_csv, split, synth_multisine, window_arrays
@@ -197,9 +196,10 @@ def test_c05_attention_normalization():
         d = int(rng.integers(1, 6))
         q = rng.standard_normal((heads, n, d)) * 4
         k = rng.standard_normal((heads, n, d)) * 4
-        v = rng.standard_normal((heads, n, d))
+        rng.standard_normal((heads, n, d))  # the values' draw, which the weights never read
         kernel = rng.standard_normal((heads, heads, 3, 3)) * 0.5 if i % 2 else None
-        weights, effective, _ = scaled_dot_attention(q, k, v, np.sqrt(d), hcc_kernel=kernel)
+        weights = nm.attention_weights(q, k, 1.0 / np.sqrt(d))
+        effective = hcc(weights, kernel) if kernel is not None else weights
         assert (weights.data >= 0).all()
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
         assert (effective.data >= 0).all()
@@ -217,7 +217,8 @@ def test_c06_hcc_and_attention_oracles():
             k = rng.standard_normal((heads, n, d))
             v = rng.standard_normal((heads, n, d))
             scale = float(np.sqrt(d))
-            weights, _, out = scaled_dot_attention(q, k, v, scale)
+            weights = nm.attention_weights(q, k, 1.0 / scale)
+            out = nm.matmul(weights, v)
             ref_w, ref_o = naive_attention(q, k, v, scale)
             np.testing.assert_allclose(weights.data, ref_w, atol=1e-12)
             np.testing.assert_allclose(out.data, ref_o, atol=1e-12)

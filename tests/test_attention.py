@@ -10,17 +10,20 @@ from spectral_attn.attention import (
     dirac_kernel,
     hcc,
     orthogonal_init,
-    scaled_dot_attention,
 )
 from spectral_attn.errors import ConfigError, ShapeError
+from spectral_attn.models import ForecastModel, ModelConfig
 from spectral_attn.spectral import amplitude_matrix
 
 from oracles import (
+    conventional_forward,
     finite_difference_gradient,
     max_rel_error,
     naive_attention,
     naive_conv2d,
     naive_matmul,
+    spectrum_forward,
+    sum_all,
 )
 
 
@@ -66,22 +69,21 @@ def soatten_pass(tokens, hidden, layer, embed):
 
 
 # ---------------------------------------------------------------------------
-# scaled_dot_attention
+# the attention step's primitives: attention_weights, then matmul with the values
 # ---------------------------------------------------------------------------
 
 def test_attention_uniform_when_scores_vanish():
     v = np.random.default_rng(0).standard_normal((1, 4, 3))
-    weights, effective, out = scaled_dot_attention(
-        np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), v, scale=2.0
-    )
+    weights = nm.attention_weights(np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), 1.0 / 2.0)
+    out = nm.matmul(weights, v)
     np.testing.assert_allclose(weights.data, np.full((1, 4, 4), 0.25), atol=1e-15)
     np.testing.assert_allclose(out.data[0], np.tile(v[0].mean(axis=0), (4, 1)), atol=1e-12)
-    assert effective is weights
 
 
 def test_attention_single_token_passes_value_through():
     v = np.array([[[3.0, -1.0]]])
-    weights, _, out = scaled_dot_attention(np.ones((1, 1, 2)), np.ones((1, 1, 2)), v, 1.0)
+    weights = nm.attention_weights(np.ones((1, 1, 2)), np.ones((1, 1, 2)), 1.0)
+    out = nm.matmul(weights, v)
     np.testing.assert_array_equal(weights.data, np.ones((1, 1, 1)))
     np.testing.assert_array_equal(out.data, v)
 
@@ -92,28 +94,27 @@ def test_attention_matches_naive_per_head_oracle():
     k = rng.standard_normal((2, 3, 4))
     v = rng.standard_normal((2, 3, 5))
     scale = 2.0
-    weights, _, out = scaled_dot_attention(q, k, v, scale)
+    weights = nm.attention_weights(q, k, 1.0 / scale)
+    out = nm.matmul(weights, v)
     ref_w, ref_o = naive_attention(q, k, v, scale)
     np.testing.assert_allclose(weights.data, ref_w, atol=1e-12)
     np.testing.assert_allclose(out.data, ref_o, atol=1e-12)
 
 
-def test_attention_rejects_bad_scale_and_shapes():
+def test_attention_rejects_mismatched_shapes():
     q = np.zeros((1, 2, 3))
-    with pytest.raises(ConfigError):
-        scaled_dot_attention(q, q, q, scale=0.0)
     with pytest.raises(ShapeError):
-        scaled_dot_attention(q, np.zeros((1, 2, 4)), q, scale=1.0)
+        nm.attention_weights(q, np.zeros((1, 2, 4)), 1.0)
 
 
 def test_row_argmax_invariant_under_positive_query_scaling():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((2, 5, 3))
     k = rng.standard_normal((2, 5, 3))
-    v = rng.standard_normal((2, 5, 3))
-    base, _, _ = scaled_dot_attention(q, k, v, np.sqrt(3))
+    rng.standard_normal((2, 5, 3))  # the values' draw, which the weights never read
+    base = nm.attention_weights(q, k, 1.0 / np.sqrt(3))
     for factor in (0.5, 2.0, 7.0):
-        scaled, _, _ = scaled_dot_attention(q * factor, k, v, np.sqrt(3))
+        scaled = nm.attention_weights(q * factor, k, 1.0 / np.sqrt(3))
         np.testing.assert_array_equal(
             np.argmax(scaled.data, axis=-1), np.argmax(base.data, axis=-1)
         )
@@ -127,8 +128,8 @@ def test_pre_hcc_rows_sum_to_one():
         d = int(rng.integers(1, 6))
         q = rng.standard_normal((heads, n, d)) * 3
         k = rng.standard_normal((heads, n, d)) * 3
-        v = rng.standard_normal((heads, n, d))
-        weights, _, _ = scaled_dot_attention(q, k, v, np.sqrt(d))
+        rng.standard_normal((heads, n, d))  # the values' draw, which the weights never read
+        weights = nm.attention_weights(q, k, 1.0 / np.sqrt(d))
         assert (weights.data >= 0).all()
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -451,3 +452,63 @@ def test_conventional_width_must_divide_heads():
     make, _ = make_param_factory()
     with pytest.raises(ConfigError):
         ConventionalAttention(9, 2, make)
+
+
+# ---------------------------------------------------------------------------
+# the one attention step against the path it replaced
+# ---------------------------------------------------------------------------
+
+LAYER_ARMS = {
+    "variate-fsatten": dict(mechanism="fsatten"),
+    "variate-soatten": dict(mechanism="soatten"),
+    "variate-conventional": dict(mechanism="conventional"),
+    "variate-fsatten-mss-off": dict(mechanism="fsatten", mss_enabled=False),
+    "variate-soatten-mss-off": dict(mechanism="soatten", mss_enabled=False),
+    "variate-soatten-hcc-off": dict(mechanism="soatten", hcc_enabled=False),
+    "temporal-soatten": dict(architecture="temporal", mechanism="soatten"),
+    "temporal-conventional": dict(architecture="temporal", mechanism="conventional"),
+    "temporal-soatten-mss-off": dict(architecture="temporal", mechanism="soatten", mss_enabled=False),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(LAYER_ARMS))
+def test_attention_layer_matches_the_path_before_attend_bitwise(arm):
+    """Each arm's `forward` through `_attend` against the `scaled_dot_attention`
+    / `weigh_values` path in `tests/oracles.py`: the layer output, both
+    captured stacks and every gradient agree bit for bit."""
+    cfg = ModelConfig(C=4, L=16, T=4, P=4, S=4, H=2, D=8, layers=1, seed=23, **LAYER_ARMS[arm])
+    model = ForecastModel(cfg)
+    layer = model.layers[0].attn
+    params = [p for name, p in model.params.items() if name.startswith("layers.0.attn.")]
+    rng = np.random.default_rng(23)
+    for p in params:  # off the all-ones / zero starts, so every path carries signal
+        p.data = p.data + rng.standard_normal(p.data.shape) * 0.5
+    lead = (3,) if cfg.architecture == "variate" else (3 * cfg.C,)
+    hidden = rng.standard_normal(lead + (cfg.token_count, cfg.D))
+    source = rng.standard_normal(lead + (cfg.token_count, cfg.resolved_f))
+    cotangent = rng.standard_normal(hidden.shape)
+    oracle = conventional_forward if cfg.mechanism == "conventional" else spectrum_forward
+
+    def run(forward):
+        for p in params:
+            p.grad[...] = 0.0
+        h, s = nm.Tensor(hidden, requires_grad=True), nm.Tensor(source, requires_grad=True)
+        capture = []
+        with nm.GradientTape() as tape:
+            out = forward(h, s, capture)
+            loss = sum_all(nm.mul(out, cotangent))
+        nm.backward(tape, loss)
+        (entry,) = capture
+        assert (entry.final is entry.pre_hcc) == (layer.kernel is None)
+        stacks = [entry.pre_hcc.weights, entry.final.weights]
+        grads = [p.grad.copy() for p in params] + [h.grad, s.grad]
+        return [out.data] + stacks + grads
+
+    got = run(layer.forward)
+    want = run(lambda h, s, capture: oracle(layer, h, s, capture))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:  # the conventional arm never reads the source
+            assert g is None
+        else:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -991,35 +991,66 @@ def test_evaluating_zero_windows_is_one_data_error(name):
         assert model.predict_batch(x).shape == (0, cfg.C, cfg.T)
 
 
+def _ragged(a):
+    """The nested lists of `a` with its last row one value short."""
+    if a.ndim > 2:
+        return [_ragged(a[0])]
+    return [*a[:-1].tolist(), a[-1, :-1].tolist()]
+
+
 @pytest.mark.parametrize("name", FIVE_ARMS)
 def test_complex_windows_and_targets_are_refused_by_name(name):
     """A complex window or target is a ShapeError naming the method called,
-    not a forecast from its real part."""
+    not a forecast from its real part; so is a window or target of strings
+    (even numeric ones), of `None` objects (not NaN), or a ragged nested list."""
     model = ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
     cfg = model.config
     x, y = np.ones((cfg.C, cfg.L)), np.ones((cfg.C, cfg.T))
     calls = {
-        "forward_batch": lambda x, y: model.forward_batch(x[None]),
-        "predict_batch": lambda x, y: model.predict_batch(x[None]),
+        "forward_batch": lambda x, y: model.forward_batch(x),
+        "predict_batch": lambda x, y: model.predict_batch(x),
         "forward_window": lambda x, y: model.forward_window(x),
         "predict": lambda x, y: model.predict(x),
-        "batch_loss": lambda x, y: model.batch_loss(x[None], y[None]),
+        "batch_loss": lambda x, y: model.batch_loss(x, y),
         "window_loss": lambda x, y: model.window_loss(x, y),
-        "evaluate_windows": lambda x, y: evaluate_windows(model, x[None], y[None]),
+        "evaluate_windows": lambda x, y: evaluate_windows(model, x, y),
     }
+    batched = ("forward_batch", "predict_batch", "batch_loss", "evaluate_windows")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for caller, call in calls.items():
-            call(x, y)
-            refused = [(x + 1j, y)]
+            xs, ys = (x[None], y[None]) if caller in batched else (x, y)
+            call(xs, ys)
+            refused = [(xs + 1j, ys)]
+            malformed = [(np.full(xs.shape, "1.0"), ys), (np.full(xs.shape, None), ys), (_ragged(xs), ys)]
             if caller in ("batch_loss", "window_loss", "evaluate_windows"):
-                refused.append((x, y + 0j))
+                refused.append((xs, ys + 0j))
+                malformed += [(xs, np.full(ys.shape, "1.0")), (xs, np.full(ys.shape, None)), (xs, _ragged(ys))]
             for args in refused:
                 with pytest.raises(ShapeError, match=f"^{caller}: expected real values, got complex128"):
+                    call(*args)
+            for args in malformed:
+                with pytest.raises(ShapeError, match=f"^{caller}: expected (an array of )?real values, got "):
                     call(*args)
         for metric in (models_mod.mse, models_mod.mae):
             with pytest.raises(ShapeError, match=f"^{metric.__name__}: expected real values"):
                 metric(y, y + 0j)
+            with pytest.raises(ShapeError, match=f"^{metric.__name__}: expected real values"):
+                metric(y, np.full(y.shape, None))
+
+
+def test_evaluate_windows_refuses_scalars_by_name():
+    model = ForecastModel(micro_config())
+    with pytest.raises(ShapeError, match=r"^evaluate_windows: expected a \(B, C, L\) stack of windows, got shape \(\)"):
+        evaluate_windows(model, 1.0, 1.0)
+
+
+def test_predict_batch_refuses_a_single_window_by_name():
+    model = ForecastModel(micro_config())
+    cfg = model.config
+    want = rf"^predict_batch: expected shape \(B, {cfg.C}, {cfg.L}\), got \({cfg.C}, {cfg.L}\)"
+    with pytest.raises(ShapeError, match=want):
+        model.predict_batch(np.ones((cfg.C, cfg.L)))
 
 
 def test_chunk_depends_on_the_config_only():
