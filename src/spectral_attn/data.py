@@ -49,6 +49,8 @@ class SeriesDataset:
         if np.ndim(self.values) != 2 or 0 in np.shape(self.values):
             raise DataError(f"dataset {self.name!r}: values must be (C, Tlen), both >= 1, "
                             f"got shape {np.shape(self.values)}")
+        if self.values.dtype.kind not in "biuf":
+            raise DataError(f"dataset {self.name!r}: values must be real numbers, got {self.values.dtype}")
         for field, count in (("timestamps", self.length), ("variate_names", self.variates)):
             entries = getattr(self, field)
             if entries is not None and len(entries) != count:

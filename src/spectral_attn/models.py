@@ -180,7 +180,7 @@ def patchify(x, P, S):
     value. The patches are a strided view of the padded sequences,
     so no patch is copied.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = nm.real_array(x, "patchify")
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"patchify: expected nonempty (..., L) sequences, got shape {x.shape}")
     length = x.shape[-1]
@@ -210,7 +210,7 @@ def instance_normalize(x):
     whose scale is not finite (values near the float64 limit, or not
     finite themselves) raises FiniteInputError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = nm.real_array(x, "instance_normalize")
     if x.ndim < 2 or x.shape[-1] < 2:
         raise ShapeError(f"instance_normalize: expected (..., C, L >= 2), got shape {x.shape}")
     length = x.shape[-1]
@@ -227,7 +227,7 @@ def instance_normalize(x):
 
 
 def instance_denormalize(x, stats):
-    return np.asarray(x, dtype=np.float64) * stats.scale + stats.mean
+    return nm.real_array(x, "instance_denormalize") * stats.scale + stats.mean
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +346,6 @@ class ForecastModel:
     def parameters(self):
         return list(self.params.values())
 
-    def parameter_count(self):
-        return sum(p.data.size for p in self.params.values())
-
     def forward_batch(self, x, training=False, capture=None):
         """Normalized-scale forecasts for a (B, C, L) batch of windows.
 
@@ -379,18 +376,10 @@ class ForecastModel:
         return pred, stats
 
     def _batch(self, x, caller):
-        x = _real(x, caller)
-        if x.ndim != 3 or x.shape[1:] != (self.config.C, self.config.L):
-            raise ShapeError(f"{caller}: expected shape (B, {self.config.C}, {self.config.L}), got {x.shape}")
-        return x
+        return nm.real_array(x, caller, ("B", self.config.C, self.config.L))
 
     def _one(self, x, caller):
-        x = _real(x, caller)
-        if x.shape != (self.config.C, self.config.L):
-            raise ShapeError(
-                f"{caller}: expected shape ({self.config.C}, {self.config.L}), got {x.shape}"
-            )
-        return x[None]
+        return nm.real_array(x, caller, (self.config.C, self.config.L))[None]
 
     def forward_window(self, x, training=False, capture=None):
         """Normalized-scale forecast for one (C, L) window.
@@ -416,10 +405,8 @@ class ForecastModel:
 
         DataError if the batch holds no window: its mean is undefined.
         """
-        x, y = self._batch(x, "batch_loss"), _real(y, "batch_loss")
-        expected = x.shape[:1] + (self.config.C, self.config.T)
-        if y.shape != expected:
-            raise ShapeError(f"batch_loss: expected target shape {expected}, got {y.shape}")
+        x = self._batch(x, "batch_loss")
+        y = nm.real_array(y, "batch_loss", (len(x), self.config.C, self.config.T))
         if not len(y):
             raise DataError("batch_loss: no windows")
         pred, stats = self.forward_batch(x, training=training)
@@ -429,24 +416,8 @@ class ForecastModel:
 
     def window_loss(self, x, y, training=False):
         """Mean squared error on the instance-normalized scale."""
-        y = _real(y, "window_loss")
-        if y.shape != (self.config.C, self.config.T):
-            raise ShapeError(f"window_loss: expected target shape ({self.config.C}, {self.config.T}), got {y.shape}")
+        y = nm.real_array(y, "window_loss", (self.config.C, self.config.T))
         return self.batch_loss(self._one(x, "window_loss"), y[None], training=training)
-
-
-def _real(a, caller):
-    """`a` as a float64 array. ShapeError naming `caller` unless it is an array
-    of bool, integer or real floating values: a complex one would lose its
-    imaginary part, an object one would turn `None` into NaN, and a string or
-    ragged one would end in NumPy's own error."""
-    try:
-        a = np.asarray(a)
-    except ValueError:
-        raise ShapeError(f"{caller}: expected an array of real values, got a ragged sequence") from None
-    if a.dtype.kind not in "biuf":
-        raise ShapeError(f"{caller}: expected real values, got {a.dtype}")
-    return np.asarray(a, dtype=np.float64)
 
 
 def _memory_limit():
@@ -533,11 +504,9 @@ def _decode_param(source, name, entry):
 # ---------------------------------------------------------------------------
 
 def _error(pred, target, caller):
-    """pred - target as float64; ShapeError naming `caller` unless both are real and the shapes agree."""
-    pred, target = _real(pred, caller), _real(target, caller)
-    if pred.shape != target.shape:
-        raise ShapeError(f"{caller}: shape mismatch {pred.shape} vs {target.shape}")
-    return pred - target
+    """pred - target, both through `numerics.real_array` under `caller`, target at the shape of pred."""
+    pred = nm.real_array(pred, caller)
+    return pred - nm.real_array(target, caller, pred.shape)
 
 
 def mse(pred, target):
@@ -606,12 +575,8 @@ def evaluate_windows(model, inputs, targets):
     the concatenated errors once. DataError if there are no windows.
     """
     cfg = model.config
-    inputs, targets = _real(inputs, "evaluate_windows"), _real(targets, "evaluate_windows")
-    if inputs.ndim != 3:
-        raise ShapeError(f"evaluate_windows: expected a (B, C, L) stack of windows, got shape {inputs.shape}")
-    expected = inputs.shape[:1] + (cfg.C, cfg.T)
-    if targets.shape != expected:
-        raise ShapeError(f"evaluate_windows: expected target shape {expected}, got {targets.shape}")
+    inputs = nm.real_array(inputs, "evaluate_windows", ("B", cfg.C, cfg.L))
+    targets = nm.real_array(targets, "evaluate_windows", (len(inputs), cfg.C, cfg.T))
     if len(inputs) == 0:
         raise DataError("evaluate_windows: no windows to forecast")
     err = _chunked(model, _native_error, inputs, targets)
@@ -710,6 +675,6 @@ def train(model, dataset):
 
 
 def naive_repeat_forecast(x, horizon):
-    """Last-value-repeat baseline: hold each variate's final observation."""
-    x = np.asarray(x, dtype=np.float64)
+    """Last-value-repeat baseline for one (C, L) window: each variate's final observation, (C, horizon)."""
+    x = nm.real_array(x, "naive_repeat_forecast", ("C", "L"))
     return np.repeat(x[:, -1:], horizon, axis=1)

@@ -53,6 +53,11 @@ pay for kernel page zeroing, a cost that swings with the load of the
 machine. Importing this module therefore tells glibc to keep freed heap
 memory (`_retain_freed_memory`). CHANGES.md records the measured peaks and
 times of each change to this design.
+
+`real_array` is the package's one array contract: each public function of
+`models`, `analysis` and `spectral` that takes an array, and
+`svd_singular_values`, converts it there, so a complex, string, object,
+ragged or misshapen array is a ShapeError naming that function.
 """
 
 from __future__ import annotations
@@ -778,13 +783,30 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# singular values
+# real arrays and singular values
 # ---------------------------------------------------------------------------
+
+def real_array(a, caller, shape=None):
+    """`a` as a float64 array; ShapeError naming `caller` unless its values are
+    bool, integer or real floats (not complex, str, object or ragged) and,
+    given a `shape` pattern, it has that rank and each `int` entry's length.
+    A `str` entry ("B", "rows") matches any length and prints as written."""
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise ShapeError(f"{caller}: expected an array of real values, got a ragged sequence") from None
+    if a.dtype.kind not in "biuf":
+        raise ShapeError(f"{caller}: expected real values, got {a.dtype}")
+    if shape is not None and (a.ndim != len(shape) or any(
+            n != want for n, want in zip(a.shape, shape) if type(want) is not str)):
+        raise ShapeError(f"{caller}: expected shape ({', '.join(map(str, shape))}), got {a.shape}")
+    return np.asarray(a, dtype=np.float64)
+
 
 def svd_singular_values(a):
     """Singular values of a real nonempty finite matrix, nonincreasing (LAPACK)."""
-    A = np.asarray(a, dtype=np.float64)
-    if A.ndim != 2 or A.size == 0:
+    A = real_array(a, "svd_singular_values", ("m", "n"))
+    if A.size == 0:
         raise ShapeError(f"svd_singular_values: expected a nonempty matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise FiniteInputError("svd_singular_values: matrix must be finite")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .numerics import real_array
 
 
 def amplitude_matrix(series):
     """Amplitude rows for every sequence of a (rows, L) array; shape (rows, floor(L/2)+1)."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2 or series.shape[1] < 2:
+    series = real_array(series, "amplitude_matrix", ("rows", "L"))
+    if series.shape[1] < 2:
         raise ShapeError(f"amplitude_matrix: expected (rows, L >= 2), got shape {series.shape}")
     return np.abs(np.fft.rfft(series, axis=-1))

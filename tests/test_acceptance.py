@@ -280,7 +280,7 @@ def test_c10_ablation_plumbing():
     for mss in (True, False):
         for hcc_on in (True, False):
             cfg = ModelConfig(mss_enabled=mss, hcc_enabled=hcc_on, **base)
-            counts[(mss, hcc_on)] = ForecastModel(cfg).parameter_count()
+            counts[(mss, hcc_on)] = sum(p.data.size for p in ForecastModel(cfg).parameters())
     c, f, h, k, layers = 3, 6, 2, 3, 2
     assert len(set(counts.values())) == 4
     assert counts[(False, True)] - counts[(True, True)] == layers * 2 * h * (f * f - c * f)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from spectral_attn.analysis import (
 from spectral_attn.attention import AttentionTensor
 from spectral_attn.errors import ConfigError, DataError, FiniteInputError, ShapeError
 from spectral_attn.data import split, synth_multisine, windows
-from spectral_attn.models import ForecastModel, ModelConfig, evaluate_on_split, mae, mse
+from spectral_attn.models import (
+    ForecastModel, ModelConfig, evaluate_on_split, instance_normalize, mae, mse, naive_repeat_forecast, patchify,
+)
+from spectral_attn.spectral import amplitude_matrix
 
 from oracles import jacobi_eigenvalues
 
@@ -56,6 +60,46 @@ def test_metrics_shape_mismatch():
         mse(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         mae(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# arrays that are not real
+# ---------------------------------------------------------------------------
+
+TAKES_AN_ARRAY = {
+    "amplitude_matrix": amplitude_matrix,
+    "svd_singular_values": nm.svd_singular_values,
+    "numerical_rank": numerical_rank,
+    "condition_number": condition_number,
+    "attention_report": lambda m: attention_report([m], "fsatten"),
+    "average_attention": lambda m: average_attention([m]),
+    "matrix_to_csv_text": matrix_to_csv_text,
+    "matrix_to_pgm_text": matrix_to_pgm_text,
+    "instance_normalize": instance_normalize,
+    "patchify": lambda x: patchify(x, 2, 1),
+    "naive_repeat_forecast": lambda x: naive_repeat_forecast(x, 2),
+}
+
+NOT_REAL = {
+    "complex": (np.eye(3) + 1j, "real values, got complex128"),
+    "str": (np.full((3, 3), "1.0"), "real values, got <U3"),
+    "none-objects": (np.full((3, 3), None), "real values, got object"),
+    "ragged": ([[1.0, 0.0, 0.0], [0.0, 1.0]], "an array of real values, got a ragged sequence"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+@pytest.mark.parametrize("name", TAKES_AN_ARRAY)
+def test_arrays_that_are_not_real_are_refused_by_name(name, kind):
+    """A ShapeError naming the function called, not a result from the real
+    part, the parsed strings or NaN for `None`, nor NumPy's own error."""
+    call = TAKES_AN_ARRAY[name]
+    bad, got = NOT_REAL[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(np.eye(3))
+        with pytest.raises(ShapeError, match=f"^{name}: expected {re.escape(got)}$"):
+            call(bad)
 
 
 # ---------------------------------------------------------------------------

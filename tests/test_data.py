@@ -108,6 +108,15 @@ def test_dataset_that_disagrees_with_itself_is_rejected(fields, named):
         SeriesDataset(name="bad", **fields)
 
 
+@pytest.mark.parametrize("values", [
+    np.ones((2, 5)) + 1j, np.full((2, 5), "1.0"), np.full((2, 5), None), np.full((2, 5), 1.0, dtype=object),
+], ids=["complex", "str", "none-objects", "float-objects"])
+def test_dataset_of_values_that_are_not_real_numbers_is_rejected(values):
+    """Not a dataset that `split` would end in NumPy's own TypeError on."""
+    with pytest.raises(DataError, match=rf"^dataset 'bad': values must be real numbers, got {values.dtype}$"):
+        SeriesDataset(name="bad", values=values)
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

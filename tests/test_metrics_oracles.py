@@ -23,9 +23,10 @@ PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=
 
 def forecasting(preds, seed=0):
     """A model stand-in that forecasts an input window holding i as preds[i], so
-    any (n, C, T) can be drawn and each forecast chunk gets its own rows."""
+    any (n, C, T) can be drawn and each forecast chunk gets its own rows. Its
+    windows hold L = 2 samples."""
     n, C, T = preds.shape
-    return SimpleNamespace(config=ModelConfig(C=C, T=T, seed=seed),
+    return SimpleNamespace(config=ModelConfig(L=2, T=T, C=C, P=2, seed=seed),
                            predict_batch=lambda x: preds[x[:, 0, 0].astype(np.intp)])
 
 

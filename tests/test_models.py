@@ -358,20 +358,24 @@ def expected_param_count(cfg):
     return total
 
 
+def param_count(model):
+    return sum(p.data.size for p in model.parameters())
+
+
 def test_ablation_arms_parameter_accounting():
     arms = {}
     for mss in (True, False):
         for hcc_on in (True, False):
             cfg = micro_config(mechanism="soatten", F=6, mss_enabled=mss, hcc_enabled=hcc_on)
-            arms[(mss, hcc_on)] = ForecastModel(cfg).parameter_count()
+            arms[(mss, hcc_on)] = param_count(ForecastModel(cfg))
             assert arms[(mss, hcc_on)] == expected_param_count(cfg)
     c, f, h, k = 3, 6, 2, 3
     assert arms[(False, True)] - arms[(True, True)] == 2 * h * (f * f - c * f)
     assert arms[(True, True)] - arms[(True, False)] == h * h * k * k
     # fsatten MSS-vs-linear arm differs by the same accounting
     f_fs = 9
-    fs_mss = ForecastModel(micro_config(mechanism="fsatten")).parameter_count()
-    fs_lin = ForecastModel(micro_config(mechanism="fsatten", mss_enabled=False)).parameter_count()
+    fs_mss = param_count(ForecastModel(micro_config(mechanism="fsatten")))
+    fs_lin = param_count(ForecastModel(micro_config(mechanism="fsatten", mss_enabled=False)))
     assert fs_lin - fs_mss == 2 * h * (f_fs * f_fs - c * f_fs)
 
 
@@ -564,6 +568,10 @@ def test_naive_repeat_forecast():
     np.testing.assert_array_equal(
         naive_repeat_forecast(x, 2), [[3.0, 3.0], [2.0, 2.0]]
     )
+    # not an IndexError, nor a (1, 2, 3) "forecast" of a batch
+    for window, got in ((x[0], r"\(3,\)"), (x[None], r"\(1, 2, 3\)")):
+        with pytest.raises(ShapeError, match=rf"^naive_repeat_forecast: expected shape \(C, L\), got {got}$"):
+            naive_repeat_forecast(window, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,8 +1049,18 @@ def test_complex_windows_and_targets_are_refused_by_name(name):
 
 def test_evaluate_windows_refuses_scalars_by_name():
     model = ForecastModel(micro_config())
-    with pytest.raises(ShapeError, match=r"^evaluate_windows: expected a \(B, C, L\) stack of windows, got shape \(\)"):
+    want = rf"^evaluate_windows: expected shape \(B, {model.config.C}, {model.config.L}\), got \(\)$"
+    with pytest.raises(ShapeError, match=want):
         evaluate_windows(model, 1.0, 1.0)
+
+
+def test_evaluate_windows_refuses_windows_of_another_length_by_name():
+    """Not under the name of `predict_batch`, which it calls."""
+    model = ForecastModel(micro_config())
+    cfg = model.config
+    want = rf"^evaluate_windows: expected shape \(B, {cfg.C}, {cfg.L}\), got \(2, {cfg.C}, {cfg.L + 1}\)$"
+    with pytest.raises(ShapeError, match=want):
+        evaluate_windows(model, np.ones((2, cfg.C, cfg.L + 1)), np.ones((2, cfg.C, cfg.T)))
 
 
 def test_predict_batch_refuses_a_single_window_by_name():
