@@ -27,11 +27,19 @@ from .models import ForecastModel, mse  # noqa: F401
 # attention forensics
 # ---------------------------------------------------------------------------
 
+def _map_arrays(maps, caller):
+    """Each of `maps` (AttentionTensors or arrays) as an array, checked under `caller`'s name."""
+    try:
+        maps = iter(maps)
+    except TypeError:
+        raise ShapeError(f"{caller}: expected an iterable of attention maps, got {type(maps).__name__}") from None
+    return [m.weights if isinstance(m, AttentionTensor) else nm.real_array(m, caller) for m in maps]
+
+
 def average_attention(maps):
     """Arithmetic mean of every N x N plane of the (..., N, N) maps, in order; result is N x N."""
     planes = []
-    for m in maps:
-        arr = m.weights if isinstance(m, AttentionTensor) else nm.real_array(m, "average_attention")
+    for arr in _map_arrays(maps, "average_attention"):
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
             raise ShapeError(f"average_attention: expected (..., N, N) maps, N >= 1, got shape {arr.shape}")
         planes.append(arr.reshape((-1,) + arr.shape[-2:]))
@@ -52,13 +60,19 @@ class _Spectrum:
     size: int
 
 
+def _matrix(a, caller):
+    """`a` as a nonempty float64 matrix, checked under `caller`'s name."""
+    arr = nm.real_array(a, caller, ("m", "n"))
+    if arr.size == 0:
+        raise ShapeError(f"{caller}: expected a nonempty matrix, got shape {arr.shape}")
+    return arr
+
+
 def _spectrum(a, caller):
     """The _Spectrum of nonempty matrix `a` by one SVD; `a` itself if it already is one."""
     if isinstance(a, _Spectrum):
         return a
-    arr = nm.real_array(a, caller, ("m", "n"))
-    if arr.size == 0:
-        raise ShapeError(f"{caller}: expected a nonempty matrix, got shape {arr.shape}")
+    arr = _matrix(a, caller)
     return _Spectrum(nm.svd_singular_values(arr), max(arr.shape))
 
 
@@ -110,8 +124,7 @@ class AttentionReport:
 
 def attention_report(maps, mechanism, rank_tol=1e-10):
     """The averaged map with its rank and condition number, both from one SVD."""
-    averaged = average_attention([m if isinstance(m, AttentionTensor) else nm.real_array(m, "attention_report")
-                                  for m in maps])
+    averaged = average_attention(_map_arrays(maps, "attention_report"))
     _check_rank_tol(rank_tol)
     spectrum = _spectrum(averaged, "numerical_rank")
     # Both public functions take the spectrum in place of the matrix, so each
@@ -207,7 +220,7 @@ def grad_check(config, step=1e-5, threshold=1e-4):
 # ---------------------------------------------------------------------------
 
 def matrix_to_csv_text(matrix):
-    arr = nm.real_array(matrix, "matrix_to_csv_text", ("m", "n"))
+    arr = _matrix(matrix, "matrix_to_csv_text")
     return "\n".join(",".join("%.8g" % v for v in row) for row in arr) + "\n"
 
 
@@ -218,7 +231,7 @@ def write_matrix_csv(path, matrix):
 
 def matrix_to_pgm_text(matrix):
     """P2 grayscale rendering, min-max scaled to 0..255 (flat input -> all 0)."""
-    arr = nm.real_array(matrix, "matrix_to_pgm_text", ("m", "n"))
+    arr = _matrix(matrix, "matrix_to_pgm_text")
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
         levels = np.rint((arr - lo) / (hi - lo) * 255).astype(int)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -27,6 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .artifacts import atomic_open, read_text
 from .errors import ConfigError, DataError, FormatError, ParseError
 from .numerics import substream
+
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -77,39 +80,48 @@ class WindowPair:
 def load_csv(path):
     """Parse a dataset file into a SeriesDataset (values transposed to C x Tlen).
 
-    All cells are converted in one NumPy call, which parses each `str` as
-    Python's `float` does. If that fails, or a row has the wrong width, or a
-    value is not finite, `_parse_cells` names the first bad cell in row order.
+    The body is converted `_CSV_BLOCK_ROWS` rows at a time, each block in one
+    NumPy call, which parses each `str` as Python's `float` does; so only one
+    block's cells are held as Python strings. If a block's call fails, or a
+    row has the wrong width, or a value is not finite, `_parse_cells` names
+    the first bad cell of that block, which is the first in the file.
     """
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
-    if not rows:
+    # Once read_text has checked the UTF-8, the text is held as its bytes and
+    # decoded again a chunk at a time: io.StringIO(text) would hold 4 bytes
+    # per character. Both split lines alike under newline="".
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(read_text(path).encode("utf-8")), encoding="utf-8", newline=""))
+    header = next(reader, None)
+    if header is None:
         raise FormatError(f"{path}: empty file")
-    header = rows[0]
     if len(header) < 2:
         raise FormatError(f"{path}: header must have a date column plus at least one variate")
-    if len(rows) < 2:
+    stamps, blocks = [], []
+    while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+        try:
+            # Fortran order makes each block's (C, rows) transpose C-contiguous without a copy.
+            cells = np.array([row[1:] for row in block], dtype=np.float64, order="F")
+        except ValueError:
+            cells = None
+        if cells is None or cells.shape != (len(block), len(header) - 1) or not np.isfinite(cells).all():
+            _parse_cells(path, header, block, len(stamps) + 2)
+        stamps.extend(row[0] for row in block)
+        blocks.append(cells.T)
+    if not blocks:
         raise FormatError(f"{path}: no data rows")
-    body = rows[1:]
-    try:
-        # Fortran order makes the (C, Tlen) transpose C-contiguous without a copy.
-        cells = np.array([row[1:] for row in body], dtype=np.float64, order="F")
-    except ValueError:
-        cells = None
-    if cells is None or cells.shape != (len(body), len(header) - 1) or not np.isfinite(cells).all():
-        _parse_cells(path, header, body)
     return SeriesDataset(
         name=_stem(path),
-        values=cells.T,
-        timestamps=tuple(row[0] for row in body),
+        values=np.concatenate(blocks, axis=1),
+        timestamps=tuple(stamps),
         variate_names=tuple(header[1:]),
     )
 
 
-def _parse_cells(path, header, body):
-    """Raise the error of the first bad row or cell, in row order, parsing one
-    cell at a time. Called only when the one-call conversion has found one."""
+def _parse_cells(path, header, block, first_row):
+    """Raise the error of the first bad row or cell of `block`, whose first
+    row is row `first_row` of the file, parsing one cell at a time. Called
+    only when the block's one-call conversion has found one."""
     width = len(header)
-    for r, row in enumerate(body, start=2):
+    for r, row in enumerate(block, start=first_row):
         if len(row) != width:
             raise FormatError(f"{path}: row {r} has {len(row)} cells, expected {width}")
         for c, cell in enumerate(row[1:], start=1):

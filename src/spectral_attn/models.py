@@ -26,6 +26,7 @@ import base64
 import hashlib
 import json
 import math
+import operator
 import os
 import resource
 import typing
@@ -184,6 +185,10 @@ def patchify(x, P, S):
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"patchify: expected nonempty (..., L) sequences, got shape {x.shape}")
     length = x.shape[-1]
+    try:
+        P, S = operator.index(P), operator.index(S)
+    except TypeError:
+        raise ConfigError(f"patchify: patch length and stride must be integers, got P={P!r}, S={S!r}") from None
     if not 1 <= P <= length:
         raise ConfigError(f"patchify: patch length {P} must lie in [1, {length}]")
     if not 1 <= S <= P:

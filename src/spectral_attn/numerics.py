@@ -58,17 +58,28 @@ times of each change to this design.
 `models`, `analysis` and `spectral` that takes an array, and
 `svd_singular_values`, converts it there, so a complex, string, object,
 ragged or misshapen array is a ShapeError naming that function.
+
+GELU's erf is SciPy's own ufunc, but `scipy.special`'s package init loads
+about 300 modules with it: with SciPy 1.17, 20 MB of the 55 MB peak of
+importing this package, and 0.3 s. So `_load_erf` runs only the compiled
+module that defines the ufunc, `scipy/special/_special_ufuncs<suffix>`,
+which imports nothing else from SciPy, under its own dotted name: a later
+`import scipy.special` finds it in `sys.modules` and returns the same `erf`
+object. SciPy releases without that file, or without `erf` in it, get
+`from scipy.special import erf`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf
 
 from .errors import ConfigError, EmptyTapeError, FiniteInputError, ShapeError
 
@@ -95,6 +106,25 @@ def _retain_freed_memory():
 
 
 _retain_freed_memory()
+
+
+def _load_erf():
+    """`scipy.special.erf`, loaded without `scipy.special`'s package init."""
+    package = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if package else ():
+        path = os.path.join(package.submodule_search_locations[0], "special", "_special_ufuncs" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.special._special_ufuncs", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module.erf
+            break
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 
 class Tensor:

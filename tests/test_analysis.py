@@ -16,6 +16,8 @@ from spectral_attn.analysis import (
     matrix_to_csv_text,
     matrix_to_pgm_text,
     numerical_rank,
+    write_matrix_csv,
+    write_pgm,
 )
 from spectral_attn.attention import AttentionTensor
 from spectral_attn.errors import ConfigError, DataError, FiniteInputError, ShapeError
@@ -100,6 +102,28 @@ def test_arrays_that_are_not_real_are_refused_by_name(name, kind):
         call(np.eye(3))
         with pytest.raises(ShapeError, match=f"^{name}: expected {re.escape(got)}$"):
             call(bad)
+
+
+WRONG_TYPE = {
+    "average_attention": (lambda: average_attention(1.0), ShapeError,
+                          "average_attention: expected an iterable of attention maps, got float"),
+    "attention_report": (lambda: attention_report(1.0, "soatten"), ShapeError,
+                         "attention_report: expected an iterable of attention maps, got float"),
+    "patchify-P": (lambda: patchify(np.arange(8.0), 2.5, 1), ConfigError,
+                   "patchify: patch length and stride must be integers, got P=2.5, S=1"),
+    "patchify-S": (lambda: patchify(np.arange(8.0), 4, 1.5), ConfigError,
+                   "patchify: patch length and stride must be integers, got P=4, S=1.5"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPE)
+def test_arguments_of_the_wrong_type_are_refused_by_name(case):
+    """Not Python's own TypeError from iterating a float or indexing by one."""
+    call, error, message = WRONG_TYPE[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +343,15 @@ def test_pgm_format_and_scaling():
 def test_pgm_constant_matrix_is_black():
     text = matrix_to_pgm_text(np.full((2, 3), 7.0))
     assert text.splitlines()[3:] == ["0 0 0", "0 0 0"]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+@pytest.mark.parametrize("export, write", [(matrix_to_csv_text, write_matrix_csv), (matrix_to_pgm_text, write_pgm)])
+def test_matrix_exports_refuse_an_empty_axis_by_name(tmp_path, export, write, shape):
+    """Neither a file of blank lines nor NumPy's reduction error; no file is written."""
+    message = f"^{export.__name__}: expected a nonempty matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ShapeError, match=message):
+        export(np.zeros(shape))
+    with pytest.raises(ShapeError, match=message):
+        write(tmp_path / "map", np.zeros(shape))
+    assert not list(tmp_path.iterdir())

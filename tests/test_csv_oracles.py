@@ -21,6 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from spectral_attn import data  # noqa: E402
 from spectral_attn.data import SeriesDataset, load_csv, save_csv  # noqa: E402
 from spectral_attn.errors import DataError  # noqa: E402
 
@@ -80,6 +81,18 @@ def tables(draw):
 @given(text=tables())
 def test_load_csv_matches_the_cellwise_parse(text):
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, path) == outcome(cellwise_load_csv, path)
+
+
+@PROPERTY
+@given(text=tables(), block_rows=st.integers(1, 3))
+def test_load_csv_in_blocks_of_a_few_rows_matches_the_cellwise_parse(text, block_rows):
+    """With blocks of 1-3 rows a table's first bad row or cell can sit in any
+    block; its row number and message are still the oracle's."""
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(data, "_CSV_BLOCK_ROWS", block_rows)
         path = Path(tmp) / "table.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(load_csv, path) == outcome(cellwise_load_csv, path)

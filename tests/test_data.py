@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ def test_load_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(FormatError, match="row 3"):
         load_csv(write(tmp_path, "date,a,b\nt0,1,2\nt1,3\n"))
+
+
+def test_load_csv_peak_memory_grows_with_the_file_not_with_its_rows_as_strings(tmp_path):
+    """64 x 8000 values: about 10 MB of text in 8 blocks of rows. Checking
+    the UTF-8 holds the text twice for a moment; the rows, as Python strings
+    about 4x the text, are held one block at a time."""
+    source = synth_multisine(64, 8000, {c: [(c % 7 + 1, 1.0, 0.1 * c)] for c in range(64)}, 0.1, seed=5)
+    path = tmp_path / "wide.csv"
+    save_csv(path, source)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size, (peak, size)
+    assert loaded.values.tobytes() == source.values.tobytes() and loaded.values.flags.c_contiguous
+    assert loaded.timestamps == tuple(map(str, range(8000)))
 
 
 def test_save_csv_writes_each_value_as_its_float_repr(tmp_path):

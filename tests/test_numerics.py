@@ -1,6 +1,13 @@
 """Tensor engine: op semantics, tape gradients vs finite differences, Adam, SVD."""
 
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -864,3 +871,61 @@ def test_substreams_are_deterministic_and_distinct():
 def test_substream_rejects_negative_seed():
     with pytest.raises(ConfigError):
         nm.substream(-1, "init")
+
+
+# ---------------------------------------------------------------------------
+# erf: SciPy's compiled ufunc without scipy.special's package init
+# ---------------------------------------------------------------------------
+
+HELP = """
+import runpy, sys
+sys.argv = ["spectral_attn", "--help"]
+try:
+    runpy.run_module("spectral_attn", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+@pytest.mark.parametrize("entry", ["import spectral_attn", HELP], ids=["import", "cli-help"])
+def test_package_and_cli_help_leave_scipy_special_unloaded(entry):
+    """In a fresh interpreter, so no other test's import counts. Any
+    module-level `scipy.special` import in the package fails this."""
+    src = str(Path(nm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = entry + "\nimport sys\nprint('scipy.special' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_erf_is_scipy_specials_own_ufunc():
+    import scipy.special
+    assert nm.erf is scipy.special.erf
+
+
+def test_erf_matches_scipy_bitwise_at_zeros_subnormals_tails_and_non_finites():
+    import scipy.special
+    magnitudes = [0.0, 5e-324, 1e-300, 0.5, 1.0, 5.9, 6.0, 27.0, 1e308, np.inf]
+    grid = np.array(magnitudes + [-m for m in magnitudes])
+    np.testing.assert_array_equal(nm.erf(grid).view(np.int64), scipy.special.erf(grid).view(np.int64))
+    assert np.isnan(nm.erf(np.nan)) and np.isnan(scipy.special.erf(np.nan))
+
+
+@pytest.mark.parametrize("case", ["no-module", "module-without-erf", "no-spec"])
+def test_erf_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
+    """No installed SciPy takes this path, so the lookup is pointed at a
+    directory whose `special` holds no compiled module, or (as a `.py`
+    suffix) a module that defines no erf, or finds no spec at all (where
+    the fallback import is what names the missing package)."""
+    import scipy.special
+    if case == "module-without-erf":
+        (tmp_path / "special").mkdir()
+        (tmp_path / "special" / "_special_ufuncs.py").write_text("", encoding="utf-8")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".py"])
+    spec = None if case == "no-spec" else SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, package=None: spec if name == "scipy" else find_spec(name, package))
+    assert nm._load_erf() is scipy.special.erf
