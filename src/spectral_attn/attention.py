@@ -69,20 +69,14 @@ def orthogonal_init(in_dim, out_dim, seed):
 def hcc(weights, kernel):
     """Head-coupling convolution: H->H conv over the N x N plane, then ReLU.
 
-    weights: (..., H, N, N); kernel: (H, H, K, K).
-
-    Stride 1, zero padding (K-1)/2 keeps the weight matrix size; K must be
-    odd. Output is nonnegative but rows are not renormalized.
+    weights: (..., H, N, N); kernel: (H, H, K, K), K odd, checked by `nm.conv2d`
+    except that it maps H heads to H heads. Stride 1, zero padding (K-1)/2 keeps
+    the weight matrix size. Output is nonnegative but rows are not renormalized.
     """
-    w = weights if isinstance(weights, nm.Tensor) else nm.Tensor(weights)
     k = kernel if isinstance(kernel, nm.Tensor) else nm.Tensor(kernel)
-    if k.data.ndim != 4 or k.shape[0] != k.shape[1]:
-        raise ShapeError(f"hcc: kernel must be (H, H, K, K), got shape {k.shape}")
-    if k.shape[2] != k.shape[3] or k.shape[2] % 2 == 0:
-        raise ConfigError(f"hcc: kernel size must be odd and square, got {k.shape[2]}x{k.shape[3]}")
-    if w.data.ndim < 3 or w.shape[-3] != k.shape[1]:
-        raise ShapeError(f"hcc: weights {w.shape} do not match kernel {k.shape}")
-    return nm.relu(nm.conv2d(w, k))
+    if k.data.ndim == 4 and k.shape[0] != k.shape[1]:
+        raise ShapeError(f"hcc: kernel must map H heads to H heads, got shape {k.shape}")
+    return nm.relu(nm.conv2d(weights, k))
 
 
 def dirac_kernel(heads, size):
@@ -158,12 +152,11 @@ class SpectrumAttention(_SharedAttention):
     softmax into one `nm.mss_attention_weights` record, or, with
     `mss_enabled` off, the source (given a head axis of size 1) times
     (H, F, F) dense maps (`nm.matmul`, the linear ablation arm); scores are
-    scaled by sqrt(F).
+    scaled by sqrt(F). Those ops refuse a source whose (tokens, F) is wrong.
     """
 
     def __init__(self, width, heads, tokens, bin_count, make_param,
                  mss_enabled=True, kernel_size=None):
-        self.tokens = tokens
         self.bin_count = bin_count
         if mss_enabled:
             # All-ones start: untrained scores are raw source correlation.
@@ -182,16 +175,10 @@ class SpectrumAttention(_SharedAttention):
     def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:
             raise ShapeError("SpectrumAttention: missing Q/K source matrix")
-        shape = qk_source.shape
-        if len(shape) < 2 or shape[-2:] != (self.tokens, self.bin_count):
-            raise ShapeError(
-                f"SpectrumAttention: source shape {shape} does not match "
-                f"(..., {self.tokens}, {self.bin_count})"
-            )
         factor = 1.0 / math.sqrt(self.bin_count)
         if self.mss_enabled:
             weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map, factor)
         else:
-            shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
+            shared = nm.reshape(qk_source, qk_source.shape[:-2] + (1,) + qk_source.shape[-2:])
             weights = nm.attention_weights(nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map), factor)
         return self._attend(weights, hidden, capture)

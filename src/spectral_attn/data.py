@@ -36,9 +36,9 @@ _CSV_BLOCK_ROWS = 1024
 class SeriesDataset:
     """An immutable C-variate series, C >= 1 and Tlen >= 1, with optional split bookkeeping.
 
-    `norm_stats` (per-variate mean/std) is derived exclusively from indices
-    before `split_bounds[0]`, so no statistics leak from validation or test
-    data.
+    Variate names, if given, are distinct. `norm_stats` (per-variate mean/std)
+    is derived only from indices before `split_bounds[0]`, so no statistics
+    leak from validation or test data.
     """
 
     name: str
@@ -58,6 +58,10 @@ class SeriesDataset:
             entries = getattr(self, field)
             if entries is not None and len(entries) != count:
                 raise DataError(f"dataset {self.name!r}: {field} holds {len(entries)} entries, expected {count}")
+        names = self.variate_names or ()
+        if len(set(names)) < len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise DataError(f"dataset {self.name!r}: variate_names repeats the name {repeated!r}")
 
     @property
     def variates(self):
@@ -84,36 +88,39 @@ def load_csv(path):
     NumPy call, which parses each `str` as Python's `float` does; so only one
     block's cells are held as Python strings. If a block's call fails, or a
     row has the wrong width, or a value is not finite, `_parse_cells` names
-    the first bad cell of that block, which is the first in the file.
+    the first bad cell of that block, which is the first in the file. A field
+    too long for the csv module, or a repeated variate name, is a FormatError.
     """
     # Once read_text has checked the UTF-8, the text is held as its bytes and
     # decoded again a chunk at a time: io.StringIO(text) would hold 4 bytes
     # per character. Both split lines alike under newline="".
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(read_text(path).encode("utf-8")), encoding="utf-8", newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError(f"{path}: empty file")
-    if len(header) < 2:
-        raise FormatError(f"{path}: header must have a date column plus at least one variate")
-    stamps, blocks = [], []
-    while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
-        try:
-            # Fortran order makes each block's (C, rows) transpose C-contiguous without a copy.
-            cells = np.array([row[1:] for row in block], dtype=np.float64, order="F")
-        except ValueError:
-            cells = None
-        if cells is None or cells.shape != (len(block), len(header) - 1) or not np.isfinite(cells).all():
-            _parse_cells(path, header, block, len(stamps) + 2)
-        stamps.extend(row[0] for row in block)
-        blocks.append(cells.T)
+    try:   # the csv module refuses a field above its size limit
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        if len(header) < 2:
+            raise FormatError(f"{path}: header must have a date column plus at least one variate")
+        stamps, blocks = [], []
+        while block := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+            try:
+                # Fortran order makes each block's (C, rows) transpose C-contiguous without a copy.
+                cells = np.array([row[1:] for row in block], dtype=np.float64, order="F")
+            except ValueError:
+                cells = None
+            if cells is None or cells.shape != (len(block), len(header) - 1) or not np.isfinite(cells).all():
+                _parse_cells(path, header, block, len(stamps) + 2)
+            stamps.extend(row[0] for row in block)
+            blocks.append(cells.T)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not blocks:
         raise FormatError(f"{path}: no data rows")
-    return SeriesDataset(
-        name=_stem(path),
-        values=np.concatenate(blocks, axis=1),
-        timestamps=tuple(stamps),
-        variate_names=tuple(header[1:]),
-    )
+    try:   # SeriesDataset refuses a repeated variate name
+        return SeriesDataset(name=_stem(path), values=np.concatenate(blocks, axis=1),
+                             timestamps=tuple(stamps), variate_names=tuple(header[1:]))
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _parse_cells(path, header, block, first_row):

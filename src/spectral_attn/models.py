@@ -23,6 +23,7 @@ for the variate architecture, (B*C, H, N, N) for the temporal one.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import math
@@ -49,7 +50,9 @@ CHECKPOINT_FORMAT = "spectral-attn-checkpoint/1"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architectural and training hyperparameter of one model, checked when made."""
+    """Every architectural and training hyperparameter of one model, checked when made: a bool
+    only for a bool field, otherwise what `_FIELD_ACCEPTS` lists for the field's type, stored as
+    that builtin type so `config_hash` and checkpoints ignore the spelling; then `validate`."""
 
     architecture: str = "variate"
     mechanism: str = "conventional"
@@ -72,6 +75,14 @@ class ModelConfig:
     epochs: int = 10
 
     def __post_init__(self):
+        for name, kind in CONFIG_TYPES.items():
+            value, typed = getattr(self, name), None
+            if (kind is bool) if isinstance(value, bool) else isinstance(value, _FIELD_ACCEPTS[kind]):
+                with contextlib.suppress(OverflowError):   # an int beyond float range
+                    typed = kind(value)
+            if typed is None:
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r:.60}")
+            object.__setattr__(self, name, typed)
         self.validate()
 
     def validate(self):
@@ -139,26 +150,15 @@ class ModelConfig:
 
 
 CONFIG_TYPES = typing.get_type_hints(ModelConfig)  # field name -> str, int, float or bool
+_FIELD_ACCEPTS = {str: str, bool: np.bool_, int: (int, np.integer), float: (int, np.integer, float, np.floating)}
 
 
 def config_from_dict(d, source="config"):
-    """ModelConfig from decoded JSON; ConfigError naming `source` for a bad key or value.
-
-    A bool is not accepted where an int is expected; an int is accepted
-    (and converted) where a float is; floats must be finite.
-    """
-    kwargs = {}
-    for key, value in d.items():
-        kind = CONFIG_TYPES.get(key)
-        if kind is None:
-            raise ConfigError(f"{source}: unknown config key {key!r}")
-        if kind is float and type(value) is int:
-            value = float(value)
-        if type(value) is not kind or (kind is float and not math.isfinite(value)):
-            raise ConfigError(f"{source}: {key} must be {kind.__name__}, got {value!r}")
-        kwargs[key] = value
+    """ModelConfig from a dict such as decoded JSON; each ConfigError names `source`."""
+    if unknown := [key for key in d if key not in CONFIG_TYPES]:
+        raise ConfigError(f"{source}: unknown config key {unknown[0]!r}")
     try:
-        return ModelConfig(**kwargs)
+        return ModelConfig(**d)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

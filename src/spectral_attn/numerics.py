@@ -239,7 +239,8 @@ def backward(tape, loss):
     records = tape._records
     if loss.node is None or not any(rec[0] is loss.node for rec in reversed(records)):
         raise EmptyTapeError("loss was not produced under this tape")
-    # Clear stale intermediate adjoints (leaves keep theirs and accumulate).
+    # Clear stale intermediate adjoints, such as a nested or later tape's backward
+    # leaves on a tensor made here (leaves keep theirs and accumulate).
     for node, _, _ in records:
         node.grad = None
     loss.node.grad = np.ones_like(loss.data)

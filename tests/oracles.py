@@ -34,7 +34,7 @@ from spectral_attn import numerics as nm
 from spectral_attn.artifacts import atomic_open, read_text
 from spectral_attn.attention import AttentionTensor, LayerAttention, dirac_kernel, hcc, orthogonal_init
 from spectral_attn.data import SeriesDataset
-from spectral_attn.errors import ConfigError, FormatError, ParseError, ShapeError
+from spectral_attn.errors import ConfigError, DataError, FormatError, ParseError, ShapeError
 
 
 def naive_matmul(a, b):
@@ -590,12 +590,15 @@ def cellwise_load_csv(path):
                 raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
             columns[c - 1].append(value)
     base = str(path).replace("\\", "/").rsplit("/", 1)[-1]
-    return SeriesDataset(
-        name=base.rsplit(".", 1)[0] if "." in base else base,
-        values=np.array(columns, dtype=np.float64),
-        timestamps=tuple(timestamps),
-        variate_names=tuple(header[1:]),
-    )
+    try:   # SeriesDataset refuses a repeated variate name
+        return SeriesDataset(
+            name=base.rsplit(".", 1)[0] if "." in base else base,
+            values=np.array(columns, dtype=np.float64),
+            timestamps=tuple(timestamps),
+            variate_names=tuple(header[1:]),
+        )
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def fieldwise_save_csv(path, dataset):

@@ -11,7 +11,7 @@ from spectral_attn.attention import (
     hcc,
     orthogonal_init,
 )
-from spectral_attn.errors import ConfigError, ShapeError
+from spectral_attn.errors import ConfigError, ShapeError, SpectralAttnError
 from spectral_attn.models import ForecastModel, ModelConfig
 from spectral_attn.spectral import amplitude_matrix
 
@@ -162,6 +162,15 @@ def test_hcc_matches_naive_convolution():
 def test_hcc_rejects_even_kernel():
     with pytest.raises(ConfigError):
         hcc(np.ones((2, 4, 4)), np.zeros((2, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3, 1), (3, 3, 3, 3), (3, 2, 3, 3), (2, 3, 3)],
+                         ids=["non-square", "channel-mismatch", "two-heads-to-three", "3-d"])
+def test_hcc_refuses_a_kernel_that_does_not_fit(shape):
+    """`conv2d` checks the kernel for `hcc` (an even one: `test_hcc_rejects_even_kernel`),
+    except that it maps H heads to H heads."""
+    with pytest.raises(SpectralAttnError):
+        hcc(np.ones((2, 4, 4)), np.zeros(shape))
 
 
 def test_hcc_output_nonnegative():
@@ -401,6 +410,18 @@ def test_spectrum_attention_requires_source():
                               make_param=make, kernel_size=3)
     with pytest.raises(ShapeError):
         layer.forward(nm.Tensor(np.zeros((3, 8))), None)
+
+
+@pytest.mark.parametrize("kernel_size", [None, 3], ids=["plain", "hcc"])
+@pytest.mark.parametrize("mss_enabled", [True, False], ids=["mss", "linear"])
+@pytest.mark.parametrize("shape", [(4, 5), (1, 5), (3, 6), (5,)], ids=["wrong-N", "one-token", "wrong-F", "1-d"])
+def test_spectrum_attention_refuses_a_source_of_the_wrong_shape(shape, mss_enabled, kernel_size):
+    """The ops that read the (tokens, F) source refuse it in both arms, with or without HCC."""
+    make, _ = make_param_factory()
+    layer = SpectrumAttention(width=8, heads=2, tokens=3, bin_count=5, make_param=make,
+                              mss_enabled=mss_enabled, kernel_size=kernel_size)
+    with pytest.raises(SpectralAttnError):
+        layer.forward(nm.Tensor(np.zeros((3, 8))), nm.Tensor(np.ones(shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,17 @@ def test_non_finite_csv_cell_is_one_error_line(workdir, capsys):
     assert err[0].startswith("error:") and "row 6" in err[0] and "'nan'" in err[0]
 
 
+def test_oversize_csv_cell_is_one_error_line_and_writes_nothing(workdir, capsys):
+    tmp, config, _ = workdir
+    huge = tmp / "huge.csv"
+    huge.write_text("date,a\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+    out = tmp / "run"
+    assert main(["train", "--config", str(config), "--data", str(huge), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {huge}: line 2: field larger than field limit"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep", "evaluate", "analyze-attention"])
 def test_variate_count_mismatch_is_one_error_line(workdir, capsys, command):
     """Every command checks the dataset against the config's or checkpoint's C

@@ -124,7 +124,7 @@ def datasets(draw):
     values = np.array(draw(st.lists(st.floats(), min_size=C * Tlen, max_size=C * Tlen)),
                       dtype=np.float64).reshape(C, Tlen)
     stamps = draw(st.none() | st.lists(AWKWARD_TEXT, min_size=Tlen, max_size=Tlen).map(tuple))
-    names = draw(st.none() | st.lists(AWKWARD_TEXT, min_size=C, max_size=C).map(tuple))
+    names = draw(st.none() | st.lists(AWKWARD_TEXT, min_size=C, max_size=C, unique=True).map(tuple))
     return SeriesDataset(name="gen", values=values, timestamps=stamps, variate_names=names)
 
 

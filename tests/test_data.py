@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,36 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(write(tmp_path, "date,a,b\nt0,1,2\nt1,3\n"))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("date,a\n0," + "1" * 200_000 + "\n", 2),
+    ("date," + "a" * 200_000 + "\n0,1\n", 1),
+], ids=["cell", "header"])
+def test_load_csv_refuses_a_field_above_the_csv_size_limit(tmp_path, text, line):
+    """The csv module's field limit is a FormatError naming the file and line, not a csv.Error."""
+    with pytest.raises(FormatError, match=rf"data\.csv: line {line}: field larger than field limit"):
+        load_csv(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("header, repeated", [
+    ("date,a,a", "a"),
+    ("date,b,a,a,b", "a"),
+    ("date,x,,y,", ""),
+], ids=["pair", "first-to-repeat", "empty-name"])
+def test_load_csv_refuses_a_repeated_variate_name(tmp_path, header, repeated):
+    width = header.count(",")
+    path = write(tmp_path, header + "\nt0" + ",1" * width + "\n")
+    with pytest.raises(FormatError, match=f"data\\.csv: dataset 'data': variate_names repeats the name {repeated!r}$"):
+        load_csv(path)
+
+
+def test_load_csv_lets_the_date_column_share_a_variate_name(tmp_path):
+    """Only variate names must differ, so a variate named "date" survives `save_csv`."""
+    ds = load_csv(write(tmp_path, "date,date,b\nt0,1,2\n"))
+    assert ds.variate_names == ("date", "b")
+    save_csv(tmp_path / "again.csv", ds)
+    assert load_csv(tmp_path / "again.csv").variate_names == ("date", "b")
+
+
 def test_load_csv_peak_memory_grows_with_the_file_not_with_its_rows_as_strings(tmp_path):
     """64 x 8000 values: about 10 MB of text in 8 blocks of rows. Checking
     the UTF-8 holds the text twice for a moment; the rows, as Python strings
@@ -126,6 +157,19 @@ def test_csv_round_trip_is_idempotent(tmp_path):
 def test_dataset_that_disagrees_with_itself_is_rejected(fields, named):
     with pytest.raises(DataError, match=re.escape(named)):
         SeriesDataset(name="bad", **fields)
+
+
+@pytest.mark.parametrize("names, repeated", [
+    (("a", "a"), "a"), (("b", "a", "a", "b"), "a"), (("", "x", ""), ""),
+], ids=["pair", "first-to-repeat", "empty-name"])
+def test_dataset_with_a_repeated_variate_name_is_rejected(tmp_path, names, repeated):
+    """So `save_csv` cannot write a header that `load_csv` refuses."""
+    match = rf"^dataset 'd': variate_names repeats the name {re.escape(repr(repeated))}$"
+    with pytest.raises(DataError, match=match):
+        SeriesDataset(name="d", values=np.ones((len(names), 3)), variate_names=names)
+    ok = SeriesDataset(name="d", values=np.ones((len(names), 3)))
+    with pytest.raises(DataError, match=match):
+        replace(ok, variate_names=names)
 
 
 @pytest.mark.parametrize("values", [

@@ -1,7 +1,10 @@
 """No dead code in the package modules (`__init__.py` aside): every import is
 used unless its line says `# noqa: F401`, and every module-level private name
 (def, class or assignment) is referenced somewhere in `src/` outside its own
-definition. Built on the standard library's `ast`, as no linter is installed."""
+definition. And no raise that `cli.main` would let out as a traceback: every
+`raise` in the package raises a class of `errors.py` or MemoryError, re-raises
+with `raise type(exc)(...)`, or is bare. Built on the standard library's `ast`,
+as no linter is installed."""
 
 import ast
 from pathlib import Path
@@ -58,6 +61,21 @@ def _unreferenced_privates(module):
             yield f"{module}:{definition.lineno}: {name}"
 
 
+RAISABLE = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)} | {"MemoryError"}
+
+
+def _uncaught_raises(module):
+    for node in ast.walk(TREES[module]):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Name) and raised.id in RAISABLE:
+            continue
+        if isinstance(raised, ast.Call) and isinstance(raised.func, ast.Name) and raised.func.id == "type":
+            continue
+        yield f"{module}:{node.lineno}: {ast.unparse(node.exc)}"
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert list(_unused_imports(module)) == []
@@ -66,6 +84,22 @@ def test_every_import_is_used(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_every_private_module_name_is_referenced_elsewhere(module):
     assert list(_unreferenced_privates(module)) == []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_every_raise_ends_in_an_error_line(module):
+    assert list(_uncaught_raises(module)) == []
+
+
+def test_the_check_flags_a_raise_that_cli_main_would_not_catch():
+    source = ("try:\n    raise ShapeError('x')\nexcept ShapeError as exc:\n    raise type(exc)('y') from None\n"
+              "raise MemoryError\nraise\nraise ValueError('z')\nraise KeyError\nraise exc\n")
+    TREES["probe.py"] = ast.parse(source)
+    try:
+        assert list(_uncaught_raises("probe.py")) == [
+            "probe.py:7: ValueError('z')", "probe.py:8: KeyError", "probe.py:9: exc"]
+    finally:
+        del TREES["probe.py"]
 
 
 def test_the_check_flags_an_unused_import_and_an_unreferenced_private():

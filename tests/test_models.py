@@ -18,6 +18,7 @@ from spectral_attn.models import (
     ForecastModel,
     ModelConfig,
     config_from_dict,
+    config_hash,
     evaluate_on_split,
     evaluate_windows,
     instance_denormalize,
@@ -205,6 +206,41 @@ def test_config_from_dict_names_its_source(value, words):
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"H": 4, "D": value}, source="run.json")
     assert str(exc.value) == f"run.json: {words}"
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ModelConfig(mechanism="fsatten", C=4, mss_enabled="no"), "mss_enabled"),
+    (lambda: micro_config(hcc_enabled=0), "hcc_enabled"),
+    (lambda: micro_config(L=96.5), "L"),
+    (lambda: micro_config(seed=True), "seed"),
+    (lambda: micro_config(lr=True), "lr"),
+    (lambda: micro_config(lr=10**400), "lr"),
+    (lambda: micro_config(mechanism=None), "mechanism"),
+    (lambda: replace(micro_config(), mss_enabled="false"), "mss_enabled"),
+], ids=["str-for-bool", "int-for-bool", "float-for-int", "bool-for-int", "bool-for-float",
+        "int-beyond-float", "none-for-str", "replace-str-for-bool"])
+def test_config_refuses_a_value_of_the_wrong_type(make, field):
+    """A wrong-typed value is refused by name, not read for its truth or handed on to NumPy."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be "):
+        make()
+
+
+@pytest.mark.parametrize("field, value, builtin", [
+    ("lr", 1, 1.0),
+    ("C", np.int64(4), 4),
+    ("seed", np.int64(0), 0),
+    ("dropout", np.float32(0.5), 0.5),
+    ("mss_enabled", np.bool_(False), False),
+], ids=["int-lr", "numpy-C", "numpy-seed", "numpy-dropout", "numpy-bool"])
+def test_config_stores_each_value_as_its_builtin_type(tmp_path, field, value, builtin):
+    """However a value is spelled, the config, its hash and its checkpoint are the builtin spelling's."""
+    cfg = micro_config(**{field: value})
+    stored = getattr(cfg, field)
+    assert type(stored) is type(builtin) and stored == builtin
+    assert config_hash(cfg) == config_hash(micro_config(**{field: builtin}))
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, ForecastModel(cfg))
+    assert load_checkpoint(path).config == cfg
 
 
 def test_fsatten_f_resolution():

@@ -290,6 +290,27 @@ def test_second_backward_on_the_same_tape_raises_empty_tape_error():
     np.testing.assert_array_equal(w.grad, first)
 
 
+@pytest.mark.parametrize("nested", [True, False], ids=["nested", "one-after-the-other"])
+def test_backward_ignores_the_adjoint_another_tape_left_on_its_intermediate(nested):
+    """x is made under one tape and used under another. The other tape's
+    backward writes an adjoint into x's node; this tape's backward must not
+    add it to its own, so p's gradient is the one a single tape gives."""
+    p = nm.Parameter(np.array([2.0]), "p")
+    with nm.GradientTape() as tape:
+        x = nm.mul(p, p)
+        if nested:
+            with nm.GradientTape() as inner:
+                y = nm.mean_all(nm.scale(x, 3.0))
+        loss = nm.mean_all(x)
+    if not nested:
+        with nm.GradientTape() as inner:
+            y = nm.mean_all(nm.scale(x, 3.0))
+    nm.backward(inner, y)
+    assert p.grad[0] == 0.0
+    nm.backward(tape, loss)
+    np.testing.assert_array_equal(p.grad, [4.0])
+
+
 def test_backward_through_a_scalar_intermediate_keeps_its_shape():
     """A 0-d intermediate adjoint stays 0-d (`np.ascontiguousarray` would make
     it 1-d, which `mean_all`'s vjp cannot take)."""
