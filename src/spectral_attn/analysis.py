@@ -19,7 +19,7 @@ import numpy as np
 from . import numerics as nm
 from .artifacts import atomic_open
 from .attention import AttentionTensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, FiniteInputError, ShapeError
 from .models import ForecastModel, mse  # noqa: F401
 
 
@@ -37,7 +37,8 @@ def _map_arrays(maps, caller):
 
 
 def average_attention(maps):
-    """Arithmetic mean of every N x N plane of the (..., N, N) maps, in order; result is N x N."""
+    """Arithmetic mean of every N x N plane of the (..., N, N) maps, in order; result is N x N.
+    Finite maps whose mean overflows are refused; NaN or inf maps are left to the SVD to refuse."""
     planes = []
     for arr in _map_arrays(maps, "average_attention"):
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
@@ -49,15 +50,11 @@ def average_attention(maps):
     for arr in planes:
         if arr.shape[1] != n:
             raise ShapeError(f"average_attention: inconsistent map size {arr.shape} vs N={n}")
-    return np.concatenate(planes, axis=0).mean(axis=0)
-
-
-@dataclass(frozen=True)
-class _Spectrum:
-    """A matrix's singular values, nonincreasing, and its larger dimension."""
-
-    values: np.ndarray
-    size: int
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.concatenate(planes, axis=0).mean(axis=0)
+    if not np.isfinite(mean).all() and all(np.isfinite(p).all() for p in planes):
+        raise FiniteInputError("average_attention: the mean of finite maps overflows float64")
+    return mean
 
 
 def _matrix(a, caller):
@@ -68,19 +65,6 @@ def _matrix(a, caller):
     return arr
 
 
-def _spectrum(a, caller):
-    """The _Spectrum of nonempty matrix `a` by one SVD; `a` itself if it already is one."""
-    if isinstance(a, _Spectrum):
-        return a
-    arr = _matrix(a, caller)
-    return _Spectrum(nm.svd_singular_values(arr), max(arr.shape))
-
-
-def _check_rank_tol(tol):
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
-
-
 def condition_number(a):
     """Ratio of largest to smallest singular value.
 
@@ -88,21 +72,23 @@ def condition_number(a):
     eps * sigma_max, NumPy's own rank cutoff, below which sigma_min is
     rounding noise (an exactly rank-deficient matrix, or the zero matrix).
     """
-    spectrum = _spectrum(a, "condition_number")
-    largest, smallest = spectrum.values[0], spectrum.values[-1]
-    if smallest <= spectrum.size * np.finfo(np.float64).eps * largest:
+    arr = _matrix(a, "condition_number")
+    values = nm.svd_singular_values(arr)
+    largest, smallest = values[0], values[-1]
+    if smallest <= max(arr.shape) * np.finfo(np.float64).eps * largest:
         return math.inf
     return float(largest / smallest)
 
 
 def numerical_rank(a, tol=1e-10):
     """Count of singular values above tol * sigma_max."""
-    _check_rank_tol(tol)
-    values = _spectrum(a, "numerical_rank").values
-    top = values[0]
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
+    values = nm.svd_singular_values(_matrix(a, "numerical_rank"))
+    top = float(values[0])
     if top == 0.0:
         return 0
-    return int(np.sum(values > tol * top))
+    return int(np.sum(values > float(tol) * top))   # Python floats: a product past float64 is inf, not a warning
 
 
 @dataclass(frozen=True)
@@ -123,16 +109,12 @@ class AttentionReport:
 
 
 def attention_report(maps, mechanism, rank_tol=1e-10):
-    """The averaged map with its rank and condition number, both from one SVD."""
+    """The averaged map with its rank and condition number."""
     averaged = average_attention(_map_arrays(maps, "attention_report"))
-    _check_rank_tol(rank_tol)
-    spectrum = _spectrum(averaged, "numerical_rank")
-    # Both public functions take the spectrum in place of the matrix, so each
-    # still runs, and can be traced or replaced, under its own name.
     return AttentionReport(
         averaged_map=averaged,
-        rank=numerical_rank(spectrum, rank_tol),
-        condition_number=condition_number(spectrum),
+        rank=numerical_rank(averaged, rank_tol),
+        condition_number=condition_number(averaged),
         mechanism=mechanism,
     )
 
@@ -221,6 +203,8 @@ def grad_check(config, step=1e-5, threshold=1e-4):
 
 def matrix_to_csv_text(matrix):
     arr = _matrix(matrix, "matrix_to_csv_text")
+    if not np.isfinite(arr).all():
+        raise FiniteInputError("matrix_to_csv_text: matrix must be finite")
     return "\n".join(",".join("%.8g" % v for v in row) for row in arr) + "\n"
 
 
@@ -233,6 +217,8 @@ def matrix_to_pgm_text(matrix):
     """P2 grayscale rendering, min-max scaled to 0..255 (flat input -> all 0)."""
     arr = _matrix(matrix, "matrix_to_pgm_text")
     lo, hi = float(arr.min()), float(arr.max())
+    if not math.isfinite(hi - lo):   # NaN, inf, or a range that overflows
+        raise FiniteInputError(f"matrix_to_pgm_text: value range {lo!r}..{hi!r} is not finite")
     if hi > lo:
         levels = np.rint((arr - lo) / (hi - lo) * 255).astype(int)
     else:

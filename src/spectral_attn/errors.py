@@ -26,7 +26,7 @@ class FormatError(SpectralAttnError, ValueError):
 
 
 class FiniteInputError(SpectralAttnError, ValueError):
-    """An operation requiring finite inputs received NaN or Inf."""
+    """An operation received NaN or Inf, or its result overflowed float64."""
 
 
 class EmptyTapeError(SpectralAttnError, RuntimeError):

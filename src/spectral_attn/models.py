@@ -467,7 +467,7 @@ def load_checkpoint(path):
     text = read_text(path)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError, or a too-long int or too-deep nest
         raise FormatError(f"{source}: invalid JSON ({exc})") from exc
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != CHECKPOINT_FORMAT:

@@ -835,13 +835,16 @@ def real_array(a, caller, shape=None):
 
 
 def svd_singular_values(a):
-    """Singular values of a real nonempty finite matrix, nonincreasing (LAPACK)."""
+    """Singular values of a real nonempty finite matrix, nonincreasing (LAPACK), refused if they overflow."""
     A = real_array(a, "svd_singular_values", ("m", "n"))
     if A.size == 0:
         raise ShapeError(f"svd_singular_values: expected a nonempty matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise FiniteInputError("svd_singular_values: matrix must be finite")
-    return np.linalg.svd(A, compute_uv=False)
+    values = np.linalg.svd(A, compute_uv=False)
+    if not np.isfinite(values).all():
+        raise FiniteInputError("svd_singular_values: singular values overflow float64")
+    return values
 
 
 # ---------------------------------------------------------------------------

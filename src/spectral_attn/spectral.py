@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FiniteInputError, ShapeError
 from .numerics import real_array
 
 
 def amplitude_matrix(series):
-    """Amplitude rows for every sequence of a (rows, L) array; shape (rows, floor(L/2)+1)."""
+    """Amplitude rows for every sequence of a (rows, L) array; shape (rows, floor(L/2)+1).
+    FiniteInputError if any is NaN or inf, from NaN or inf input or from an overflow."""
     series = real_array(series, "amplitude_matrix", ("rows", "L"))
     if series.shape[1] < 2:
         raise ShapeError(f"amplitude_matrix: expected (rows, L >= 2), got shape {series.shape}")
-    return np.abs(np.fft.rfft(series, axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = np.abs(np.fft.rfft(series, axis=-1))
+    if not np.isfinite(amplitudes).all():
+        raise FiniteInputError("amplitude_matrix: amplitudes are not finite (non-finite or overflowing input)")
+    return amplitudes

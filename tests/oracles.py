@@ -134,15 +134,6 @@ def jacobi_eigenvalues(sym, sweeps=100, tol=1e-14):
     return np.sort(np.diag(a))[::-1]
 
 
-def singular_values_via_gram(a):
-    """Singular values from the Jacobi eigen-oracle applied to AᵀA."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    eigs = jacobi_eigenvalues(a.T @ a)
-    return np.sqrt(np.clip(eigs, 0.0, None))
-
-
 def dft_naive(x):
     """Full complex spectrum of a real sequence by direct evaluation.
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_attn import numerics as nm
+from spectral_attn import analysis, numerics as nm
 from spectral_attn.analysis import (
     attention_report,
     average_attention,
@@ -236,6 +236,12 @@ def test_numerical_rank_requires_positive_tol():
             numerical_rank(np.eye(3), tol=tol)
 
 
+def test_numerical_rank_with_a_tol_times_sigma_max_past_float64_is_zero():
+    """tol * sigma_max overflowed with a RuntimeWarning; no singular value exceeds it."""
+    assert numerical_rank(np.full((1, 1), 1e308), 1e308) == 0
+    assert numerical_rank(np.diag([1e300, 1.0]), np.float64(1e10)) == 0
+
+
 def counting_svd(monkeypatch):
     calls = []
     original = nm.svd_singular_values
@@ -249,14 +255,21 @@ def counting_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("rank", [1, 3, 6], ids=["rank-1", "rank-3", "full-rank"])
-def test_attention_report_takes_rank_and_kappa_from_one_svd(monkeypatch, rank):
+def test_attention_report_calls_rank_and_kappa_by_module_name_on_the_averaged_map(monkeypatch, rank):
+    """perfbench traces and patches both functions as `analysis` attributes."""
     rng = np.random.default_rng(rank)
     maps = rng.random((6, rank)) @ rng.random((3, 2, rank, 6))   # every plane in one column space
     averaged = average_attention([maps])
     want_rank, want_kappa = numerical_rank(averaged, 1e-10), condition_number(averaged)
-    calls = counting_svd(monkeypatch)
+    seen = {"numerical_rank": [], "condition_number": []}
+    for name, original in (("numerical_rank", numerical_rank), ("condition_number", condition_number)):
+        def spy(a, *args, _name=name, _original=original):
+            seen[_name].append(np.array(a))
+            return _original(a, *args)
+        monkeypatch.setattr(analysis, name, spy)
     report = attention_report([maps], "fsatten")
-    assert calls == [(6, 6)]
+    assert [len(calls) for calls in seen.values()] == [1, 1]
+    assert all(c[0].shape == averaged.shape and c[0].tobytes() == averaged.tobytes() for c in seen.values())
     assert report.averaged_map.tobytes() == averaged.tobytes()
     assert report.rank == want_rank
     assert report.condition_number == want_kappa and (rank < 6) == math.isinf(want_kappa)
@@ -273,6 +286,57 @@ def test_attention_report_errors_before_and_at_the_svd(monkeypatch, maps, tol, e
     with pytest.raises(error, match=re.escape(message)):
         attention_report([maps], "soatten", rank_tol=tol)
     assert len(calls) == (error is FiniteInputError)
+
+
+# ---------------------------------------------------------------------------
+# finite input at the float extremes: a refusal, never a silent result
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda m: numerical_rank(m),          # LAPACK's sigma_max overflows: rank 0 at 1e308
+    lambda m: condition_number(m),
+    lambda m: attention_report([m[None]], "fsatten"),
+], ids=["numerical_rank", "condition_number", "attention_report"])
+def test_an_overflowing_singular_value_is_refused(call):
+    with pytest.raises(FiniteInputError, match="^svd_singular_values: singular values overflow float64$"):
+        call(np.full((2, 2), 1e308))
+
+
+def test_average_attention_refuses_a_mean_of_finite_maps_that_overflows():
+    for maps in ([np.full((2, 2, 2), 1e308)], [np.full((1, 2, 2), 1e308), np.full((1, 2, 2), 1e308)]):
+        with pytest.raises(FiniteInputError, match="^average_attention: the mean of finite maps overflows float64$"):
+            average_attention(maps)
+        with pytest.raises(FiniteInputError, match="^average_attention: "):
+            attention_report(maps, "soatten")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_average_attention_passes_a_non_finite_map_on_to_the_svd(value):
+    maps = [np.full((1, 2, 2), value), np.ones((1, 2, 2))]
+    assert not np.isfinite(average_attention(maps)).any()
+    with pytest.raises(FiniteInputError, match="^svd_singular_values: matrix must be finite$"):
+        attention_report(maps, "soatten")
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0]], [[-np.inf, 0.0]], np.full((2, 2), np.nan),
+], ids=["nan-cell", "inf-cell", "minus-inf-cell", "all-nan"])
+@pytest.mark.parametrize("export, write", [(matrix_to_csv_text, write_matrix_csv), (matrix_to_pgm_text, write_pgm)])
+def test_matrix_exports_refuse_a_non_finite_matrix(tmp_path, export, write, matrix):
+    """Not `nan` cells, nor an all-black image; no file is written."""
+    for call in (lambda: export(matrix), lambda: write(tmp_path / "map", matrix)):
+        with pytest.raises(FiniteInputError, match=f"^{export.__name__}: "):
+            call()
+    assert not list(tmp_path.iterdir())
+
+
+def test_pgm_refuses_a_value_range_that_overflows():
+    """Its level was -9223372036854775808; the CSV of the same matrix is exact."""
+    matrix = [[1e308, 0.0], [0.0, -1e308]]
+    with pytest.raises(FiniteInputError, match=re.escape("matrix_to_pgm_text: value range -1e+308..1e+308 is not finite")):
+        matrix_to_pgm_text(matrix)
+    assert matrix_to_csv_text(matrix) == "1e+308,0\n0,-1e+308\n"
+    assert matrix_to_pgm_text([[1.7e308, 0.0]]).splitlines()[3] == "255 0"
 
 
 # ---------------------------------------------------------------------------

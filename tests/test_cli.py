@@ -470,6 +470,21 @@ def test_malformed_checkpoint_is_one_error_line(workdir, capsys, defect):
     assert str(path) in single_error_line(capsys)
 
 
+@pytest.mark.parametrize("text", [
+    lambda text: re.sub(r'"seed": \d+', '"seed": ' + "7" * 5000, text),   # past the 4300-digit int limit
+    lambda text: "[" * 200000,                                            # past the decoder's recursion limit
+], ids=["seed-of-5000-digits", "200000-nested-lists"])
+def test_checkpoint_json_that_python_cannot_decode_is_one_error_line(workdir, capsys, text):
+    from spectral_attn.models import ForecastModel, ModelConfig, save_checkpoint
+
+    tmp, _, csv = workdir
+    path = tmp / "checkpoint.json"
+    save_checkpoint(path, ForecastModel(ModelConfig(L=32, T=8, C=2, H=2, D=8, layers=1)))
+    path.write_text(text(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["evaluate", "--checkpoint", str(path), "--data", str(csv)]) == 1
+    assert single_error_line(capsys).startswith(f"error: checkpoint {path}: invalid JSON (")
+
+
 # case -> (config text replaced, its oversize replacement, word the error line must hold)
 OVERSIZE_CONFIGS = {
     # 2**40 columns exceed the 47-bit address space: the request fails at once

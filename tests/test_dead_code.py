@@ -1,10 +1,12 @@
 """No dead code in the package modules (`__init__.py` aside): every import is
 used unless its line says `# noqa: F401`, and every module-level private name
 (def, class or assignment) is referenced somewhere in `src/` outside its own
-definition. And no raise that `cli.main` would let out as a traceback: every
-`raise` in the package raises a class of `errors.py` or MemoryError, re-raises
-with `raise type(exc)(...)`, or is bare. Built on the standard library's `ast`,
-as no linter is installed."""
+definition. The same for the tests: every import of `tests/*.py` is used, and
+every top-level function of `tests/oracles.py` is referenced somewhere in
+`tests/` outside its own definition. And no raise that `cli.main` would let
+out as a traceback: every `raise` in the package raises a class of
+`errors.py` or MemoryError, re-raises with `raise type(exc)(...)`, or is
+bare. Built on the standard library's `ast`, as no linter is installed."""
 
 import ast
 from pathlib import Path
@@ -15,10 +17,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spectral_attn"
 SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
 MODULES = [name for name in SOURCES if name != "__init__.py"]
+TESTS = Path(__file__).resolve().parent
+TEST_SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+TEST_TREES = {name: ast.parse(text, name) for name, text in TEST_SOURCES.items()}
 
 
-def _unused_imports(module):
-    tree, lines = TREES[module], SOURCES[module].splitlines()
+def _unused_imports(module, sources=SOURCES, trees=TREES):
+    tree, lines = trees[module], sources[module].splitlines()
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
@@ -53,12 +58,21 @@ def _refers_to(node, name):
     return False
 
 
-def _unreferenced_privates(module):
-    for name, definition in _private_definitions(TREES[module]):
+def _unreferenced(module, definitions, trees):
+    for name, definition in definitions:
         inside = {id(n) for n in ast.walk(definition)}
         if not any(id(n) not in inside and _refers_to(n, name)
-                   for tree in TREES.values() for n in ast.walk(tree)):
+                   for tree in trees.values() for n in ast.walk(tree)):
             yield f"{module}:{definition.lineno}: {name}"
+
+
+def _unreferenced_privates(module):
+    return _unreferenced(module, _private_definitions(TREES[module]), TREES)
+
+
+def _unreferenced_oracles(module="oracles.py"):
+    functions = [(node.name, node) for node in TEST_TREES[module].body if isinstance(node, ast.FunctionDef)]
+    return _unreferenced(module, functions, TEST_TREES)
 
 
 RAISABLE = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)} | {"MemoryError"}
@@ -86,6 +100,15 @@ def test_every_private_module_name_is_referenced_elsewhere(module):
     assert list(_unreferenced_privates(module)) == []
 
 
+@pytest.mark.parametrize("module", sorted(TEST_SOURCES))
+def test_every_test_import_is_used(module):
+    assert list(_unused_imports(module, TEST_SOURCES, TEST_TREES)) == []
+
+
+def test_every_oracle_function_is_referenced_by_a_test():
+    assert list(_unreferenced_oracles()) == []
+
+
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_every_raise_ends_in_an_error_line(module):
     assert list(_uncaught_raises(module)) == []
@@ -110,3 +133,17 @@ def test_the_check_flags_an_unused_import_and_an_unreferenced_private():
         assert list(_unreferenced_privates("probe.py")) == ["probe.py:4: _leftover"]
     finally:
         del TREES["probe.py"], SOURCES["probe.py"]
+
+
+def test_the_check_flags_an_unused_test_import_and_an_unreferenced_oracle():
+    oracles = "def used():\n    return 1\n\ndef leftover():\n    return leftover()\n"
+    test = "import os\nimport re  # noqa: F401\nfrom probe_oracles import used\n\nused()\n"
+    probes = {"probe_oracles.py": oracles, "probe_test.py": test}
+    for name, source in probes.items():
+        TEST_TREES[name], TEST_SOURCES[name] = ast.parse(source), source
+    try:
+        assert list(_unused_imports("probe_test.py", TEST_SOURCES, TEST_TREES)) == ["probe_test.py:1: os"]
+        assert list(_unreferenced_oracles("probe_oracles.py")) == ["probe_oracles.py:4: leftover"]
+    finally:
+        for name in probes:
+            del TEST_TREES[name], TEST_SOURCES[name]

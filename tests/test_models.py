@@ -2,6 +2,7 @@
 
 import json
 import platform
+import re
 import warnings
 from dataclasses import replace
 
@@ -633,6 +634,24 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other", "config": {}, "params": {}}')
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def undecodable_checkpoint_text(path, case):
+    """Checkpoint text that `json.loads` raises on with an error other than JSONDecodeError."""
+    if case == "seed-of-5000-digits":     # ValueError: the int-to-str digit limit is 4300
+        save_checkpoint(path, ForecastModel(micro_config()))
+        text, count = re.subn(r'"seed": \d+', '"seed": ' + "7" * 5000, path.read_text(encoding="utf-8"))
+        assert count == 1
+        return text
+    return "[" * 200000                   # RecursionError from the decoder
+
+
+@pytest.mark.parametrize("case", ["seed-of-5000-digits", "200000-nested-lists"])
+def test_checkpoint_json_that_python_cannot_decode_is_a_format_error(tmp_path, case):
+    path = tmp_path / "ck.json"
+    path.write_text(undecodable_checkpoint_text(path, case), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"checkpoint {path}: invalid JSON (")):
         load_checkpoint(path)
 
 

@@ -824,6 +824,13 @@ def test_svd_matches_jacobi_eigen_oracle():
     np.testing.assert_allclose(values, expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("matrix", [np.full((2, 2), 1e308), np.full((3, 1), -1.5e308)])
+def test_svd_refuses_singular_values_that_overflow(matrix):
+    """LAPACK returned inf for sigma_max, which read as rank 0."""
+    with pytest.raises(FiniteInputError, match="^svd_singular_values: singular values overflow float64$"):
+        nm.svd_singular_values(matrix)
+
+
 def test_svd_nonincreasing_and_rectangular():
     rng = np.random.default_rng(12)
     for shape in [(7, 3), (3, 7), (6, 6)]:

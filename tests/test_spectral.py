@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_attn import numerics as nm
-from spectral_attn.errors import ShapeError
+from spectral_attn.errors import FiniteInputError, ShapeError
 from spectral_attn.spectral import amplitude_matrix
 
 from oracles import dft_naive, finite_difference_gradient, max_rel_error, recursive_amplitudes
@@ -122,6 +122,15 @@ def test_amplitude_matrix_shape_and_nonnegativity():
     amps = amplitude_matrix(series)
     assert amps.shape == (5, 13)
     assert (amps >= 0).all()
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, np.nan, np.inf])
+def test_amplitude_matrix_refuses_a_non_finite_amplitude(value):
+    """1e308 overflowed to inf and NaN amplitudes with a RuntimeWarning."""
+    series = np.zeros((2, 8))
+    series[1] = value
+    with pytest.raises(FiniteInputError, match="^amplitude_matrix: amplitudes are not finite"):
+        amplitude_matrix(series)
 
 
 # ---------------------------------------------------------------------------
