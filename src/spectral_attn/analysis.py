@@ -81,13 +81,11 @@ def condition_number(a):
 
 
 def numerical_rank(a, tol=1e-10):
-    """Count of singular values above tol * sigma_max."""
-    if not 0.0 < tol < math.inf:
+    """Count of singular values above tol * sigma_max; tol is a real number, not a bool."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 < tol < math.inf:
         raise ConfigError(f"numerical_rank: tol must be positive and finite, got {tol}")
     values = nm.svd_singular_values(_matrix(a, "numerical_rank"))
     top = float(values[0])
-    if top == 0.0:
-        return 0
     return int(np.sum(values > float(tol) * top))   # Python floats: a product past float64 is inf, not a warning
 
 
@@ -202,9 +200,7 @@ def grad_check(config, step=1e-5, threshold=1e-4):
 # ---------------------------------------------------------------------------
 
 def matrix_to_csv_text(matrix):
-    arr = _matrix(matrix, "matrix_to_csv_text")
-    if not np.isfinite(arr).all():
-        raise FiniteInputError("matrix_to_csv_text: matrix must be finite")
+    arr = nm.finite(_matrix(matrix, "matrix_to_csv_text"), "matrix_to_csv_text: matrix must be finite")
     return "\n".join(",".join("%.8g" % v for v in row) for row in arr) + "\n"
 
 

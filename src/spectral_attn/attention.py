@@ -53,10 +53,12 @@ def orthogonal_init(in_dim, out_dim, seed):
 
     Columns are orthonormal when in_dim >= out_dim, rows otherwise; built by
     QR of a seeded standard-normal draw with sign correction so the result
-    is unique for a given seed.
+    is unique for a given seed, a non-negative integer.
     """
     if in_dim < 1 or out_dim < 1:
         raise ShapeError(f"orthogonal_init: dimensions must be positive, got {in_dim}x{out_dim}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"orthogonal_init: seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(int(seed))
     transpose = in_dim < out_dim
     rows, cols = (out_dim, in_dim) if transpose else (in_dim, out_dim)
@@ -134,12 +136,11 @@ class ConventionalAttention(_SharedAttention):
         self.wk = make_param("wk", ("normal", (width, width), std))
         self.bk = make_param("bk", ("zeros", (width,)))
         super().__init__(width, heads, make_param)
-        self.head_dim = width // heads
 
     def forward(self, hidden, qk_source, capture=None):
         q = nm.split_heads(nm.linear(hidden, self.wq, self.bq), self.heads)
         k = nm.split_heads(nm.linear(hidden, self.wk, self.bk), self.heads)
-        return self._attend(nm.attention_weights(q, k, 1.0 / math.sqrt(self.head_dim)), hidden, capture)
+        return self._attend(nm.attention_weights(q, k), hidden, capture)
 
 
 class SpectrumAttention(_SharedAttention):
@@ -175,10 +176,9 @@ class SpectrumAttention(_SharedAttention):
     def forward(self, hidden, qk_source, capture=None):
         if qk_source is None:
             raise ShapeError("SpectrumAttention: missing Q/K source matrix")
-        factor = 1.0 / math.sqrt(self.bin_count)
         if self.mss_enabled:
-            weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map, factor)
+            weights = nm.mss_attention_weights(qk_source, self.q_map, self.k_map)
         else:
             shared = nm.reshape(qk_source, qk_source.shape[:-2] + (1,) + qk_source.shape[-2:])
-            weights = nm.attention_weights(nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map), factor)
+            weights = nm.attention_weights(nm.matmul(shared, self.q_map), nm.matmul(shared, self.k_map))
         return self._attend(weights, hidden, capture)

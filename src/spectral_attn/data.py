@@ -220,20 +220,14 @@ def split(dataset, ratios):
     return result
 
 
-_SPLITS = ("train", "val", "test")
-
-
 def _split_range(dataset, which):
     if dataset.split_bounds is None:
         raise DataError("dataset has no split bounds; call split() first")
     train_end, val_end = dataset.split_bounds
-    if which == "train":
-        return 0, train_end
-    if which == "val":
-        return train_end, val_end
-    if which == "test":
-        return val_end, dataset.length
-    raise DataError(f"unknown split {which!r}; expected one of {_SPLITS}")
+    ranges = {"train": (0, train_end), "val": (train_end, val_end), "test": (val_end, dataset.length)}
+    if isinstance(which, str) and which in ranges:
+        return ranges[which]
+    raise DataError(f"unknown split {which!r}; expected one of {tuple(ranges)}")
 
 
 def normalized_values(dataset, columns=slice(None)):

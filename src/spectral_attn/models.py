@@ -224,15 +224,17 @@ def instance_normalize(x):
         xc = x - mean
         scale = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / length
     scale = np.maximum(np.sqrt(scale, out=scale), 1e-5, out=scale)
-    if not np.isfinite(scale).all():
-        raise FiniteInputError("instance_normalize: a window's standard deviation is not finite; "
-                               "its values are not finite or overflow float64 when squared")
+    nm.finite(scale, "instance_normalize: a window's standard deviation is not finite; "
+                     "its values are not finite or overflow float64 when squared")
     xc /= scale
     return xc, InstanceStats(mean=mean, scale=scale)
 
 
 def instance_denormalize(x, stats):
-    return nm.real_array(x, "instance_denormalize") * stats.scale + stats.mean
+    """x * scale + mean for (..., C, T) forecasts on the normalized scale of `stats`, refused unless finite."""
+    x = nm.real_array(x, "instance_denormalize", stats.scale.shape[:-1] + ("T",))
+    with np.errstate(all="ignore"):
+        return nm.finite(x * stats.scale + stats.mean, "instance_denormalize: a forecast is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +417,10 @@ class ForecastModel:
         if not len(y):
             raise DataError("batch_loss: no windows")
         pred, stats = self.forward_batch(x, training=training)
-        target = nm.Tensor((y - stats.mean) / stats.scale)
-        diff = nm.sub(pred, target)
+        with np.errstate(all="ignore"):   # so the loss cannot overflow on the targets' side
+            target = (y - stats.mean) / stats.scale
+            nm.finite(np.mean(target * target), "batch_loss: a normalized target is not finite when squared")
+        diff = nm.sub(pred, nm.Tensor(target))
         return nm.mean_all(nm.mul(diff, diff))
 
     def window_loss(self, x, y, training=False):
@@ -509,9 +513,13 @@ def _decode_param(source, name, entry):
 # ---------------------------------------------------------------------------
 
 def _error(pred, target, caller):
-    """pred - target, both through `numerics.real_array` under `caller`, target at the shape of pred."""
+    """pred - target (real arrays, target at pred's shape), refused unless its squares have a finite mean."""
     pred = nm.real_array(pred, caller)
-    return pred - nm.real_array(target, caller, pred.shape)
+    with np.errstate(all="ignore"):
+        err = pred - nm.real_array(target, caller, pred.shape)
+        if not (err.size and math.isfinite(np.mean(err * err))):
+            raise FiniteInputError(f"{caller}: the mean squared error of {err.size} values is not finite")
+    return err
 
 
 def mse(pred, target):
@@ -569,10 +577,6 @@ def _normalized_error(model, x, y):
     return pred.data - (y - stats.mean) / stats.scale
 
 
-def _native_error(model, x, y):
-    return _error(model.predict_batch(x), y, "evaluate_windows")
-
-
 def evaluate_windows(model, inputs, targets):
     """Native-scale MSE/MAE, overall and per horizon step, of one forecast of `inputs` vs `targets`.
 
@@ -584,7 +588,7 @@ def evaluate_windows(model, inputs, targets):
     targets = nm.real_array(targets, "evaluate_windows", (len(inputs), cfg.C, cfg.T))
     if len(inputs) == 0:
         raise DataError("evaluate_windows: no windows to forecast")
-    err = _chunked(model, _native_error, inputs, targets)
+    err = _error(_chunked(model, lambda m, x, _: m.predict_batch(x), inputs, targets), targets, "evaluate_windows")
     squared, absolute = err ** 2, np.abs(err)
     # Each step reduces one contiguous (n, C) block: bit for bit mse(preds[:, :, t], targets[:, :, t]).
     by_step = lambda a: np.ascontiguousarray(np.moveaxis(a, -1, 0)).mean(axis=(1, 2)).tolist()
@@ -647,11 +651,9 @@ def train(model, dataset):
             with nm.GradientTape() as tape:
                 loss = model.batch_loss(train_x[batch], train_y[batch], training=True)
             value = float(loss.data)
-            if not math.isfinite(value):
-                raise FiniteInputError(f"train: loss is {value} at epoch {epoch}, batch {number}")
+            nm.finite(value, f"train: loss is {value} at epoch {epoch}, batch {number}")
             nm.backward(tape, loss)
-            if not np.isfinite(optimizer.grad).all():
-                raise FiniteInputError(f"train: non-finite gradient at epoch {epoch}, batch {number}")
+            nm.finite(optimizer.grad, f"train: non-finite gradient at epoch {epoch}, batch {number}")
             optimizer.step()
             optimizer.zero_grad()
             total += value * len(batch)

@@ -138,7 +138,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         if type(data) is not np.ndarray or data.dtype is not _F64:
-            data = np.asarray(data, dtype=np.float64)
+            data = real_array(data, "Tensor")
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -284,7 +284,7 @@ def matmul(a, b):
     through `linear`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     try:
         out = a.data @ b.data
@@ -429,13 +429,14 @@ def gelu(a):
 
 
 def _softmax(s, op):
-    """Softmax of array `s` over its last axis; FiniteInputError names `op`.
+    """Softmax of array `s` over its nonempty last axis; ShapeError or FiniteInputError names `op`.
 
     Rows are shifted by their max before exponentiation, so arbitrarily large
     finite scores cannot overflow.
     """
-    if not np.isfinite(s).all():
-        raise FiniteInputError(f"{op}: input must be finite (no NaN/Inf)")
+    if not s.shape[-1]:
+        raise ShapeError(f"{op}: no entries to normalize over, got shape {s.shape}")
+    finite(s, f"{op}: input must be finite (no NaN/Inf)")
     e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
@@ -463,22 +464,23 @@ def softmax_rows(s):
     return _emit(y, (s,), vjp)
 
 
-def attention_weights(q, k, factor):
-    """softmax(Q Kᵀ · factor) over the last axis; leading axes broadcast.
+def attention_weights(q, k):
+    """softmax(Q Kᵀ / √d) over the last axis; leading axes broadcast.
 
-    q: (..., N, d) queries, k: (..., M, d) keys; returns (..., N, M)
+    q: (..., N, d) queries, k: (..., M, d) keys, d >= 1; returns (..., N, M)
     row-stochastic weights. One record for the transpose, matmul, scale
     and softmax chain, with the same arithmetic. Non-finite scores raise
     FiniteInputError.
     """
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] != k.shape[-1]:
+    if q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] == 0:
         raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}")
-    factor = float(factor)
+    factor = 1.0 / math.sqrt(q.shape[-1])
     qd, kd = q.data, k.data
     k_t = kd.swapaxes(-1, -2)
     try:
-        scores = qd @ k_t
+        with np.errstate(over="ignore", invalid="ignore"):   # `_softmax` refuses non-finite scores
+            scores = qd @ k_t
     except ValueError:
         raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}") from None
     scores *= factor
@@ -494,10 +496,10 @@ def attention_weights(q, k, factor):
     return _emit(y, (q, k), vjp)
 
 
-def mss_attention_weights(source, scale_q, scale_k, factor):
-    """softmax((A⊙S_q)(A⊙S_k)ᵀ · factor) over the last axis, per head.
+def mss_attention_weights(source, scale_q, scale_k):
+    """softmax((A⊙S_q)(A⊙S_k)ᵀ / √F) over the last axis, per head.
 
-    source A: (..., N, F), shared by every head; scale_q, scale_k: (H, N, F)
+    source A: (..., N, F), F >= 1, shared by every head; scale_q, scale_k: (H, N, F)
     multi-head spectrum scales; returns (..., H, N, N) row-stochastic
     weights. One record for the chain `attention_weights(A' * S_q, A' * S_k)`
     with A' = A reshaped to (..., 1, N, F), and the same arithmetic. The
@@ -508,15 +510,16 @@ def mss_attention_weights(source, scale_q, scale_k, factor):
     """
     source, scale_q, scale_k = _as_tensor(source), _as_tensor(scale_q), _as_tensor(scale_k)
     src_shape, hs = source.data.shape, scale_q.data.shape
-    if len(src_shape) < 2 or len(hs) != 3 or hs[1:] != src_shape[-2:] or scale_k.data.shape != hs:
+    if len(src_shape) < 2 or len(hs) != 3 or hs[1:] != src_shape[-2:] or scale_k.data.shape != hs or not hs[2]:
         raise ShapeError(
             f"mss_attention_weights: incompatible shapes {src_shape} with scales {hs} / {scale_k.data.shape}"
         )
-    factor = float(factor)
+    factor = 1.0 / math.sqrt(hs[2])
     shared = source.data.reshape(src_shape[:-2] + (1,) + src_shape[-2:])
     sq, sk = scale_q.data, scale_k.data
     needs = source.requires_grad, scale_q.requires_grad, scale_k.requires_grad
-    scores = (shared * sq) @ (shared * sk).swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):   # `_softmax` refuses non-finite scores
+        scores = (shared * sq) @ (shared * sk).swapaxes(-1, -2)
     scores *= factor
     y = _softmax(scores, "mss_attention_weights")
 
@@ -814,7 +817,7 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# real arrays and singular values
+# real arrays, finite values and singular values
 # ---------------------------------------------------------------------------
 
 def real_array(a, caller, shape=None):
@@ -834,17 +837,20 @@ def real_array(a, caller, shape=None):
     return np.asarray(a, dtype=np.float64)
 
 
+def finite(a, message):
+    """`a`, refused with FiniteInputError(message) if any of its values is NaN or inf."""
+    if not np.isfinite(a).all():
+        raise FiniteInputError(message)
+    return a
+
+
 def svd_singular_values(a):
     """Singular values of a real nonempty finite matrix, nonincreasing (LAPACK), refused if they overflow."""
     A = real_array(a, "svd_singular_values", ("m", "n"))
     if A.size == 0:
         raise ShapeError(f"svd_singular_values: expected a nonempty matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise FiniteInputError("svd_singular_values: matrix must be finite")
-    values = np.linalg.svd(A, compute_uv=False)
-    if not np.isfinite(values).all():
-        raise FiniteInputError("svd_singular_values: singular values overflow float64")
-    return values
+    values = np.linalg.svd(finite(A, "svd_singular_values: matrix must be finite"), compute_uv=False)
+    return finite(values, "svd_singular_values: singular values overflow float64")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FiniteInputError, ShapeError
-from .numerics import real_array
+from .errors import ShapeError
+from .numerics import finite, real_array
 
 
 def amplitude_matrix(series):
@@ -21,6 +21,4 @@ def amplitude_matrix(series):
         raise ShapeError(f"amplitude_matrix: expected (rows, L >= 2), got shape {series.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         amplitudes = np.abs(np.fft.rfft(series, axis=-1))
-    if not np.isfinite(amplitudes).all():
-        raise FiniteInputError("amplitude_matrix: amplitudes are not finite (non-finite or overflowing input)")
-    return amplitudes
+    return finite(amplitudes, "amplitude_matrix: amplitudes are not finite (non-finite or overflowing input)")

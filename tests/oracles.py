@@ -339,23 +339,21 @@ def unfused_merge_heads(x):
     return nm.reshape(nm.transpose(x, _swap(len(x.shape), -3, -2)), (*lead, n, h * d))
 
 
-def unfused_attention_weights(q, k, factor):
-    """transpose, matmul, scale, softmax: the chain numerics.attention_weights fuses."""
+def unfused_attention_weights(q, k):
+    """transpose, matmul, scale by 1/sqrt(d), softmax: the chain numerics.attention_weights fuses."""
     k_t = nm.transpose(k, _swap(len(k.shape), -2, -1))
-    return nm.softmax_rows(nm.scale(nm.matmul(q, k_t), factor))
+    return nm.softmax_rows(nm.scale(nm.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1])))
 
 
-def unfused_mss_attention_weights(source, scale_q, scale_k, factor):
+def unfused_mss_attention_weights(source, scale_q, scale_k):
     """head axis, Q and K scaling, attention weights: the chain numerics.mss_attention_weights fuses."""
     shape = source.shape
     shared = nm.reshape(source, shape[:-2] + (1,) + shape[-2:])
-    return nm.attention_weights(nm.mul(shared, scale_q), nm.mul(shared, scale_k), factor)
+    return nm.attention_weights(nm.mul(shared, scale_q), nm.mul(shared, scale_k))
 
 
-def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
-    """(pre-HCC weights, effective weights, effective @ v) of softmax(Q Kᵀ / scale)."""
-    if scale <= 0:
-        raise ConfigError(f"scaled_dot_attention: scale must be positive, got {scale}")
+def scaled_dot_attention(q, k, v, hcc_kernel=None):
+    """(pre-HCC weights, effective weights, effective @ v) of softmax(Q Kᵀ / sqrt(d))."""
     q = q if isinstance(q, nm.Tensor) else nm.Tensor(q)
     k = k if isinstance(k, nm.Tensor) else nm.Tensor(k)
     v = v if isinstance(v, nm.Tensor) else nm.Tensor(v)
@@ -364,7 +362,7 @@ def scaled_dot_attention(q, k, v, scale, hcc_kernel=None):
         raise ShapeError(f"scaled_dot_attention: expected (..., H, N, d) stacks, got {qs}/{ks}/{vs}")
     if qs != ks or qs[:-1] != vs[:-1]:
         raise ShapeError(f"scaled_dot_attention: inconsistent head shapes {qs}/{ks}/{vs}")
-    return weigh_values(nm.attention_weights(q, k, 1.0 / float(scale)), v, hcc_kernel)
+    return weigh_values(nm.attention_weights(q, k), v, hcc_kernel)
 
 
 def weigh_values(weights, v, hcc_kernel):
@@ -392,21 +390,20 @@ def conventional_forward(layer, hidden, qk_source, capture=None):
     """ConventionalAttention.forward through `scaled_dot_attention`."""
     q = nm.split_heads(nm.linear(hidden, layer.wq, layer.bq), layer.heads)
     k = nm.split_heads(nm.linear(hidden, layer.wk, layer.bk), layer.heads)
-    attended = scaled_dot_attention(q, k, _layer_values(layer, hidden), math.sqrt(layer.head_dim))
+    attended = scaled_dot_attention(q, k, _layer_values(layer, hidden))
     return _layer_output(layer, attended, capture)
 
 
 def spectrum_forward(layer, hidden, qk_source, capture=None):
     """SpectrumAttention.forward through `weigh_values` (MSS) or `scaled_dot_attention` (dense maps)."""
     shape = qk_source.shape
-    scale = math.sqrt(layer.bin_count)
     if layer.mss_enabled:
-        weights = nm.mss_attention_weights(qk_source, layer.q_map, layer.k_map, 1.0 / scale)
+        weights = nm.mss_attention_weights(qk_source, layer.q_map, layer.k_map)
         attended = weigh_values(weights, _layer_values(layer, hidden), layer.kernel)
     else:
         shared = nm.reshape(qk_source, shape[:-2] + (1,) + shape[-2:])
         q, k = nm.matmul(shared, layer.q_map), nm.matmul(shared, layer.k_map)
-        attended = scaled_dot_attention(q, k, _layer_values(layer, hidden), scale, hcc_kernel=layer.kernel)
+        attended = scaled_dot_attention(q, k, _layer_values(layer, hidden), hcc_kernel=layer.kernel)
     return _layer_output(layer, attended, capture)
 
 

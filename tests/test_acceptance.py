@@ -198,7 +198,7 @@ def test_c05_attention_normalization():
         k = rng.standard_normal((heads, n, d)) * 4
         rng.standard_normal((heads, n, d))  # the values' draw, which the weights never read
         kernel = rng.standard_normal((heads, heads, 3, 3)) * 0.5 if i % 2 else None
-        weights = nm.attention_weights(q, k, 1.0 / np.sqrt(d))
+        weights = nm.attention_weights(q, k)
         effective = hcc(weights, kernel) if kernel is not None else weights
         assert (weights.data >= 0).all()
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
@@ -217,7 +217,7 @@ def test_c06_hcc_and_attention_oracles():
             k = rng.standard_normal((heads, n, d))
             v = rng.standard_normal((heads, n, d))
             scale = float(np.sqrt(d))
-            weights = nm.attention_weights(q, k, 1.0 / scale)
+            weights = nm.attention_weights(q, k)
             out = nm.matmul(weights, v)
             ref_w, ref_o = naive_attention(q, k, v, scale)
             np.testing.assert_allclose(weights.data, ref_w, atol=1e-12)

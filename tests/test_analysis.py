@@ -280,7 +280,12 @@ def test_attention_report_calls_rank_and_kappa_by_module_name_on_the_averaged_ma
     (np.eye(3)[None], math.nan, ConfigError, "numerical_rank: tol must be positive and finite, got nan"),
     (np.full((1, 2, 2), np.inf), math.inf, ConfigError, "numerical_rank: tol must be positive"),
     (np.full((1, 2, 2), np.nan), 1e-10, FiniteInputError, "svd_singular_values: matrix must be finite"),
-], ids=["zero-tol", "nan-tol", "tol-before-finiteness", "non-finite-map"])
+    (np.eye(3)[None], "a", ConfigError, "numerical_rank: tol must be positive and finite, got a"),
+    (np.eye(3)[None], None, ConfigError, "numerical_rank: tol must be positive and finite, got None"),
+    (np.eye(3)[None], 1j, ConfigError, "numerical_rank: tol must be positive and finite, got 1j"),
+    (np.eye(3)[None], True, ConfigError, "numerical_rank: tol must be positive and finite, got True"),
+], ids=["zero-tol", "nan-tol", "tol-before-finiteness", "non-finite-map", "str-tol", "none-tol", "complex-tol",
+        "bool-tol"])
 def test_attention_report_errors_before_and_at_the_svd(monkeypatch, maps, tol, error, message):
     calls = counting_svd(monkeypatch)
     with pytest.raises(error, match=re.escape(message)):
@@ -419,3 +424,17 @@ def test_matrix_exports_refuse_an_empty_axis_by_name(tmp_path, export, write, sh
     with pytest.raises(ShapeError, match=message):
         write(tmp_path / "map", np.zeros(shape))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tol", ["a", None, 1j, True, np.bool_(True), [1e-10]],
+                         ids=["str", "none", "complex", "bool", "numpy-bool", "list"])
+def test_numerical_rank_refuses_a_tolerance_that_is_not_a_real_number(tol):
+    """A str, None or complex raised `TypeError: '<' not supported`, and True
+    counted as a tolerance of 1, so the identity had rank 0."""
+    with pytest.raises(ConfigError, match="^numerical_rank: tol must be positive and finite, got "):
+        numerical_rank(np.eye(2), tol)
+
+
+@pytest.mark.parametrize("tol, rank", [(0.5, 1), (np.float32(0.5), 1), (1, 0), (np.int64(1), 0)])
+def test_numerical_rank_takes_any_real_number_as_tolerance(tol, rank):
+    assert numerical_rank(np.diag([1.0, 0.25]), tol) == rank

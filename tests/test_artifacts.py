@@ -2,6 +2,8 @@
 midway leaves the previous file as it was and no temporary file behind."""
 
 import json
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from spectral_attn import analysis, artifacts, data, models
 from spectral_attn.artifacts import atomic_open, write_json
+from spectral_attn.errors import FiniteInputError
 
 
 def _raise_inside(path):
@@ -54,3 +57,13 @@ def test_atomic_write_replaces_target(tmp_path):
     write_json(target, {"b": 2, "a": 1})
     assert json.loads(target.read_text(encoding="utf-8")) == {"a": 1, "b": 2}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_is_refused_before_the_file_opens(tmp_path, value):
+    """JSON has no NaN or infinity: `write_json` names the file, writes nothing,
+    and never emits the invalid `NaN`/`Infinity` tokens."""
+    target = tmp_path / "metrics.json"
+    with pytest.raises(FiniteInputError, match=f"^{re.escape(str(target))}: Out of range float values are not JSON"):
+        write_json(target, {"mse": value})
+    assert list(tmp_path.iterdir()) == []

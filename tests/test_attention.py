@@ -1,5 +1,7 @@
 """Attention mechanisms vs naive oracles; orthogonal init and HCC contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,7 @@ def soatten_pass(tokens, hidden, layer, embed):
 
 def test_attention_uniform_when_scores_vanish():
     v = np.random.default_rng(0).standard_normal((1, 4, 3))
-    weights = nm.attention_weights(np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), 1.0 / 2.0)
+    weights = nm.attention_weights(np.zeros((1, 4, 2)), np.zeros((1, 4, 2)))
     out = nm.matmul(weights, v)
     np.testing.assert_allclose(weights.data, np.full((1, 4, 4), 0.25), atol=1e-15)
     np.testing.assert_allclose(out.data[0], np.tile(v[0].mean(axis=0), (4, 1)), atol=1e-12)
@@ -82,7 +84,7 @@ def test_attention_uniform_when_scores_vanish():
 
 def test_attention_single_token_passes_value_through():
     v = np.array([[[3.0, -1.0]]])
-    weights = nm.attention_weights(np.ones((1, 1, 2)), np.ones((1, 1, 2)), 1.0)
+    weights = nm.attention_weights(np.ones((1, 1, 2)), np.ones((1, 1, 2)))
     out = nm.matmul(weights, v)
     np.testing.assert_array_equal(weights.data, np.ones((1, 1, 1)))
     np.testing.assert_array_equal(out.data, v)
@@ -94,7 +96,7 @@ def test_attention_matches_naive_per_head_oracle():
     k = rng.standard_normal((2, 3, 4))
     v = rng.standard_normal((2, 3, 5))
     scale = 2.0
-    weights = nm.attention_weights(q, k, 1.0 / scale)
+    weights = nm.attention_weights(q, k)
     out = nm.matmul(weights, v)
     ref_w, ref_o = naive_attention(q, k, v, scale)
     np.testing.assert_allclose(weights.data, ref_w, atol=1e-12)
@@ -104,7 +106,7 @@ def test_attention_matches_naive_per_head_oracle():
 def test_attention_rejects_mismatched_shapes():
     q = np.zeros((1, 2, 3))
     with pytest.raises(ShapeError):
-        nm.attention_weights(q, np.zeros((1, 2, 4)), 1.0)
+        nm.attention_weights(q, np.zeros((1, 2, 4)))
 
 
 def test_row_argmax_invariant_under_positive_query_scaling():
@@ -112,9 +114,9 @@ def test_row_argmax_invariant_under_positive_query_scaling():
     q = rng.standard_normal((2, 5, 3))
     k = rng.standard_normal((2, 5, 3))
     rng.standard_normal((2, 5, 3))  # the values' draw, which the weights never read
-    base = nm.attention_weights(q, k, 1.0 / np.sqrt(3))
+    base = nm.attention_weights(q, k)
     for factor in (0.5, 2.0, 7.0):
-        scaled = nm.attention_weights(q * factor, k, 1.0 / np.sqrt(3))
+        scaled = nm.attention_weights(q * factor, k)
         np.testing.assert_array_equal(
             np.argmax(scaled.data, axis=-1), np.argmax(base.data, axis=-1)
         )
@@ -129,7 +131,7 @@ def test_pre_hcc_rows_sum_to_one():
         q = rng.standard_normal((heads, n, d)) * 3
         k = rng.standard_normal((heads, n, d)) * 3
         rng.standard_normal((heads, n, d))  # the values' draw, which the weights never read
-        weights = nm.attention_weights(q, k, 1.0 / np.sqrt(d))
+        weights = nm.attention_weights(q, k)
         assert (weights.data >= 0).all()
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -233,6 +235,25 @@ def test_orthogonal_init_wide_matrix_rows():
 def test_orthogonal_init_deterministic_in_seed():
     np.testing.assert_array_equal(orthogonal_init(9, 4, 7), orthogonal_init(9, 4, 7))
     assert not np.allclose(orthogonal_init(9, 4, 7), orthogonal_init(9, 4, 8))
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: orthogonal_init(3, 2, -1), ConfigError, "orthogonal_init: seed must be a non-negative integer, got -1"),
+    (lambda: orthogonal_init(3, 2, True), ConfigError, "orthogonal_init: seed must be a non-negative integer, got True"),
+    (lambda: orthogonal_init(3, 2, 1.5), ConfigError, "orthogonal_init: seed must be a non-negative integer, got 1.5"),
+    (lambda: orthogonal_init(3, 2, "3"), ConfigError, "orthogonal_init: seed must be a non-negative integer, got '3'"),
+    (lambda: orthogonal_init(0, 2, 1), ShapeError, "orthogonal_init: dimensions must be positive, got 0x2"),
+    (lambda: orthogonal_init(3, 0, 1), ShapeError, "orthogonal_init: dimensions must be positive, got 3x0"),
+    (lambda: dirac_kernel(2, 2), ConfigError, "dirac_kernel: size must be odd, got 2"),
+], ids=["negative-seed", "bool-seed", "float-seed", "str-seed", "zero-rows", "zero-columns", "even-kernel"])
+def test_init_helpers_refuse_bad_arguments_by_name(call, error, words):
+    """A negative seed raised NumPy's `ValueError: expected non-negative integer`."""
+    with pytest.raises(error, match=f"^{re.escape(words)}$"):
+        call()
+
+
+def test_orthogonal_init_takes_a_numpy_integer_seed_as_its_int():
+    np.testing.assert_array_equal(orthogonal_init(4, 3, np.int64(9)), orthogonal_init(4, 3, 9))
 
 
 # ---------------------------------------------------------------------------

@@ -670,7 +670,8 @@ def test_non_finite_rank_tol_is_one_error_line(workdir, capsys, tol):
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
 def test_non_finite_metric_is_one_error_line_not_invalid_json(workdir, capsys, to_file):
-    # finite parameters whose forecasts overflow the squared error to inf
+    # finite parameters whose forecasts overflow the squared error to inf: the
+    # metrics refuse it, so no NaN or inf reaches the JSON writer
     from spectral_attn.models import save_checkpoint
 
     tmp, _, csv = workdir
@@ -683,8 +684,7 @@ def test_non_finite_metric_is_one_error_line_not_invalid_json(workdir, capsys, t
         code = main(argv + ["--out", str(out)] if to_file else argv)
     assert code == 1
     message = single_error_line(capsys)
-    assert "not JSON compliant" in message
-    assert (str(out) if to_file else "evaluate") in message
+    assert re.fullmatch(r"error: evaluate_windows: the mean squared error of \d+ values is not finite", message)
     assert not out.exists()
 
 
@@ -722,7 +722,31 @@ BAD_CLI_VALUES = {
                                              "--config", str(c), "--data", str(d),
                                              "--out", str(t / "sweep")], "--values"),
                      ("value", "'x3'")),
+    "splits-one-ratio": (None, lambda t, c, d: (_train_args(t, c, d, "--splits", "0.7"), "--splits"),
+                         ("'train,val' ratios", "'0.7'")),
+    "config-bool": (None, lambda t, c, d: (_train_args(t, _appended(c, "mss_enabled = maybe"), d), str(c)),
+                    ("mss_enabled must be a boolean", "'maybe'")),
+    "synth-no-C": (None, lambda t, c, d: _without_key(_synth_args(t), "C"), ("missing required key 'C'",)),
+    "synth-tone-two-parts": (None, lambda t, c, d: _synth_args(t, tones_1="5:1"),
+                             ("tone '5:1'", "freq:amplitude:phase")),
+    "sweep-no-values": (None, lambda t, c, d: (["sweep", "--param", "K", "--values", ",",
+                                                "--config", str(c), "--data", str(d),
+                                                "--out", str(t / "sweep")], "--values"),
+                        ("must list at least one integer",)),
 }
+
+
+def _appended(path, line):
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    return path
+
+
+def _without_key(args, key):
+    """`_synth_args`'s (argv, spec) with the spec's `key` line taken out."""
+    spec = Path(args[1])
+    lines = spec.read_text(encoding="utf-8").splitlines(keepends=True)
+    spec.write_text("".join(line for line in lines if not line.startswith(f"{key} =")), encoding="utf-8")
+    return args
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CLI_VALUES))
@@ -846,3 +870,39 @@ def test_analyze_attention_bytes_match_a_per_window_loop(tmp_path, architecture,
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
     written = read_json(out / "attention_report.json")
     assert {k: written[k] for k in report.to_dict()} == json.loads(json.dumps(report.to_dict()))
+
+
+@pytest.mark.parametrize("case", ["splits-one-ratio", "config-bool", "synth-no-C", "synth-tone-two-parts",
+                                  "sweep-no-values"])
+def test_a_refused_cli_value_writes_nothing(workdir, capsys, case):
+    tmp = workdir[0]
+    argv, _ = BAD_CLI_VALUES[case][1](*workdir)
+    before = sorted(tmp.rglob("*"))
+    assert main(argv) == 1
+    single_error_line(capsys)
+    assert sorted(tmp.rglob("*")) == before
+
+
+def test_analyze_attention_of_windows_past_the_split_is_one_error_line(workdir, capsys):
+    from spectral_attn.models import save_checkpoint
+
+    tmp, _, csv = workdir
+    checkpoint, out = tmp / "checkpoint.json", tmp / "maps"
+    save_checkpoint(checkpoint, _micro_fsatten())
+    assert main(_analyze_args(checkpoint, csv, out, "test", 999, 1)) == 1
+    assert re.fullmatch(r"error: windows \[999, 1000\) out of range; split has \d+", single_error_line(capsys))
+    assert not out.exists()
+
+
+def test_gradcheck_lists_each_parameter_past_the_threshold(monkeypatch, capsys):
+    from spectral_attn import analysis
+
+    entries = (analysis.GradCheckEntry("embed.weight", 0.5), analysis.GradCheckEntry("head.bias", 1e-6),
+               analysis.GradCheckEntry("head.weight", 2e-3))
+    monkeypatch.setattr(analysis, "grad_check", lambda cfg: analysis.GradCheckReport(entries, threshold=1e-4))
+    assert main(["gradcheck", "--mechanism", "conventional"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["FAIL conventional/variate: max relative error 0.5 (threshold 0.0001)",
+                     "  embed.weight: 0.5", "  head.weight: 0.002",
+                     "FAIL conventional/temporal: max relative error 0.5 (threshold 0.0001)",
+                     "  embed.weight: 0.5", "  head.weight: 0.002"]

@@ -390,3 +390,30 @@ def test_synth_rejects_nyquist_tone():
 def test_synth_rejects_non_finite_noise_or_tone(noise, tone):
     with pytest.raises(ConfigError, match="non-finite|finite and >= 0"):
         synth_multisine(1, 100, [[tone]], noise_sigma=noise, seed=0, period=96)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: split(make_dataset(50), (0.001, 0.0)), DataError, "split: bounds (0, 0) invalid for length 50"),
+    (lambda: window_arrays(make_dataset(50), "train", 4, 2), DataError,
+     "dataset has no split bounds; call split() first"),
+    (lambda: normalized_values(make_dataset(50)), DataError,
+     "dataset has no normalization statistics; call split() first"),
+    (lambda: window_arrays(split(make_dataset(50), (0.6, 0.2)), "validation", 4, 2), DataError,
+     "unknown split 'validation'; expected one of ('train', 'val', 'test')"),
+    (lambda: window_arrays(split(make_dataset(50), (0.6, 0.2)), ["val"], 4, 2), DataError,
+     "unknown split ['val']; expected one of ('train', 'val', 'test')"),
+    (lambda: window_arrays(split(make_dataset(50), (0.6, 0.2)), "train", 0, 2), DataError,
+     "windows: L and T must be positive, got 0, 2"),
+    (lambda: window_arrays(split(make_dataset(50), (0.6, 0.2)), "train", 4, 0), DataError,
+     "windows: L and T must be positive, got 4, 0"),
+    (lambda: synth_multisine(0, 100, [], noise_sigma=0.0, seed=0), ConfigError,
+     "synth_multisine: need C >= 1 and Tlen >= 2, got 0, 100"),
+    (lambda: synth_multisine(1, 1, [[]], noise_sigma=0.0, seed=0), ConfigError,
+     "synth_multisine: need C >= 1 and Tlen >= 2, got 1, 1"),
+    (lambda: synth_multisine(1, 100, [[]], noise_sigma=0.0, seed=0, period=1), ConfigError,
+     "synth_multisine: period must be >= 2, got 1"),
+], ids=["split-bounds", "windows-before-split", "normalize-before-split", "unknown-split", "unhashable-split",
+        "zero-lookback", "zero-horizon", "no-variates", "one-step", "period"])
+def test_data_refusals_name_their_rule(call, error, words):
+    with pytest.raises(error, match=f"^{re.escape(words)}$"):
+        call()

@@ -178,13 +178,12 @@ def test_mss_attention_weights_matches_the_chain_it_fuses_bitwise(case, source_n
     source = rng.standard_normal(shape)
     scales = [1.0 + 0.3 * rng.standard_normal((heads,) + shape[1:]) for _ in range(2 * layers)]
     probes = [rng.standard_normal(shape[:1] + (heads,) + shape[1:2] * 2) for _ in range(layers)]
-    factor = 1.0 / np.sqrt(shape[-1])
     results = []
     for build in (nm.mss_attention_weights, unfused_mss_attention_weights):
         src = nm.Tensor(source, requires_grad=source_needs_grad)
         params = [nm.Parameter(s, f"s{i}") for i, s in enumerate(scales)]
         with nm.GradientTape() as tape:
-            outs = [build(src, params[2 * i], params[2 * i + 1], factor) for i in range(layers)]
+            outs = [build(src, params[2 * i], params[2 * i + 1]) for i in range(layers)]
             losses = [nm.mean_all(nm.mul(out, probe)) for out, probe in zip(outs, probes)]
             loss = losses[0] if layers == 1 else nm.add(losses[0], losses[1])
         nm.backward(tape, loss)
@@ -200,7 +199,7 @@ def test_mss_attention_weights_is_one_record_holding_no_q_or_k():
     source = nm.Tensor(np.ones((4, 5, 6)), requires_grad=True)
     scales = [nm.Parameter(np.ones((3, 5, 6)), name) for name in ("q", "k")]
     with nm.GradientTape() as tape:
-        out = nm.mss_attention_weights(source, *scales, 0.5)
+        out = nm.mss_attention_weights(source, *scales)
     (rec_out, inputs, vjp), = tape._records
     assert rec_out is out.node and out.shape == (4, 3, 5, 5)
     assert inputs == (source, *scales)
@@ -219,4 +218,4 @@ def test_mss_attention_weights_rejects_mismatched_shapes(source, scale_q, scale_
     from spectral_attn.errors import ShapeError
 
     with pytest.raises(ShapeError, match="mss_attention_weights: incompatible shapes"):
-        nm.mss_attention_weights(np.ones(source), np.ones(scale_q), np.ones(scale_k), 1.0)
+        nm.mss_attention_weights(np.ones(source), np.ones(scale_q), np.ones(scale_k))

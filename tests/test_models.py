@@ -1221,3 +1221,92 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path, name):
     assert first.read_bytes() == second.read_bytes()
     x = np.random.default_rng(2).standard_normal((cfg.C, cfg.L))
     assert loaded.predict(x).tobytes() == ForecastModel(cfg).predict(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# refusals of the model layer, each by name
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides, words", [
+    (dict(L=1), "lookback L must be >= 2, got 1"),
+    (dict(T=0), "horizon T must be >= 1, got 0"),
+    (dict(C=-1), "variate count C must be >= 0, got -1"),
+    (dict(P=17), "patch length P=17 must lie in [1, L=16]"),
+    (dict(S=0), "stride S must be >= 1, got 0"),
+    (dict(architecture="temporal", S=5), "stride S=5 must not exceed patch length P=4"),
+    (dict(layers=0), "layers must be >= 1, got 0"),
+    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+    (dict(epochs=0), "epochs must be >= 1, got 0"),
+], ids=["L", "T", "C", "P", "S", "temporal-S-above-P", "layers", "batch_size", "epochs"])
+def test_config_refuses_each_field_out_of_its_range(overrides, words):
+    with pytest.raises(ConfigError, match=f"^{re.escape(words)}$"):
+        micro_config(**overrides)
+
+
+def test_a_model_needs_a_concrete_variate_count():
+    with pytest.raises(ConfigError, match="requires a concrete variate count C >= 1"):
+        ForecastModel(micro_config(C=0))
+
+
+def test_a_model_too_deep_for_memory_is_refused_before_its_second_layer():
+    with pytest.raises(MemoryError, match=rf"^{10**12} layers of \d+ parameters each are too large for memory$"):
+        ForecastModel(micro_config(layers=10**12))
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: patchify(np.zeros((2, 0)), 1, 1), "patchify: expected nonempty (..., L) sequences, got shape (2, 0)"),
+    (lambda: patchify(np.float64(1.0), 1, 1), "patchify: expected nonempty (..., L) sequences, got shape ()"),
+    (lambda: instance_normalize(np.ones(5)), "instance_normalize: expected (..., C, L >= 2), got shape (5,)"),
+    (lambda: instance_normalize(np.ones((2, 1))), "instance_normalize: expected (..., C, L >= 2), got shape (2, 1)"),
+    (lambda: instance_denormalize(np.ones((5, 4)), instance_normalize(np.ones((2, 4)))[1]),
+     "instance_denormalize: expected shape (2, T), got (5, 4)"),
+    (lambda: instance_denormalize(np.ones(3), instance_normalize(np.ones((2, 4)))[1]),
+     "instance_denormalize: expected shape (2, T), got (3,)"),
+], ids=["patchify-empty", "patchify-scalar", "normalize-1d", "normalize-one-step", "denormalize-rows",
+        "denormalize-broadcast"])
+def test_a_misshapen_array_is_refused_by_name(call, words):
+    """`instance_denormalize` takes forecasts of the stats' shape: (5, 4) raised
+    NumPy's broadcast error and (3,) broadcast to a (2, 3) result."""
+    with pytest.raises(ShapeError, match=f"^{re.escape(words)}$"):
+        call()
+
+
+def _stats():
+    return instance_normalize(np.array([[0.0, 0.0, 0.0, 6.0], [1.0, 2.0, 3.0, 4.0]]))[1]
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: models_mod.mse(np.zeros(0), np.zeros(0)), "mse: the mean squared error of 0 values is not finite"),
+    (lambda: models_mod.mae(np.zeros(0), np.zeros(0)), "mae: the mean squared error of 0 values is not finite"),
+    (lambda: models_mod.mse([np.nan], [0.0]), "mse: the mean squared error of 1 values is not finite"),
+    (lambda: models_mod.mae([np.inf], [np.inf]), "mae: the mean squared error of 1 values is not finite"),
+    (lambda: models_mod.mse([1e308], [-1e308]), "mse: the mean squared error of 1 values is not finite"),
+    (lambda: models_mod.mae([1e200], [0.0]), "mae: the mean squared error of 1 values is not finite"),
+    (lambda: instance_denormalize(np.full((2, 3), 1e308), _stats()), "instance_denormalize: a forecast is not finite"),
+    (lambda: instance_denormalize(np.full((2, 3), np.nan), _stats()), "instance_denormalize: a forecast is not finite"),
+], ids=["mse-empty", "mae-empty", "mse-nan", "mae-inf", "mse-overflow", "mae-overflow", "denormalize-overflow",
+        "denormalize-nan"])
+def test_a_non_finite_result_is_refused_with_no_warning(call, words):
+    """Each returned NaN or inf, most with a RuntimeWarning; an empty error had no mean."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteInputError, match=f"^{re.escape(words)}$"):
+            call()
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("name", FIVE_ARMS)
+def test_a_target_that_is_not_finite_is_refused(name, target):
+    """`batch_loss` returned a NaN or inf loss, and `evaluate_windows` NaN or inf
+    metrics or a RuntimeWarning, for a target that is not finite on its scale."""
+    model = ForecastModel(micro_config(**EQUIVALENCE_CONFIGS[name]))
+    cfg = model.config
+    x = np.random.default_rng(4).standard_normal((2, cfg.C, cfg.L))
+    y = np.zeros((2, cfg.C, cfg.T))
+    y[1, 0, -1] = target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteInputError, match="^batch_loss: a normalized target is not finite when squared$"):
+            model.batch_loss(x, y)
+        with pytest.raises(FiniteInputError, match="^evaluate_windows: the mean squared error of"):
+            evaluate_windows(model, x, y)

@@ -2,10 +2,13 @@
 
 import importlib.machinery
 import importlib.util
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,9 +220,9 @@ CLOSURE_CASES = {
     "relu": (nm.relu, [(3, 4)], lambda needs: set()),
     "gelu": (nm.gelu, [(3, 4)], lambda needs: set()),
     "softmax_rows": (nm.softmax_rows, [(3, 4)], lambda needs: set()),
-    "attention_weights": (lambda q, k: nm.attention_weights(q, k, 0.5), [(2, 3, 4), (2, 5, 4)],
+    "attention_weights": (lambda q, k: nm.attention_weights(q, k), [(2, 3, 4), (2, 5, 4)],
                           lambda needs: {0, 1}),
-    "mss_attention_weights": (lambda a, sq, sk: nm.mss_attention_weights(a, sq, sk, 0.5),
+    "mss_attention_weights": (lambda a, sq, sk: nm.mss_attention_weights(a, sq, sk),
                               [(2, 3, 4), (2, 3, 4), (2, 3, 4)], lambda needs: {0, 1, 2}),
     "layer_norm": (nm.layer_norm, [(3, 4), (4,), (4,)], lambda needs: {1}),
     "conv2d": (nm.conv2d, [(2, 2, 4, 4), (2, 2, 3, 3)], lambda needs: {0, 1}),
@@ -421,7 +424,7 @@ def test_per_op_gradients(op_name, seed):
         keys = rng.standard_normal((5, 4))
         probe = rng.standard_normal((3, 5))
         check_gradients(
-            lambda q, k: nm.mean_all(nm.mul(nm.attention_weights(q, k, 0.7), probe)), x, keys
+            lambda q, k: nm.mean_all(nm.mul(nm.attention_weights(q, k), probe)), x, keys
         )
         return
     if op_name == "mss_attention_weights":
@@ -430,7 +433,7 @@ def test_per_op_gradients(op_name, seed):
         scale_q, scale_k = rng.standard_normal((2, 2, 3, 4))
         probe = rng.standard_normal((2, 2, 3, 3))
         check_gradients(
-            lambda a, sq, sk: nm.mean_all(nm.mul(nm.mss_attention_weights(a, sq, sk, 0.6), probe)),
+            lambda a, sq, sk: nm.mean_all(nm.mul(nm.mss_attention_weights(a, sq, sk), probe)),
             source, scale_q, scale_k,
         )
         return
@@ -599,8 +602,8 @@ FUSED_CHAINS = {
     "split_heads": (lambda x: nm.split_heads(x, 2), lambda x: unfused_split_heads(x, 2),
                     [(2, 3, 6)]),
     "merge_heads": (nm.merge_heads, unfused_merge_heads, [(2, 3, 4, 2)]),
-    "attention_weights": (lambda q, k: nm.attention_weights(q, k, 0.35),
-                          lambda q, k: unfused_attention_weights(q, k, 0.35),
+    "attention_weights": (lambda q, k: nm.attention_weights(q, k),
+                          lambda q, k: unfused_attention_weights(q, k),
                           [(2, 3, 4, 5), (2, 3, 4, 5)]),
 }
 
@@ -628,7 +631,7 @@ def test_fused_ops_record_once():
     with nm.GradientTape() as tape:
         heads = nm.split_heads(nm.linear(x, np.ones((4, 4)), np.zeros(4)), 2)
         nm.merge_heads(heads)
-        nm.attention_weights(heads, heads, 1.0)
+        nm.attention_weights(heads, heads)
     assert len(tape) == 4
 
 
@@ -687,11 +690,11 @@ def test_linear_without_bias_matches_weight_matmul_bitwise(x_shape, x_needs_grad
 
 def test_fused_ops_reject_bad_input():
     with pytest.raises(FiniteInputError, match="attention_weights: input must be finite"):
-        nm.attention_weights(np.array([[np.inf, 1.0]]), np.ones((3, 2)), 1.0)
+        nm.attention_weights(np.array([[np.inf, 1.0]]), np.ones((3, 2)))
     with pytest.raises(ShapeError, match="incompatible shapes"):
-        nm.attention_weights(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+        nm.attention_weights(np.ones((2, 3)), np.ones((2, 4)))
     with pytest.raises(ShapeError, match="incompatible shapes"):
-        nm.attention_weights(np.ones((2, 2, 3)), np.ones((3, 2, 3)), 1.0)
+        nm.attention_weights(np.ones((2, 2, 3)), np.ones((3, 2, 3)))
     with pytest.raises(ShapeError, match="incompatible shapes"):
         nm.linear(np.ones((2, 3)), np.ones((3, 4)), np.ones(3))
     with pytest.raises(ShapeError, match=r"incompatible shapes \(2, 3\) x \(4, 4\)$"):
@@ -957,3 +960,90 @@ def test_erf_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name, package=None: spec if name == "scipy" else find_spec(name, package))
     assert nm._load_erf() is scipy.special.erf
+
+
+# ---------------------------------------------------------------------------
+# refusals of the primitives, each by name
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: nm.sub(np.ones((2, 3)), np.ones(3)), ShapeError, "sub: incompatible shapes (2, 3) - (3,)"),
+    (lambda: nm.softmax_rows(np.ones(3)), ShapeError, "softmax_rows: need at least 2 dims, got shape (3,)"),
+    (lambda: nm.softmax_rows(np.ones((2, 0))), ShapeError,
+     "softmax_rows: no entries to normalize over, got shape (2, 0)"),
+    (lambda: nm.layer_norm(np.float64(1.0), np.ones(1), np.ones(1)), ShapeError,
+     "layer_norm: expected at least 1-D input, got shape ()"),
+    (lambda: nm.split_heads(np.ones(4), 2), ShapeError, "split_heads: expected (..., N, D) input, got shape (4,)"),
+    (lambda: nm.tile_planes(np.ones(3), 2), ShapeError,
+     "tile_planes: expected 2-D input and count >= 1, got (3,) / 2"),
+    (lambda: nm.tile_planes(np.ones((2, 3)), 0), ShapeError,
+     "tile_planes: expected 2-D input and count >= 1, got (2, 3) / 0"),
+    (lambda: nm.concat_rows([]), ShapeError, "concat_rows: empty input"),
+    (lambda: nm.concat_rows([np.ones((2, 3)), np.ones((2, 4))]), ShapeError,
+     "concat_rows: incompatible part shape (2, 4)"),
+    (lambda: nm.dropout(np.ones(3), 1.0, nm.substream(0, "dropout"), True), ConfigError,
+     "dropout: probability must be in [0, 1), got 1.0"),
+    (lambda: nm.attention_weights(np.ones((2, 0)), np.ones((3, 0))), ShapeError,
+     "attention_weights: incompatible shapes (2, 0) x (3, 0)"),
+    (lambda: nm.attention_weights(np.ones((2, 1)), np.ones((0, 1))), ShapeError,
+     "attention_weights: no entries to normalize over, got shape (2, 0)"),
+    (lambda: nm.mss_attention_weights(np.ones((2, 3, 0)), np.ones((1, 3, 0)), np.ones((1, 3, 0))), ShapeError,
+     "mss_attention_weights: incompatible shapes (2, 3, 0) with scales (1, 3, 0) / (1, 3, 0)"),
+    (lambda: nm.mss_attention_weights(np.ones((2, 0, 1)), np.ones((1, 0, 1)), np.ones((1, 0, 1))), ShapeError,
+     "mss_attention_weights: no entries to normalize over, got shape (2, 1, 0, 0)"),
+    (lambda: nm.attention_weights(np.ones((2, 2)) + 1j, np.ones((2, 2))), ShapeError,
+     "Tensor: expected real values, got complex128"),
+    (lambda: nm.attention_weights(np.full((1, 1), 1e308), np.full((1, 1), 2.0)), FiniteInputError,
+     "attention_weights: input must be finite (no NaN/Inf)"),
+    (lambda: nm.mss_attention_weights(np.full((1, 1), 1e308), np.full((1, 1, 1), 1e308), np.ones((1, 1, 1))),
+     FiniteInputError, "mss_attention_weights: input must be finite (no NaN/Inf)"),
+], ids=["sub", "softmax-rank", "softmax-no-columns", "layer-norm-scalar", "split-heads-rank", "tile-planes-rank",
+        "tile-planes-count", "concat-rows-empty", "concat-rows-width", "dropout-p", "attention-zero-width",
+        "attention-no-keys", "mss-zero-bins", "mss-no-tokens", "complex-operand", "attention-overflow",
+        "mss-overflow"])
+def test_a_primitive_refuses_bad_input_by_name_with_no_warning(call, error, words):
+    """The last six are new refusals: a zero-width Q/K or F = 0 returned uniform
+    weights, an empty key axis or a complex operand raised NumPy's own error or
+    warning, and scores that overflow raised a RuntimeWarning before the refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(words)}$"):
+            call()
+
+
+def test_attention_scales_by_the_width_of_its_operands():
+    """softmax(Q Kᵀ / √d): with Q = I and K = 5·I (d = 4) each row puts
+    e^(5/2) on its own key and 1 on each other one."""
+    q, k = np.eye(4), 5.0 * np.eye(4)
+    diagonal = math.exp(2.5) / (math.exp(2.5) + 3.0)
+    want = np.where(np.eye(4) == 1, diagonal, 1.0 / (math.exp(2.5) + 3.0))
+    np.testing.assert_allclose(nm.attention_weights(q, k).data, want, rtol=1e-14)
+    source, ones = np.eye(4)[None], np.ones((1, 4, 4))
+    np.testing.assert_allclose(nm.mss_attention_weights(source, ones, 5.0 * ones).data[0, 0], want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("loss_shape, words", [
+    ((2,), "backward expects a scalar loss, got shape (2,)"),
+    (None, "loss was not produced under this tape"),
+])
+def test_backward_refuses_a_loss_it_cannot_replay(loss_shape, words):
+    p = nm.Parameter(np.ones(2), "p")
+    with nm.GradientTape() as tape:
+        out = nm.mul(p, p)
+    if loss_shape is None:
+        with nm.GradientTape():
+            loss = nm.mean_all(out)   # recorded on another tape
+        error = EmptyTapeError
+    else:
+        loss, error = out, ShapeError
+    with pytest.raises(error, match=f"^{re.escape(words)}$"):
+        nm.backward(tape, loss)
+
+
+def test_backward_skips_a_record_whose_output_never_reaches_the_loss():
+    p = nm.Parameter(np.array([1.5, -2.0]), "p")
+    with nm.GradientTape() as tape:
+        nm.mul(p, p)   # recorded, but the loss does not read it
+        loss = nm.mean_all(p)
+    nm.backward(tape, loss)
+    np.testing.assert_array_equal(p.grad, [0.5, 0.5])
