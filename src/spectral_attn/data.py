@@ -20,6 +20,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, replace
+from datetime import datetime
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,7 +90,8 @@ def load_csv(path):
     block's cells are held as Python strings. If a block's call fails, or a
     row has the wrong width, or a value is not finite, `_parse_cells` names
     the first bad cell of that block, which is the first in the file. A field
-    too long for the csv module, or a repeated variate name, is a FormatError.
+    too long for the csv module, a repeated variate name, or timestamps out of
+    order (`_check_time_order`) is a FormatError.
     """
     # Once read_text has checked the UTF-8, the text is held as its bytes and
     # decoded again a chunk at a time: io.StringIO(text) would hold 4 bytes
@@ -116,11 +118,31 @@ def load_csv(path):
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not blocks:
         raise FormatError(f"{path}: no data rows")
+    _check_time_order(path, stamps)
     try:   # SeriesDataset refuses a repeated variate name
         return SeriesDataset(name=_stem(path), values=np.concatenate(blocks, axis=1),
                              timestamps=tuple(stamps), variate_names=tuple(header[1:]))
     except DataError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def _check_time_order(path, stamps):
+    """FormatError naming the first row whose timestamp is not after the one before it,
+    if every stamp parses as a number (one NumPy call, as the value blocks do) or every
+    one as ISO 8601 (`datetime.fromisoformat`). Other stamps, naive and offset-aware
+    ISO stamps mixed among them, are free labels. Data rows start at row 2."""
+    try:
+        keys = np.array(stamps, dtype=np.float64).tolist()
+    except ValueError:
+        try:
+            keys = [datetime.fromisoformat(stamp) for stamp in stamps]
+        except ValueError:
+            return
+        if len({key.utcoffset() is None for key in keys}) > 1:   # naive and aware do not compare
+            return
+    for row, (before, after) in enumerate(zip(keys, keys[1:]), start=3):
+        if not before < after:
+            raise FormatError(f"{path}: row {row}: timestamp {stamps[row - 2]!r} is not after {stamps[row - 3]!r}")
 
 
 def _parse_cells(path, header, block, first_row):

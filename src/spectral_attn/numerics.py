@@ -29,10 +29,11 @@ latency, not compute. The encoder's fixed chains are therefore fused
 primitives, one record and one hand-written vjp each, with the same
 arithmetic as the chain: `linear` (matmul + optional bias add), `split_heads`
 (reshape + axis swap), `merge_heads` (axis swap + reshape),
-`attention_weights` (transpose + matmul + scale + softmax) and
-`mss_attention_weights` (head axis + the two MSS scalings +
-`attention_weights`). The MSS record keeps the shared source and the
-scales and rebuilds Q and K, one multiply each, in its vjp.
+`attention_weights` (transpose + matmul + scale + softmax, Q and K with the
+same leading axes) and `mss_attention_weights` (head axis + two MSS scalings
++ `attention_weights`), both through one score step whose `_softmax` works in
+the scores it owns. The MSS record keeps the source and the scales and
+rebuilds Q and K, one multiply each, in its vjp.
 
 What is left of a batch-1 forecast is Python per primitive against the
 floor of one NumPy call each. So `_emit` loops over its inputs, `Tensor`
@@ -429,23 +430,23 @@ def gelu(a):
 
 
 def _softmax(s, op):
-    """Softmax of array `s` over its nonempty last axis; ShapeError or FiniteInputError names `op`.
-
-    Rows are shifted by their max before exponentiation, so arbitrarily large
-    finite scores cannot overflow.
-    """
+    """Softmax of array `s` over its nonempty last axis, in `s` itself, each row shifted by its max
+    so that no finite score overflows; ShapeError or FiniteInputError names `op`."""
     if not s.shape[-1]:
         raise ShapeError(f"{op}: no entries to normalize over, got shape {s.shape}")
     finite(s, f"{op}: input must be finite (no NaN/Inf)")
-    e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    return s
 
 
-def _softmax_vjp(y, g):
-    """Adjoint of the scores, given the softmax output y and its adjoint g."""
-    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
+def _softmax_vjp(y, g, factor=1.0):
+    """`factor` times the adjoint of the scores, given the softmax output y and its adjoint g, in one array."""
+    gs = np.subtract(g, np.add.reduce(g * y, axis=-1, keepdims=True))
+    gs *= y
+    gs *= factor
+    return gs
 
 
 def softmax_rows(s):
@@ -456,7 +457,7 @@ def softmax_rows(s):
     s = _as_tensor(s)
     if s.data.ndim < 2:
         raise ShapeError(f"softmax_rows: need at least 2 dims, got shape {s.shape}")
-    y = _softmax(s.data, "softmax_rows")
+    y = _softmax(s.data.copy(), "softmax_rows")   # the input is not this op's to overwrite
 
     def vjp(g):
         return (_softmax_vjp(y, g),)
@@ -464,34 +465,36 @@ def softmax_rows(s):
     return _emit(y, (s,), vjp)
 
 
-def attention_weights(q, k):
-    """softmax(Q Kᵀ / √d) over the last axis; leading axes broadcast.
+def _attention_scores(operands, op):
+    """(softmax(Q Kᵀ / √d), 1/√d) for the (..., N, d) and (..., M, d) stacks (Q, K) = operands(),
+    which runs under the same overflow guard as the product: both attention primitives' score step.
+    Their vjps form dK as (Qᵀ G)ᵀ, as the chain does; OpenBLAS' Gᵀ Q differs in last bits at N = 321."""
+    with np.errstate(over="ignore", invalid="ignore"):   # `_softmax` refuses non-finite scores
+        q, k = operands()
+        scores = q @ k.swapaxes(-1, -2)
+    factor = 1.0 / math.sqrt(q.shape[-1])
+    scores *= factor
+    return _softmax(scores, op), factor
 
-    q: (..., N, d) queries, k: (..., M, d) keys, d >= 1; returns (..., N, M)
-    row-stochastic weights. One record for the transpose, matmul, scale
-    and softmax chain, with the same arithmetic. Non-finite scores raise
-    FiniteInputError.
+
+def attention_weights(q, k):
+    """softmax(Q Kᵀ / √d) over the last axis.
+
+    q: (..., N, d) queries, k: (..., M, d) keys with the same leading axes,
+    d >= 1; returns (..., N, M) row-stochastic weights. One record for the
+    transpose, matmul, scale and softmax chain, with the same arithmetic.
+    Non-finite scores raise FiniteInputError.
     """
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] == 0:
-        raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}")
-    factor = 1.0 / math.sqrt(q.shape[-1])
     qd, kd = q.data, k.data
-    k_t = kd.swapaxes(-1, -2)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):   # `_softmax` refuses non-finite scores
-            scores = qd @ k_t
-    except ValueError:
-        raise ShapeError(f"attention_weights: incompatible shapes {q.shape} x {k.shape}") from None
-    scores *= factor
-    y = _softmax(scores, "attention_weights")
+    qs, ks = qd.shape, kd.shape
+    if len(qs) < 2 or len(ks) != len(qs) or qs[:-2] != ks[:-2] or not qs[-1] == ks[-1] > 0:
+        raise ShapeError(f"attention_weights: incompatible shapes {qs} x {ks}")
+    y, factor = _attention_scores(lambda: (qd, kd), "attention_weights")
 
     def vjp(g):
-        gs = _softmax_vjp(y, g) * factor
-        return (
-            _unbroadcast(gs @ kd, qd.shape),
-            _unbroadcast(qd.swapaxes(-1, -2) @ gs, k_t.shape).swapaxes(-1, -2),
-        )
+        gs = _softmax_vjp(y, g, factor)
+        return gs @ kd, (qd.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
 
     return _emit(y, (q, k), vjp)
 
@@ -514,21 +517,17 @@ def mss_attention_weights(source, scale_q, scale_k):
         raise ShapeError(
             f"mss_attention_weights: incompatible shapes {src_shape} with scales {hs} / {scale_k.data.shape}"
         )
-    factor = 1.0 / math.sqrt(hs[2])
     shared = source.data.reshape(src_shape[:-2] + (1,) + src_shape[-2:])
     sq, sk = scale_q.data, scale_k.data
     needs = source.requires_grad, scale_q.requires_grad, scale_k.requires_grad
-    with np.errstate(over="ignore", invalid="ignore"):   # `_softmax` refuses non-finite scores
-        scores = (shared * sq) @ (shared * sk).swapaxes(-1, -2)
-    scores *= factor
-    y = _softmax(scores, "mss_attention_weights")
+    y, factor = _attention_scores(lambda: (shared * sq, shared * sk), "mss_attention_weights")
 
     def vjp(g):
-        gs = _softmax_vjp(y, g) * factor
+        gs = _softmax_vjp(y, g, factor)
         dq = gs @ (shared * sk)
         dk = (shared * sq).swapaxes(-1, -2) @ gs
         del gs   # Q and the score adjoint go before dK's copy
-        # C-contiguous, as `backward` stores K's first adjoint in the unfused chain
+        # C-contiguous, so the broadcast products below need no buffer for a transposed operand
         dk = np.ascontiguousarray(dk.swapaxes(-1, -2))
         dsq = _unbroadcast(dq * shared, hs) if needs[1] else None
         dsk = _unbroadcast(dk * shared, hs) if needs[2] else None
@@ -551,6 +550,8 @@ def layer_norm(x, gamma, beta):
     if x.data.ndim < 1:
         raise ShapeError(f"layer_norm: expected at least 1-D input, got shape {x.shape}")
     xd, d = x.data, x.data.shape[-1]
+    if not d:
+        raise ShapeError(f"layer_norm: no entries to normalize over, got shape {x.shape}")
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.data.shape}/{beta.data.shape} do not match width {d}"
@@ -733,6 +734,8 @@ def concat_rows(parts):
 def mean_all(a):
     a = _as_tensor(a)
     shape, n = a.data.shape, a.data.size
+    if not n:
+        raise ShapeError(f"mean_all: no entries to average, got shape {shape}")
 
     def vjp(g):
         return (np.full(shape, float(g) / n),)

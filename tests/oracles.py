@@ -33,7 +33,7 @@ from scipy.special import erf
 from spectral_attn import numerics as nm
 from spectral_attn.artifacts import atomic_open, read_text
 from spectral_attn.attention import AttentionTensor, LayerAttention, dirac_kernel, hcc, orthogonal_init
-from spectral_attn.data import SeriesDataset
+from spectral_attn.data import SeriesDataset, _check_time_order
 from spectral_attn.errors import ConfigError, DataError, FormatError, ParseError, ShapeError
 
 
@@ -577,6 +577,7 @@ def cellwise_load_csv(path):
             if not math.isfinite(value):
                 raise ParseError(f"{path}: non-finite cell at row {r}, column {header[c]!r}: {cell!r}")
             columns[c - 1].append(value)
+    _check_time_order(path, timestamps)   # the row-order rule, which this reader shares
     base = str(path).replace("\\", "/").rsplit("/", 1)[-1]
     try:   # SeriesDataset refuses a repeated variate name
         return SeriesDataset(

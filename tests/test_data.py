@@ -105,6 +105,36 @@ def test_load_csv_lets_the_date_column_share_a_variate_name(tmp_path):
     assert load_csv(tmp_path / "again.csv").variate_names == ("date", "b")
 
 
+@pytest.mark.parametrize("stamps, row, stamp, before", [
+    (["2024-01-01 03:00", "2024-01-01 01:00", "2024-01-01 02:00"], 3, "2024-01-01 01:00", "2024-01-01 03:00"),
+    (["2024-01-01 01:00", "2024-01-01 02:00", "2024-01-01 02:00"], 4, "2024-01-01 02:00", "2024-01-01 02:00"),
+    (["2024-01-01T01:00+00:00", "2024-01-01T02:00+02:00"], 3, "2024-01-01T02:00+02:00", "2024-01-01T01:00+00:00"),
+    (["0", "1", "1.0", "0"], 4, "1.0", "1"),
+    (["1_000", " 2e3 ", "1500"], 4, "1500", " 2e3 "),
+    (["1", "nan"], 3, "nan", "1"),
+], ids=["iso-order", "iso-repeat", "iso-offsets", "numeric-repeat", "numeric-as-values-parse", "numeric-nan"])
+def test_load_csv_refuses_timestamps_that_do_not_strictly_increase(tmp_path, stamps, row, stamp, before):
+    """Stamps that all parse as numbers, or all as ISO 8601, must increase;
+    aware stamps compare as instants. The first breach is named by its row."""
+    path = write(tmp_path, "date,a\n" + "".join(f"{s},1\n" for s in stamps))
+    with pytest.raises(FormatError, match=f"data\\.csv: row {row}: timestamp {re.escape(repr(stamp))} "
+                                          f"is not after {re.escape(repr(before))}$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("stamps", [
+    ["2024-01-01T00:00", "2024-01-01T05:00+02:00", "2024-01-01T01:00"],
+    ["b", "a", "a"],
+    ["3", "t1", "1"],
+    ["2", "2024-01-01", "1"],
+    ["2024-01-01", "2024-01-02T00:00", "2024-01-03 12:30:00.5"],
+    ["-1e300", "-0.5", "0", "1e-300", "inf"],
+], ids=["naive-and-aware", "labels", "mixed-numbers", "numbers-and-dates", "iso-forms", "numbers"])
+def test_load_csv_keeps_free_labels_and_increasing_timestamps_as_given(tmp_path, stamps):
+    path = write(tmp_path, "date,a\n" + "".join(f"{s},1\n" for s in stamps))
+    assert load_csv(path).timestamps == tuple(stamps)
+
+
 def test_load_csv_peak_memory_grows_with_the_file_not_with_its_rows_as_strings(tmp_path):
     """64 x 8000 values: about 10 MB of text in 8 blocks of rows. Checking
     the UTF-8 holds the text twice for a moment; the rows, as Python strings

@@ -24,6 +24,7 @@ from oracles import (
     method_softmax_vjp,
     sliding_window_patchify,
     two_array_gelu,
+    unfused_attention_weights,
     unfused_mss_attention_weights,
 )
 
@@ -70,7 +71,7 @@ def _layer_norm_vjp(rng, batch):
 def _softmax(rng, batch):
     s = rng.standard_normal((batch, 4, 7, 7)) * 40.0
     s[0, 0, 0] = 1e300  # huge finite scores must not overflow
-    assert_bitwise(nm._softmax(s, "test"), method_softmax(s))
+    assert_bitwise(nm._softmax(s.copy(), "test"), method_softmax(s))
 
 
 def _softmax_vjp(rng, batch):
@@ -219,3 +220,26 @@ def test_mss_attention_weights_rejects_mismatched_shapes(source, scale_q, scale_
 
     with pytest.raises(ShapeError, match="mss_attention_weights: incompatible shapes"):
         nm.mss_attention_weights(np.ones(source), np.ones(scale_q), np.ones(scale_k))
+
+
+def test_attention_adjoints_keep_the_chain_bits_at_the_electricity_width():
+    """At N = 321 tokens and F = 49 bins (Electricity at L = 96) OpenBLAS forms
+    Gᵀ Q with other last bits than (Qᵀ G)ᵀ, the product of the chain's matmul
+    and transpose; both primitives must keep the chain's bits there too."""
+    rng = np.random.default_rng(321)
+    source = rng.standard_normal((1, 321, 49))
+    scales = [1.0 + 0.3 * rng.standard_normal((2, 321, 49)) for _ in range(2)]
+    probe = rng.standard_normal((1, 2, 321, 321))
+    cases = [((nm.mss_attention_weights, unfused_mss_attention_weights), [source] + scales),
+             ((nm.attention_weights, unfused_attention_weights), [source * s for s in scales])]
+    for builds, arrays in cases:
+        results = []
+        for build in builds:
+            tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+            with nm.GradientTape() as tape:
+                out = build(*tensors)
+                loss = nm.mean_all(nm.mul(out, probe))
+            nm.backward(tape, loss)
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            assert_bitwise(got, want)

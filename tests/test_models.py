@@ -822,6 +822,16 @@ def test_repeated_training_steps_do_not_page_fault():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
+def test_create_refuses_a_repeated_name_and_an_unknown_init():
+    model = ForecastModel(micro_config())
+    name = next(iter(model.params))
+    with pytest.raises(ConfigError, match=f"^duplicate parameter name {re.escape(repr(name))}$"):
+        model._create(name, ("zeros", (2,)))
+    with pytest.raises(ConfigError, match="^unknown parameter init 'uniform'$"):
+        model._create("extra", ("uniform", (2,)))
+    assert "extra" not in model.params
+
+
 def test_backward_peak_memory_stays_near_the_forward_tape():
     """Adjoints are freed once used and taken over without zero buffers, so the
     backward pass of a 32-window temporal step adds little to its tape (a

@@ -983,6 +983,13 @@ def test_erf_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
      "concat_rows: incompatible part shape (2, 4)"),
     (lambda: nm.dropout(np.ones(3), 1.0, nm.substream(0, "dropout"), True), ConfigError,
      "dropout: probability must be in [0, 1), got 1.0"),
+    (lambda: nm.mean_all(np.ones((2, 0))), ShapeError, "mean_all: no entries to average, got shape (2, 0)"),
+    (lambda: nm.layer_norm(np.ones((3, 0)), np.ones(0), np.ones(0)), ShapeError,
+     "layer_norm: no entries to normalize over, got shape (3, 0)"),
+    (lambda: nm.attention_weights(np.ones((1, 2, 3)), np.ones((4, 2, 3))), ShapeError,
+     "attention_weights: incompatible shapes (1, 2, 3) x (4, 2, 3)"),
+    (lambda: nm.attention_weights(np.ones((2, 3)), np.ones(3)), ShapeError,
+     "attention_weights: incompatible shapes (2, 3) x (3,)"),
     (lambda: nm.attention_weights(np.ones((2, 0)), np.ones((3, 0))), ShapeError,
      "attention_weights: incompatible shapes (2, 0) x (3, 0)"),
     (lambda: nm.attention_weights(np.ones((2, 1)), np.ones((0, 1))), ShapeError,
@@ -998,13 +1005,17 @@ def test_erf_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
     (lambda: nm.mss_attention_weights(np.full((1, 1), 1e308), np.full((1, 1, 1), 1e308), np.ones((1, 1, 1))),
      FiniteInputError, "mss_attention_weights: input must be finite (no NaN/Inf)"),
 ], ids=["sub", "softmax-rank", "softmax-no-columns", "layer-norm-scalar", "split-heads-rank", "tile-planes-rank",
-        "tile-planes-count", "concat-rows-empty", "concat-rows-width", "dropout-p", "attention-zero-width",
+        "tile-planes-count", "concat-rows-empty", "concat-rows-width", "dropout-p", "mean-all-empty",
+        "layer-norm-zero-width", "attention-broadcast-lead", "attention-one-dim-keys", "attention-zero-width",
         "attention-no-keys", "mss-zero-bins", "mss-no-tokens", "complex-operand", "attention-overflow",
         "mss-overflow"])
 def test_a_primitive_refuses_bad_input_by_name_with_no_warning(call, error, words):
     """The last six are new refusals: a zero-width Q/K or F = 0 returned uniform
     weights, an empty key axis or a complex operand raised NumPy's own error or
-    warning, and scores that overflow raised a RuntimeWarning before the refusal."""
+    warning, and scores that overflow raised a RuntimeWarning before the refusal.
+    So are `mean_all` of no entries and `layer_norm` of width 0, which returned
+    NaN with a RuntimeWarning, and Q and K whose leading axes only broadcast,
+    which `attention_weights` broadcast although no model path needs it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=f"^{re.escape(words)}$"):
@@ -1047,3 +1058,62 @@ def test_backward_skips_a_record_whose_output_never_reaches_the_loss():
         loss = nm.mean_all(p)
     nm.backward(tape, loss)
     np.testing.assert_array_equal(p.grad, [0.5, 0.5])
+
+
+# (B, H, N, F): one (B, H, N, N) stack of scores is 1 MiB, an F-wide Q or K a quarter of that
+B, H, N, F = 8, 4, 64, 16
+# primitive -> (operand shapes, N × N stacks of Q and K that it builds itself,
+#               its vjp's peak when each primitive had its own score step)
+ATTENTION_PEAKS = {
+    "attention_weights": ([(B, H, N, F)] * 2, 0.0, 1.50),
+    "mss_attention_weights": ([(B, N, F), (H, N, F), (H, N, F)], 2 * F / N, 1.75),
+}
+
+
+def _record_peaks(build, arrays):
+    """Peak traced memory of `build`'s forward and of its vjp, over what was held
+    before each call, in (B, H, N, N) stacks; outputs and adjoints included."""
+    tensors = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    g = np.random.default_rng(1).standard_normal((B, H, N, N))
+    tracemalloc.start()
+    try:
+        with nm.GradientTape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build(*tensors)
+            forward = tracemalloc.get_traced_memory()[1] - base
+        (_, _, vjp), = tape._records
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        adjoints = vjp(g)
+        adjoint = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(adjoints) == len(arrays)
+    return forward / g.nbytes, adjoint / g.nbytes
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_PEAKS))
+def test_the_score_step_softmaxes_the_scores_it_owns(name):
+    """Beyond the Q and K it builds, a forward holds one N × N stack, the scores
+    that become its output, and the finite check's bool mask (an eighth); a
+    softmax into a fresh stack peaked at 2.08. Each vjp peaks no higher than
+    before, up to the (..., N, 1) row sums."""
+    shapes, built, adjoint_bound = ATTENTION_PEAKS[name]
+    rng = np.random.default_rng(0)
+    forward, adjoint = _record_peaks(getattr(nm, name), [rng.standard_normal(s) for s in shapes])
+    assert forward - built <= 1.25
+    assert adjoint <= adjoint_bound + 1 / N
+
+
+def test_tensor_and_parameter_reprs_show_their_shape():
+    assert repr(nm.Tensor(np.ones((2, 3)), requires_grad=True)) == "Tensor(shape=(2, 3), requires_grad=True)"
+    assert repr(nm.Parameter(np.ones(4), "w")) == "Parameter('w', shape=(4,))"
+
+
+def test_retain_freed_memory_does_nothing_without_glibc(monkeypatch):
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(nm.ctypes, "CDLL", no_libc)
+    assert nm._retain_freed_memory() is None
