@@ -178,9 +178,12 @@ def save_csv(path, dataset):
 
     The csv module writes the header and quotes each timestamp. Each row's
     values are joined in one step: a float's repr never needs quoting.
+    Timestamps that `load_csv` would refuse as out of order
+    (`_check_time_order`) are a FormatError, and no file is written.
     """
     names = _names(dataset)
     stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
+    _check_time_order(path, stamps)
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append))
     writer.writerow(("date",) + tuple(names))

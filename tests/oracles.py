@@ -591,12 +591,14 @@ def cellwise_load_csv(path):
 
 
 def fieldwise_save_csv(path, dataset):
-    """data.save_csv as it was when csv.writer wrote every value's repr as its own field."""
+    """data.save_csv as it was when csv.writer wrote every value's repr as its own field,
+    with `load_csv`'s time-order rule applied first, as `save_csv` applies it."""
+    stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
+    _check_time_order(path, stamps)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         names = dataset.variate_names or tuple(f"v{i}" for i in range(dataset.variates))
         writer.writerow(("date",) + tuple(names))
-        stamps = dataset.timestamps or tuple(str(i) for i in range(dataset.length))
         writer.writerows([t, *map(repr, row)] for t, row in zip(stamps, dataset.values.T.tolist(), strict=True))
 
 

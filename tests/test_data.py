@@ -135,6 +135,22 @@ def test_load_csv_keeps_free_labels_and_increasing_timestamps_as_given(tmp_path,
     assert load_csv(path).timestamps == tuple(stamps)
 
 
+@pytest.mark.parametrize("stamps, row, stamp, before", [
+    (("2", "1"), 3, "1", "2"),
+    (("0", "1", "1.0"), 4, "1.0", "1"),
+    (("2024-01-02", "2024-01-01"), 3, "2024-01-01", "2024-01-02"),
+], ids=["numeric-order", "numeric-repeat", "iso-order"])
+def test_save_csv_refuses_timestamps_load_csv_would_refuse_and_writes_nothing(tmp_path, stamps, row, stamp,
+                                                                               before):
+    """So every file `save_csv` writes, `load_csv` reads back."""
+    ds = SeriesDataset(name="x", values=np.ones((1, len(stamps))), timestamps=stamps)
+    path = tmp_path / "x.csv"
+    with pytest.raises(FormatError, match=f"x\\.csv: row {row}: timestamp {re.escape(repr(stamp))} "
+                                          f"is not after {re.escape(repr(before))}$"):
+        save_csv(path, ds)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_csv_peak_memory_grows_with_the_file_not_with_its_rows_as_strings(tmp_path):
     """64 x 8000 values: about 10 MB of text in 8 blocks of rows. Checking
     the UTF-8 holds the text twice for a moment; the rows, as Python strings

@@ -9,6 +9,8 @@ fuses and rebuilds Q and K in its vjp, and `gelu`, whose record keeps its
 derivative factor instead of its input and Phi(x).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,27 +112,60 @@ def test_rewritten_primitive_matches_earlier_formulation_bitwise(name, batch):
     REWRITES[name](np.random.default_rng(batch * 1000 + len(name)), batch)
 
 
+def _gelu_inputs(rng, batch):
+    """Normal values, and in the first row the edges of erf(x/√2), each with
+    both signs: ±0, the smallest subnormal, 1e-300, Phi's saturated tail at
+    40, x/√2 at erf's switch to erfc at 1 and at erfc's at 8 and three ulps
+    either side of each, and inf."""
+    x = rng.standard_normal((batch, 4, 128)) * 3.0
+    switches = np.array([1.0, 8.0]) * math.sqrt(2.0)
+    near = (switches.view(np.int64)[:, None] + np.arange(-3, 4)).view(np.float64).ravel()
+    edges = np.concatenate([[0.0, 5e-324, 1e-300, 40.0, np.inf], switches, near])
+    edges = np.concatenate([edges, -edges])
+    x[0, 0, :edges.size] = edges
+    return x
+
+
 @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
 @pytest.mark.parametrize("batch", [1, 32])
 def test_gelu_matches_the_two_array_formulation_bitwise(batch, taped):
     """Forward output and input adjoint, with the record holding one array
-    (the derivative factor) in place of the two the oracle keeps."""
+    (the derivative factor) in place of the two the oracle keeps. At -inf
+    both form -inf * 0, a NaN, whose invalid-value warning is ignored."""
     rng = np.random.default_rng(batch)
-    x = rng.standard_normal((batch, 4, 128)) * 3.0
-    x[0, 0, :4] = (0.0, -40.0, 40.0, 1e-300)   # Phi saturates at 0 and 1 in the tails
+    x = _gelu_inputs(rng, batch)
     g = rng.standard_normal(x.shape)
     results = []
     for op in (nm.gelu, two_array_gelu):
         inp = nm.Tensor(x, requires_grad=True)
-        if not taped:
-            results.append([op(inp).data, op(nm.Tensor(x)).data])
-            continue
-        with nm.GradientTape() as tape:
-            out = op(inp)
-        (_, _, vjp), = tape._records
-        results.append([out.data, vjp(g.copy())[0]])
+        with np.errstate(invalid="ignore"):
+            if not taped:
+                results.append([op(inp).data, op(nm.Tensor(x)).data])
+                continue
+            with nm.GradientTape() as tape:
+                out = op(inp)
+            (_, _, vjp), = tape._records
+            results.append([out.data, vjp(g.copy())[0]])
     for got, want in zip(*results):
         assert_bitwise(got, want)
+
+
+def test_gelu_hands_erf_only_values_without_a_sign_bit(monkeypatch):
+    """erf runs on |x|/√2, so SciPy's erf never takes its negative-argument
+    branch; -0.0 and -inf reach it as +0.0 and +inf."""
+    seen, erf = [], nm.erf
+
+    def recording(u, out=None):
+        seen.append(np.signbit(u).any())
+        return erf(u, out=out)
+
+    monkeypatch.setattr(nm, "erf", recording)
+    x = _gelu_inputs(np.random.default_rng(3), 2)
+    with np.errstate(invalid="ignore"):
+        nm.gelu(x)
+        with nm.GradientTape():
+            nm.gelu(nm.Tensor(x, requires_grad=True))
+    assert seen == [False, False]
 
 
 @pytest.mark.parametrize("architecture, mechanism", [

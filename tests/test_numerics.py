@@ -944,6 +944,29 @@ def test_erf_matches_scipy_bitwise_at_zeros_subnormals_tails_and_non_finites():
     assert np.isnan(nm.erf(np.nan)) and np.isnan(scipy.special.erf(np.nan))
 
 
+def _ulps_around(center, count):
+    """The `count` floats on each side of `center`, and `center` itself."""
+    return (np.array([center]).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+def test_erf_is_odd_bit_for_bit():
+    """`gelu` runs erf on |x|/√2 and copies x's sign back, which keeps every
+    bit only while erf(-u) is -erf(u) byte for byte: at ±0, subnormals, both
+    sides of erf's |u| = 1 switch to erfc and erfc's own switches at 8 and
+    near 26 (where erfc underflows), and at the huge and infinite tails."""
+    magnitudes = np.concatenate([
+        np.linspace(0.0, 30.0, 300_001),
+        np.logspace(-323, 308, 20_001),
+        [0.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308],
+        _ulps_around(1.0, 256), _ulps_around(8.0, 256), _ulps_around(26.0, 256),
+        _ulps_around(26.5, 256), [1e300, np.finfo(np.float64).max, np.inf],
+    ])
+    u = np.concatenate([magnitudes, -magnitudes])
+    odd = nm.erf(-u).view(np.int64) == (-nm.erf(u)).view(np.int64)
+    assert odd.all(), (f"erf(-u) != -erf(u) at u = {u[~odd][:5].tolist()}: GELU's sign-symmetric erf "
+                       f"(erf on |x|/√2, then copysign) no longer keeps bits on this SciPy")
+
+
 @pytest.mark.parametrize("case", ["no-module", "module-without-erf", "no-spec"])
 def test_erf_loader_falls_back_to_scipy_special(tmp_path, monkeypatch, case):
     """No installed SciPy takes this path, so the lookup is pointed at a
